@@ -41,6 +41,7 @@ from .code import (
     circ_product,
     cyclic_shift,
     inner_product,
+    spec_fields,
     validate_spec,
     words_equal,
 )
@@ -76,9 +77,9 @@ def _gray_weights(mat: np.ndarray, alpha: int) -> np.ndarray:
     return mat[:, :alpha].sum(axis=1) + _LEE[mat[:, alpha:]].sum(axis=1)
 
 
-def min_distance(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> int:
+def min_distance(spec: CyclicCodeSpec) -> int:
     """Minimum Gray-image Hamming weight over the nonzero codewords."""
-    mat = codeword_matrix(spec, cap)
+    mat = codeword_matrix(spec)
     if len(mat) < 2:
         raise TrivialCode("the trivial code has no minimum distance")
     weights = _gray_weights(mat, spec.alpha)
@@ -90,21 +91,21 @@ def _mdss_gap(spec: CyclicCodeSpec, d: int, t: CodeType) -> int:
     return (spec.alpha + 2 * spec.beta - t.gamma - 2 * t.delta) - (d - 1)
 
 
-def is_mdss(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> bool:
+def is_mdss(spec: CyclicCodeSpec) -> bool:
     """Whether d - 1 equals alpha + 2*beta - gamma - 2*delta exactly."""
     try:
-        d = min_distance(spec, cap)
+        d = min_distance(spec)
     except TrivialCode:
         return False
     return _mdss_gap(spec, d, code_type(spec)) == 0
 
 
-def is_self_dual(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> bool:
+def is_self_dual(spec: CyclicCodeSpec) -> bool:
     """Set equality of the code with its dual (size fast-path first)."""
     t = code_type(spec)
     if 2 * (t.gamma + 2 * t.delta) != spec.alpha + 2 * spec.beta:
         return False
-    return words_equal(codeword_matrix(spec, cap), codeword_matrix(dual_spec(spec), cap))
+    return words_equal(codeword_matrix(spec), codeword_matrix(dual_spec(spec)))
 
 
 def is_separable(spec: CyclicCodeSpec) -> bool:
@@ -248,14 +249,7 @@ def search_codes(
 def report_dict(spec: CyclicCodeSpec, report: CodeReport) -> dict:
     """JSON-ready view of a report; the line format carries the same data."""
     return {
-        "spec": {
-            "alpha": spec.alpha,
-            "beta": spec.beta,
-            "b": str(spec.b),
-            "ell": str(spec.ell),
-            "f": str(spec.f),
-            "h": str(spec.h),
-        },
+        "spec": spec_fields(spec),
         "type": str(report.type),
         "min_distance": report.min_distance,
         "is_mdss": report.is_mdss,
@@ -275,10 +269,8 @@ def report_line(spec: CyclicCodeSpec, report: CodeReport) -> str:
         f" is_separable={'yes' if report.is_separable else 'no'}"
         f" is_cyclic_verified={'yes' if report.is_cyclic_verified else 'no'}"
     )
-    return (
-        f"alpha={spec.alpha} beta={spec.beta} b={spec.b} ell={spec.ell}"
-        f" f={spec.f} h={spec.h} type={report.type} {flags}"
-    )
+    fields = " ".join(f"{k}={v}" for k, v in spec_fields(spec).items())
+    return f"{fields} type={report.type} {flags}"
 
 
 # -- invariant suite ---------------------------------------------------------
@@ -307,16 +299,16 @@ def _sample_rows(spec: CyclicCodeSpec, rng: random.Random, count: int) -> np.nda
     return out
 
 
-def verify_code(
-    spec: CyclicCodeSpec,
-    seed: int = 0,
-    cap: int = ENUM_CAP,
-    ambient_cap: int = AMBIENT_CAP,
-) -> list[CheckResult]:
+def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> list[CheckResult]:
     """Run every invariant the construction promises, on one spec.
 
-    Returns the named checks that actually ran; enumeration-bound checks
-    are skipped (not reported) when a size exceeds the caps.
+    Returns the named checks that ran.  The caps act in three ways:
+
+    * |C| above cap raises TooLarge at once; no check result is returned.
+    * |C_dual| above cap drops "dual-oracle" and "duality-involution"
+      from the list without a word.
+    * An ambient space 2^(alpha + 2*beta) above AMBIENT_CAP drops
+      "dual-oracle" the same way.
     """
     rng = random.Random(seed)
     out: list[CheckResult] = []
@@ -398,8 +390,8 @@ def verify_code(
     )
     dual_mat = codeword_matrix(dspec, cap) if fam.c_dual <= cap else None
     if dual_mat is not None:
-        if 2 ** (spec.alpha + 2 * spec.beta) <= ambient_cap:
-            brute = brute_force_dual_matrix(spec, ambient_cap)
+        if 2 ** (spec.alpha + 2 * spec.beta) <= AMBIENT_CAP:
+            brute = brute_force_dual_matrix(spec)
             check(
                 "dual-oracle",
                 words_equal(dual_mat, brute),

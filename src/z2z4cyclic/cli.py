@@ -21,6 +21,7 @@ from pathlib import Path
 from . import analysis
 from .code import (
     ENUM_CAP,
+    SPEC_KEYS,
     _row_word,
     cardinality,
     codeword_matrix,
@@ -28,7 +29,7 @@ from .code import (
     gray_map,
     parse_spec_text,
     spanning_set,
-    validate_spec,
+    spec_from_fields,
 )
 from .dual import dual_degrees, dual_generators
 from .errors import InvalidParameter, ParseError, TooLarge, Z2Z4Error
@@ -65,18 +66,7 @@ def _load_spec(source):
     if isinstance(source, str):
         return parse_spec_text(Path(source).read_text())
     if isinstance(source, dict):
-        try:
-            alpha, beta = int(source["alpha"]), int(source["beta"])
-        except ValueError:
-            raise ParseError("alpha and beta must be integers") from None
-        return validate_spec(
-            alpha,
-            beta,
-            parse_poly(source["b"], 2),
-            parse_poly(source["ell"], 2),
-            parse_poly(source["f"], 4),
-            parse_poly(source["h"], 4),
-        )
+        return spec_from_fields(source)
     raise ParseError("no spec given: use --spec FILE or all of --alpha/--beta/--b/--ell/--f/--h")
 
 
@@ -271,16 +261,15 @@ def _command_from_args(args: argparse.Namespace) -> Command:
             beta_set=beta_set,
             predicate=args.predicate,
         )
-    inline_keys = ("alpha", "beta", "b", "ell", "f", "h")
-    inline = {k: getattr(args, k) for k in inline_keys if getattr(args, k) is not None}
+    inline = {k: getattr(args, k) for k in SPEC_KEYS if getattr(args, k) is not None}
     if args.spec and inline:
         raise ParseError("give either --spec or the inline flags, not both")
     if args.spec:
         source: str | dict = args.spec
-    elif len(inline) == len(inline_keys):
+    elif len(inline) == len(SPEC_KEYS):
         source = inline
     elif inline:
-        missing = sorted(set(inline_keys) - set(inline))
+        missing = sorted(set(SPEC_KEYS) - set(inline))
         raise ParseError(f"inline spec is missing: {', '.join(missing)}")
     else:
         raise ParseError(
@@ -307,10 +296,7 @@ def main(argv=None) -> int:
     except TooLarge as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except Z2Z4Error as e:
+    except (OSError, UnicodeDecodeError, Z2Z4Error) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if output:

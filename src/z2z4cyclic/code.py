@@ -23,6 +23,7 @@ from . import gf2poly as gf2
 from . import z4poly as z4
 from .errors import AmbientMismatch, InvalidParameter, InvalidSpec, ParseError, TooLarge
 from .gf2poly import BinPoly
+from .poly import DEGREE_CAP
 from .z4poly import QuatPoly
 
 ENUM_CAP = 2**22
@@ -98,10 +99,12 @@ class CyclicCodeSpec:
     g: QuatPoly = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.alpha, int) or self.alpha < 1:
-            raise InvalidSpec("alpha must be a positive integer")
-        if not isinstance(self.beta, int) or self.beta < 1:
-            raise InvalidSpec("beta must be a positive integer")
+        for name in ("alpha", "beta"):
+            n = getattr(self, name)
+            if not isinstance(n, int) or n < 1:
+                raise InvalidSpec(f"{name} must be a positive integer")
+            if n > DEGREE_CAP:
+                raise TooLarge(f"{name} = {n} is above the length cap of {DEGREE_CAP}")
         if self.beta % 2 == 0:
             raise InvalidSpec("beta must be odd")
         if not isinstance(self.b, BinPoly) or not isinstance(self.ell, BinPoly):
@@ -138,7 +141,37 @@ def validate_spec(alpha: int, beta: int, b: BinPoly, ell: BinPoly, f: QuatPoly, 
     return CyclicCodeSpec(alpha, beta, b, ell, f, h)
 
 
-_SPEC_KEYS = ("alpha", "beta", "b", "ell", "f", "h")
+SPEC_KEYS = ("alpha", "beta", "b", "ell", "f", "h")
+
+
+def spec_from_fields(fields) -> CyclicCodeSpec:
+    """Parse and validate the six text fields of a spec, given as a mapping.
+
+    alpha and beta are integers (or their text), the polynomials are text
+    in either form BinPoly.parse / QuatPoly.parse accept.  This is the one
+    decoder behind spec files, the CLI's inline flags and Command dicts.
+    """
+    missing = [k for k in SPEC_KEYS if k not in fields]
+    if missing:
+        raise ParseError(f"missing keys: {', '.join(missing)}")
+    try:
+        alpha, beta = int(fields["alpha"]), int(fields["beta"])
+    except (TypeError, ValueError):
+        raise ParseError("alpha and beta must be integers") from None
+    return validate_spec(
+        alpha,
+        beta,
+        BinPoly.parse(fields["b"]),
+        BinPoly.parse(fields["ell"]),
+        QuatPoly.parse(fields["f"]),
+        QuatPoly.parse(fields["h"]),
+    )
+
+
+def spec_fields(spec: CyclicCodeSpec) -> dict:
+    """The six fields in SPEC_KEYS order: alpha and beta as ints, polynomials as text."""
+    text = {k: str(getattr(spec, k)) for k in SPEC_KEYS}
+    return {**text, "alpha": spec.alpha, "beta": spec.beta}
 
 
 def parse_spec_text(text: str) -> CyclicCodeSpec:
@@ -152,39 +185,16 @@ def parse_spec_text(text: str) -> CyclicCodeSpec:
             raise ParseError(f"line {lineno}: expected key=value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _SPEC_KEYS:
+        if key not in SPEC_KEYS:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
         seen[key] = value
-    missing = [k for k in _SPEC_KEYS if k not in seen]
-    if missing:
-        raise ParseError(f"missing keys: {', '.join(missing)}")
-    try:
-        alpha, beta = int(seen["alpha"]), int(seen["beta"])
-    except ValueError:
-        raise ParseError("alpha and beta must be integers") from None
-    return validate_spec(
-        alpha,
-        beta,
-        BinPoly.parse(seen["b"]),
-        BinPoly.parse(seen["ell"]),
-        QuatPoly.parse(seen["f"]),
-        QuatPoly.parse(seen["h"]),
-    )
+    return spec_from_fields(seen)
 
 
 def format_spec_text(spec: CyclicCodeSpec) -> str:
-    return "\n".join(
-        (
-            f"alpha={spec.alpha}",
-            f"beta={spec.beta}",
-            f"b={spec.b}",
-            f"ell={spec.ell}",
-            f"f={spec.f}",
-            f"h={spec.h}",
-        )
-    ) + "\n"
+    return "".join(f"{k}={v}\n" for k, v in spec_fields(spec).items())
 
 
 # -- type parameters -----------------------------------------------------
@@ -364,9 +374,9 @@ def words_equal(m1: np.ndarray, m2: np.ndarray) -> bool:
     return m1.shape == m2.shape and bool(np.array_equal(m1, m2))
 
 
-def contains(spec: CyclicCodeSpec, w: Codeword, cap: int = ENUM_CAP) -> bool:
+def contains(spec: CyclicCodeSpec, w: Codeword) -> bool:
     """Membership by enumeration."""
-    mat = codeword_matrix(spec, cap)
+    mat = codeword_matrix(spec)
     if len(w.u) != spec.alpha or len(w.uq) != spec.beta:
         return False
     vec = np.array(w.u + w.uq, dtype=np.int16)

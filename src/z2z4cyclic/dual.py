@@ -32,7 +32,7 @@ from .code import (
     code_type,
     validate_spec,
 )
-from .errors import TooLarge
+from .errors import NotADivisor, TooLarge
 from .gf2poly import BinPoly
 from .z4poly import QuatPoly
 
@@ -183,20 +183,21 @@ def brute_force_dual_matrix(spec: CyclicCodeSpec, cap: int = AMBIENT_CAP) -> np.
     return words
 
 
-def brute_force_dual(spec: CyclicCodeSpec, cap: int = AMBIENT_CAP) -> set[Codeword]:
+def brute_force_dual(spec: CyclicCodeSpec) -> set[Codeword]:
     """The dual codeword set, by definition (every ambient vector is tested)."""
-    return {_row_word(row, spec.alpha) for row in brute_force_dual_matrix(spec, cap)}
+    return {_row_word(row, spec.alpha) for row in brute_force_dual_matrix(spec)}
 
 
 def hensel_divisibility_check(spec: CyclicCodeSpec) -> bool:
     """Whether the Hensel lift of b/gcd(b, ell*g) divides h over Z4.
 
     True for every valid generator tuple; exposed as a diagnostic so
-    property tests can exercise the statement directly.
+    property tests can exercise the statement directly.  A lift that
+    fails with NotADivisor gives False; any other error propagates.
     """
     quotient = gf2.exact_div(spec.b, gf2.gcd(spec.b, spec.ell * spec.g.reduce_mod2()))
     try:
         lift = z4.hensel_lift(quotient, spec.beta)
-    except Exception:
+    except NotADivisor:
         return False
     return not (spec.h % lift)

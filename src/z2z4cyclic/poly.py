@@ -7,18 +7,40 @@ the modulus: BinPoly works over Z2, QuatPoly over Z4.
 
 Two text forms are accepted by parse(): a human form such as
 "x^3+2x+1" (terms in any order, '-' allowed and folded mod m) and an
-ascending comma-separated coefficient list such as "1,2,0,1".  str()
-emits the human form with descending exponents and coefficients
-normalised to 0..m-1.
+ascending comma-separated coefficient list such as "1,2,0,1".  Numerals
+are ASCII digits, and a degree above DEGREE_CAP raises TooLarge before
+anything of that size is built.  str() emits the human form with
+descending exponents and coefficients normalised to 0..m-1.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
-from .errors import DivisorZero, ParseError, ReciprocalOfZero
+from .errors import DivisorZero, ParseError, ReciprocalOfZero, TooLarge
 
 NEG_INF = float("-inf")
+
+# Largest exponent that polynomial text may name; alpha and beta share it.
+DEGREE_CAP = 2**12
+
+# Numerals are ASCII digits only: str.isdigit() also accepts superscripts.
+_NUMERAL = re.compile(r"[0-9]+")
+# One human-form term: sign, coefficient, then x with an optional exponent;
+# the whitespace around it goes with it.
+_TERM = re.compile(r"\s*([+-]?)\s*([0-9]*)\s*(x\s*(?:\^\s*([0-9]*))?)?\s*")
+_CAP_DIGITS = len(str(DEGREE_CAP))
+
+
+def _value(numeral: str) -> int:
+    """The value of an ASCII numeral, saturated just above DEGREE_CAP.
+
+    Saturating keeps a numeral of any length as cheap as a short one
+    (int() refuses strings past a few thousand digits).
+    """
+    digits = numeral.lstrip("0")
+    return int(digits or "0") if len(digits) <= _CAP_DIGITS else DEGREE_CAP + 1
 
 
 class DensePoly:
@@ -192,72 +214,44 @@ class DensePoly:
 
     @classmethod
     def _parse_csv(cls, s: str):
+        entries = s.split(",")
+        if len(entries) > DEGREE_CAP + 1:
+            raise TooLarge(f"{len(entries)} coefficients is above the degree cap {DEGREE_CAP}")
         vals = []
-        for k, tok in enumerate(s.split(",")):
+        for k, tok in enumerate(entries):
             t = tok.strip()
-            if not t.isdigit():
+            if not _NUMERAL.fullmatch(t):
                 raise ParseError(f"coefficient list entry {k} is not a number: {tok!r}")
-            v = int(t)
+            v = _value(t)
             if v >= cls.MOD:
-                raise ParseError(f"coefficient {v} at entry {k} is out of range for Z{cls.MOD}")
+                raise ParseError(
+                    f"coefficient {t.lstrip('0')} at entry {k} is out of range for Z{cls.MOD}"
+                )
             vals.append(v)
         return cls(vals)
 
     @classmethod
     def _parse_human(cls, s: str):
+        """Term by term; parse() has already rejected blank text."""
         coeffs: dict[int, int] = {}
-        i, n = 0, len(s)
-        first = True
-        while True:
-            while i < n and s[i].isspace():
-                i += 1
-            if i >= n:
-                if first:
-                    raise ParseError("empty polynomial text")
-                break
-            sign = 1
-            if s[i] in "+-":
-                sign = -1 if s[i] == "-" else 1
-                i += 1
-                while i < n and s[i].isspace():
-                    i += 1
-            elif not first:
-                raise ParseError(f"expected '+' or '-' at position {i}")
-            j = i
-            while j < n and s[j].isdigit():
-                j += 1
-            num = int(s[i:j]) if j > i else None
-            i = j
-            while i < n and s[i].isspace():
-                i += 1
-            if i < n and s[i] == "x":
-                i += 1
-                while i < n and s[i].isspace():
-                    i += 1
-                if i < n and s[i] == "^":
-                    i += 1
-                    while i < n and s[i].isspace():
-                        i += 1
-                    j = i
-                    while j < n and s[j].isdigit():
-                        j += 1
-                    if j == i:
-                        raise ParseError(f"expected an exponent at position {i}")
-                    exp = int(s[i:j])
-                    i = j
-                else:
-                    exp = 1
-            else:
-                if num is None:
-                    raise ParseError(f"expected a term at position {i}")
-                exp = 0
-            coef = 1 if num is None else num
+        pos, n = 0, len(s)
+        while pos < n:
+            m = _TERM.match(s, pos)
+            sign, num, x, exp = m.groups()
+            if coeffs and not sign:
+                raise ParseError(f"expected '+' or '-' at position {m.start(1)}")
+            if not num and not x:
+                raise ParseError(f"expected a term at position {m.start(2)}")
+            if exp == "":
+                raise ParseError(f"expected an exponent at position {m.start(4)}")
+            e = 0 if not x else 1 if exp is None else _value(exp)
+            if e > DEGREE_CAP:
+                raise TooLarge(f"exponent {exp.lstrip('0')} is above the degree cap {DEGREE_CAP}")
+            coef = _value(num) if num else 1
             if coef >= cls.MOD:
-                raise ParseError(f"coefficient {coef} is out of range for Z{cls.MOD}")
-            coeffs[exp] = coeffs.get(exp, 0) + sign * coef
-            first = False
-        if not coeffs:
-            raise ParseError("empty polynomial text")
+                raise ParseError(f"coefficient {num.lstrip('0')} is out of range for Z{cls.MOD}")
+            coeffs[e] = coeffs.get(e, 0) + (-coef if sign == "-" else coef)
+            pos = m.end()
         out = [0] * (max(coeffs) + 1)
         for e, c in coeffs.items():
             out[e] = c % cls.MOD

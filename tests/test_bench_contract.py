@@ -1,0 +1,32 @@
+"""The benchmark's own checks, run on a sample so a regression shows up here.
+
+perfbench/run.py rejects a change whose traced call counts drift from the
+hand-derived ones in perfbench/selftest.py, or whose outputs differ from
+perfbench/expected/*.json.  These tests run the same checks on every 16th
+closed_form item and every 20th oracle_family item.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+if str(BENCH_DIR) not in sys.path:
+    sys.path.insert(0, str(BENCH_DIR))
+
+from selftest import run_selftest  # noqa: E402
+from workloads import build_items, check, load_package  # noqa: E402
+
+
+def test_selftest_counts_match():
+    pkg, cli = load_package()
+    assert run_selftest(pkg, cli) == []
+
+
+@pytest.mark.parametrize("workload, stride", [("closed_form", 16), ("oracle_family", 20)])
+def test_sampled_items_match_their_records(workload, stride):
+    _, cli = load_package()
+    items = build_items(cli, workload, seed=0)[::stride]
+    failures = [(item.label, check(item, cli.run(item.command))) for item in items]
+    assert [f for f in failures if f[1] is not None] == []

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from z2z4cyclic import CheckResult
-from z2z4cyclic.cli import main, parse_poly
+from z2z4cyclic.cli import Command, main, parse_poly, run
 from z2z4cyclic.errors import InvalidParameter, ParseError
 
 C1_TEXT = "alpha=3\nbeta=3\nb=x^3+1\nell=x+1\nf=1\nh=x^2+x+1\n"
@@ -261,6 +261,47 @@ def test_malformed_polynomial_exits_two(capsys):
     )
     assert status == 2
     assert "position" in err
+
+
+def test_non_ascii_digit_in_polynomial_exits_two(capsys):
+    status, _, err = run_cli(
+        capsys, "info", "--alpha", "3", "--beta", "3",
+        "--b", "x^³+1", "--ell", "x+1", "--f", "1", "--h", "x^2+x+1",
+    )
+    assert status == 2
+    assert "position" in err
+
+
+def test_huge_exponent_exits_three(capsys):
+    status, _, err = run_cli(
+        capsys, "dual", "--alpha", "3", "--beta", "3",
+        "--b", "x^100000", "--ell", "0", "--f", "1", "--h", "1",
+    )
+    assert status == 3
+    assert "degree cap" in err
+
+
+def test_huge_block_length_exits_three(capsys):
+    status, _, err = run_cli(
+        capsys, "dual", "--alpha", "100001", "--beta", "3",
+        "--b", "x^2+1", "--ell", "0", "--f", "1", "--h", "1",
+    )
+    assert status == 3
+    assert "alpha = 100001" in err
+
+
+def test_command_dict_missing_a_key_is_a_parse_error():
+    fields = dict(zip(("alpha", "beta", "b", "ell", "f"), ("3", "3", "x^3+1", "x+1", "1")))
+    with pytest.raises(ParseError, match="^missing keys: h$"):
+        run(Command(verb="dual", spec_source=fields))
+
+
+def test_undecodable_spec_file_exits_two(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"alpha=\xff\n")
+    status, _, err = run_cli(capsys, "info", "--spec", str(path))
+    assert status == 2
+    assert "error:" in err
 
 
 def test_incomplete_inline_spec_exits_two(capsys):

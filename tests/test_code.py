@@ -31,6 +31,8 @@ from z2z4cyclic import (
     parse_spec_text,
     project_xy,
     spanning_set,
+    spec_fields,
+    spec_from_fields,
     star,
     subcode_order_two,
     validate_spec,
@@ -135,6 +137,37 @@ def test_spec_text_round_trip(example_spec):
     again = parse_spec_text(text)
     assert again == example_spec
     assert parse_spec_text("# comment\nalpha=3\nbeta = 3\nb=x^3+1\nell=x+1\nf=1\nh=x^2+x+1")
+
+
+def test_spec_fields_order_and_round_trip(example_spec):
+    fields = spec_fields(example_spec)
+    assert fields == {
+        "alpha": 3, "beta": 3, "b": "x^3+1", "ell": "x+1", "f": "1", "h": "x^2+x+1",
+    }
+    assert list(fields) == ["alpha", "beta", "b", "ell", "f", "h"]
+    assert spec_from_fields(fields) == example_spec
+    assert spec_from_fields({k: str(v) for k, v in fields.items()}) == example_spec
+
+
+def test_spec_from_fields_errors():
+    with pytest.raises(ParseError, match="^missing keys: b, h$"):
+        spec_from_fields({"alpha": "3", "beta": "3", "ell": "x+1", "f": "1"})
+    base = {"alpha": "3", "beta": "3", "b": "x^3+1", "ell": "x+1", "f": "1", "h": "x^2+x+1"}
+    with pytest.raises(ParseError, match="integers"):
+        spec_from_fields({**base, "alpha": "three"})
+    with pytest.raises(ParseError, match="integers"):
+        spec_from_fields({**base, "beta": None})
+    with pytest.raises(ParseError):
+        spec_from_fields({**base, "h": 1})
+
+
+def test_block_lengths_above_the_cap_are_too_large():
+    from z2z4cyclic import DEGREE_CAP
+
+    with pytest.raises(TooLarge, match="alpha"):
+        validate_spec(DEGREE_CAP + 1, 1, bp("1"), bp("0"), qp("1"), qp("x+3"))
+    with pytest.raises(TooLarge, match="beta"):
+        validate_spec(1, DEGREE_CAP + 1, bp("1"), bp("0"), qp("1"), qp("1"))
 
 
 def test_parse_spec_text_errors():

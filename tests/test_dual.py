@@ -26,7 +26,7 @@ from z2z4cyclic import (
 )
 from z2z4cyclic import z4poly as z4
 from z2z4cyclic.dual import brute_force_dual, brute_force_dual_matrix
-from z2z4cyclic.errors import TooLarge
+from z2z4cyclic.errors import NotADivisor, TooLarge
 
 from conftest import bp, qp, word
 
@@ -237,3 +237,20 @@ def test_hensel_divisibility_separable_and_sweep():
     assert hensel_divisibility_check(construct_self_dual_family(6, 3))
     for spec in iter_valid_specs(4, 3):
         assert hensel_divisibility_check(spec)
+
+
+def test_hensel_divisibility_check_reports_a_non_divisor_as_false(example_spec, monkeypatch):
+    def refuse(d, beta):
+        raise NotADivisor("forced")
+
+    monkeypatch.setattr(z4, "hensel_lift", refuse)
+    assert hensel_divisibility_check(example_spec) is False
+
+
+def test_hensel_divisibility_check_lets_internal_errors_through(example_spec, monkeypatch):
+    def broken(d, beta):
+        raise ArithmeticError("internal error: forced")
+
+    monkeypatch.setattr(z4, "hensel_lift", broken)
+    with pytest.raises(ArithmeticError, match="forced"):
+        hensel_divisibility_check(example_spec)

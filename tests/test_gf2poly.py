@@ -12,8 +12,9 @@ from z2z4cyclic.errors import (
     NotInvertible,
     ParseError,
     ReciprocalOfZero,
+    TooLarge,
 )
-from z2z4cyclic.poly import NEG_INF
+from z2z4cyclic.poly import DEGREE_CAP, NEG_INF
 
 from conftest import all_binpolys, bp
 
@@ -306,6 +307,26 @@ def test_parse_rejects_malformed_text():
         bp("x 1")
     with pytest.raises(ParseError):
         bp("1,a")
+
+
+def test_parse_accepts_ascii_digits_only():
+    with pytest.raises(ParseError):
+        bp("1,²")
+    with pytest.raises(ParseError):
+        bp("x^³+1")
+    with pytest.raises(ParseError):
+        bp("١x")  # ARABIC-INDIC DIGIT ONE
+
+
+def test_parse_caps_the_degree_before_building_anything():
+    assert bp(f"x^{DEGREE_CAP}").degree == DEGREE_CAP
+    with pytest.raises(TooLarge):
+        bp(f"x^{DEGREE_CAP + 1}")
+    with pytest.raises(TooLarge):
+        bp("x^" + "9" * 5000)
+    with pytest.raises(TooLarge):
+        bp(",".join("0" * (DEGREE_CAP + 2)))
+    assert bp("0" * 5000 + "1") == BinPoly.one()
 
 
 def test_str_round_trips_exhaustively():
