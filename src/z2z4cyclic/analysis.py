@@ -54,6 +54,7 @@ from .dual import (
 )
 from .errors import InvalidParameter, TooLarge, TrivialCode
 from .gf2poly import BinPoly
+from .poly import DEGREE_CAP
 from .z4poly import QuatPoly
 
 
@@ -223,6 +224,9 @@ def search_codes(
         raise InvalidParameter(f"predicate must be one of {', '.join(_PREDICATES)}")
     if not isinstance(alpha_max, int) or alpha_max < 1:
         raise InvalidParameter("alpha_max must be a positive integer")
+    longest = max([alpha_max, *beta_set])
+    if longest > DEGREE_CAP:
+        raise TooLarge(f"block length {longest} is above the length cap of {DEGREE_CAP}")
     results = []
     for alpha in range(1, alpha_max + 1):
         for beta in sorted(set(beta_set)):
@@ -309,6 +313,8 @@ def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> lis
       from the list without a word.
     * An ambient space 2^(alpha + 2*beta) above AMBIENT_CAP drops
       "dual-oracle" the same way.
+    * lcm(alpha, beta) above poly.DEGREE_CAP raises TooLarge from
+      circ_product; no check result is returned.
     """
     rng = random.Random(seed)
     out: list[CheckResult] = []

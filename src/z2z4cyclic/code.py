@@ -383,14 +383,10 @@ def contains(spec: CyclicCodeSpec, w: Codeword) -> bool:
     return bool(np.any(np.all(mat == vec, axis=1)))
 
 
-def code_type_from_words(alpha: int, beta: int, words) -> CodeType:
-    """Type parameters measured on an enumerated codeword set (no degree formulas)."""
-    if isinstance(words, np.ndarray):
-        mat = words
-    else:
-        mat = np.array([w.u + w.uq for w in words], dtype=np.int16)
-    ub, qb = mat[:, :alpha], mat[:, alpha:]
-    n = len(mat)
+def code_type_from_words(alpha: int, beta: int, words: np.ndarray) -> CodeType:
+    """Type parameters measured on a canonical codeword matrix (no degree formulas)."""
+    ub, qb = words[:, :alpha], words[:, alpha:]
+    n = len(words)
     order2 = np.all(qb % 2 == 0, axis=1)
     n2 = int(order2.sum())
     delta = _exact_log2(n) - _exact_log2(n2)
@@ -452,11 +448,13 @@ def circ_product(w1: Codeword, w2: Codeword) -> QuatPoly:
     With m = lcm(alpha, beta), the result collects inner_product(w1,
     shift(w2, i)) as the coefficient of x^(m-1-i); it vanishes exactly
     when w1 is orthogonal to every shift of w2.  An addend whose block
-    of w2 is zero is taken to be zero.
+    of w2 is zero is taken to be zero.  m above DEGREE_CAP raises TooLarge.
     """
     _check_ambient(w1, w2)
     a, beta = len(w1.u), len(w1.uq)
     m = math.lcm(a, beta)
+    if m > DEGREE_CAP:
+        raise TooLarge(f"lcm(alpha, beta) = {m} is above the length cap of {DEGREE_CAP}")
     total = QuatPoly.zero()
     v = BinPoly._make(w2.u)
     # binary addend: 2 * u(x) * theta_{m/a}(x^a) * x^(m-1-deg v) * v*(x)

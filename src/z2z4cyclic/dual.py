@@ -136,14 +136,13 @@ def dual_generators(spec: CyclicCodeSpec) -> DualResult:
             raise ArithmeticError(
                 f"internal error: ({fh_bar}) is not divisible by ({f_bar}) over Z4"
             )
-    g_bar = z4.exact_divide_xn1(f_bar * h_bar, beta)
     dual = validate_spec(a, beta, b_bar, ell_bar, f_bar, h_bar)
     dd = dual_degrees(spec)
     got = (_deg(dual.b), _deg(dual.f), _deg(dual.h), _deg(dual.g))
     want = (dd.deg_b_bar, dd.deg_f_bar, dd.deg_h_bar, dd.deg_g_bar)
     if got != want:
         raise ArithmeticError(f"internal error: dual degrees {got} differ from predicted {want}")
-    return DualResult(b_bar, ell_bar, f_bar, h_bar, g_bar, mu1, mu2, rho)
+    return DualResult(b_bar, ell_bar, f_bar, h_bar, dual.g, mu1, mu2, rho)
 
 
 def dual_spec(spec: CyclicCodeSpec) -> CyclicCodeSpec:

@@ -3,7 +3,8 @@
 BinPoly supplies ring operations via the shared dense base; this module
 adds the number-theoretic helpers the code constructions need: monic
 gcd, modular inverse, the all-ones polynomial theta, factorization of
-x^n - 1 for odd n (Berlekamp), and divisor enumeration for arbitrary n.
+x^n - 1 for odd n (split by its cyclotomic cosets), and divisor
+enumeration for arbitrary n.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .errors import (
     InvalidParameter,
     NotInvertible,
 )
-from .poly import NEG_INF, DensePoly
+from .poly import DensePoly
 
 
 class BinPoly(DensePoly):
@@ -78,87 +79,42 @@ def theta(m: int, n: int) -> BinPoly:
 
 
 def factor_xn1(n: int) -> list[BinPoly]:
-    """Distinct monic irreducible factors of x^n - 1 over Z2, odd n only."""
+    """Distinct monic irreducible factors of x^n - 1 over Z2, odd n only.
+
+    Mod x^n - 1, v(x)^2 = v(x^2), so v is idempotent exactly when its support
+    is a union of cyclotomic cosets {j, 2j, 4j, ...} mod n.  The coset
+    indicators are thus a basis of Berlekamp's subalgebra: one factor per coset.
+    """
     if n < 1:
         raise InvalidParameter("n must be a positive integer")
     if n % 2 == 0:
         raise EvenLengthUnsupported(f"x^{n}-1 is not squarefree over Z2 for even n")
-    return sorted(_berlekamp(xn1(n)), key=poly_key)
-
-
-def _berlekamp(f: BinPoly) -> list[BinPoly]:
-    """Factor a monic squarefree polynomial over Z2 into irreducibles."""
-    if f.degree == 1:
-        return [f]
-    n = int(f.degree)
-    # Q[i] = x^{2i} mod f; v is in the Berlekamp subalgebra iff v(x)^2 = v(x) mod f.
-    xsq = BinPoly.x(2)
-    cur = BinPoly.one()
-    qrows = []
-    for _ in range(n):
-        qrows.append(cur)
-        cur = (cur * xsq) % f
-    eqs = []
+    seen = [0] * n
+    indicators = []
     for j in range(n):
-        mask = 0
-        for i in range(n):
-            bit = qrows[i].coeffs[j] if j < len(qrows[i].coeffs) else 0
-            if i == j:
-                bit ^= 1
-            mask |= bit << i
-        eqs.append(mask)
-    basis = _nullspace_bits(eqs, n)
-    k = len(basis)
-    if k == 1:
-        return [f]
-    factors = {f}
-    for vbits in basis:
-        v = BinPoly._make([(vbits >> i) & 1 for i in range(n)])
-        if v.degree is NEG_INF or v.degree < 1:
+        if seen[j]:
             continue
-        split: set[BinPoly] = set()
-        for g in factors:
-            if g.degree == 1:
-                split.add(g)
-                continue
-            h = gcd(g, v % g)
-            if not h.is_zero and 1 <= h.degree < g.degree:
-                split.add(h)
-                split.add(exact_div(g, h))
-            else:
-                split.add(g)
-        factors = split
-        if len(factors) == k:
+        ind = [0] * n
+        k = j
+        while not seen[k]:
+            seen[k] = ind[k] = 1
+            k = 2 * k % n
+        indicators.append(BinPoly._make(ind))
+    factors = [xn1(n)]
+    for v in indicators:
+        if len(factors) == len(indicators):
             break
-    if len(factors) != k:
-        raise ArithmeticError("internal error: Berlekamp split is incomplete")
-    return list(factors)
-
-
-def _nullspace_bits(eqs: list[int], n: int) -> list[int]:
-    """Basis of the nullspace of a GF(2) matrix given as per-row variable bitmasks."""
-    pivots: dict[int, int] = {}
-    for eq in eqs:
-        for col, prow in pivots.items():
-            if (eq >> col) & 1:
-                eq ^= prow
-        if eq:
-            lead = eq.bit_length() - 1
-            pivots[lead] = eq
-    # Back-substitute so each pivot column appears in exactly one row.
-    for col in sorted(pivots, reverse=True):
-        for other, row in list(pivots.items()):
-            if other != col and (row >> col) & 1:
-                pivots[other] = row ^ pivots[col]
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = 1 << fc
-        for col, row in pivots.items():
-            if (row >> fc) & 1:
-                vec |= 1 << col
-        basis.append(vec)
-    return basis
+        split = []
+        for g in factors:
+            h = gcd(g, v % g)
+            if 1 <= h.degree < g.degree:
+                split += [h, exact_div(g, h)]
+            else:
+                split.append(g)
+        factors = split
+    if len(factors) != len(indicators):
+        raise ArithmeticError("internal error: cyclotomic-coset split is incomplete")
+    return sorted(factors, key=poly_key)
 
 
 def divisors_xn1(n: int) -> list[BinPoly]:

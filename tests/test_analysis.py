@@ -24,7 +24,8 @@ from z2z4cyclic import (
     validate_spec,
     verify_code,
 )
-from z2z4cyclic.errors import InvalidParameter, TrivialCode
+from z2z4cyclic import gf2poly as gf2
+from z2z4cyclic.errors import InvalidParameter, TooLarge, TrivialCode
 
 from conftest import bp, qp
 
@@ -208,6 +209,17 @@ def test_search_rejects_bad_arguments():
         search_codes(3, {3}, "shortest")
     with pytest.raises(InvalidParameter):
         search_codes(0, {3}, "mdss")
+
+
+def test_search_caps_lengths_before_factoring(monkeypatch):
+    def no_factoring(n):
+        raise AssertionError(f"factor_xn1({n}) ran before the length check")
+
+    monkeypatch.setattr(gf2, "factor_xn1", no_factoring)
+    with pytest.raises(TooLarge, match="20001"):
+        search_codes(1, {20001}, "mdss")
+    with pytest.raises(TooLarge, match="5000"):
+        search_codes(5000, {3}, "mdss")
 
 
 # -- verification and reports -------------------------------------------------

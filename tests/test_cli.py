@@ -1,6 +1,7 @@
 """Command-line front end: verbs, output formats, and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -288,6 +289,28 @@ def test_huge_block_length_exits_three(capsys):
     )
     assert status == 3
     assert "alpha = 100001" in err
+
+
+def test_search_with_huge_beta_exits_three_quickly(capsys):
+    t0 = time.perf_counter()
+    status, _, err = run_cli(
+        capsys, "search", "--alpha-max", "1", "--beta-set", "20001", "--predicate", "mdss"
+    )
+    assert status == 3
+    assert "length cap" in err
+    assert time.perf_counter() - t0 < 2
+
+
+def test_verify_with_huge_shift_period_exits_three_quickly(capsys):
+    # A one-word code whose lcm(alpha, beta) = 261632 is above the length cap.
+    t0 = time.perf_counter()
+    status, _, err = run_cli(
+        capsys, "verify", "--alpha", "512", "--beta", "511",
+        "--b", "x^512+1", "--ell", "0", "--f", "x^511+3", "--h", "1",
+    )
+    assert status == 3
+    assert "lcm(alpha, beta) = 261632" in err
+    assert time.perf_counter() - t0 < 2
 
 
 def test_command_dict_missing_a_key_is_a_parse_error():

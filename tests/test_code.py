@@ -409,6 +409,14 @@ def test_orthogonal_all_shifts_negative_and_zero():
     assert orthogonal_all_shifts(word("1 | 0"), word("0 | 0"))
 
 
+def test_circ_product_caps_the_period():
+    # lcm(65, 67) = 4355 is above the length cap; nothing of that degree is built.
+    w = Codeword((0,) * 65, (0,) * 67)
+    with pytest.raises(TooLarge, match="lcm"):
+        circ_product(w, w)
+    assert circ_product(Codeword((0,) * 64, (0,) * 64), Codeword((1,) * 64, (1,) * 64)).is_zero
+
+
 # -- distinguished subcodes ----------------------------------------------------------------
 
 

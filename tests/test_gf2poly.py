@@ -255,6 +255,35 @@ def test_factor_xn1_product_and_irreducibility(n):
     assert all(_is_irreducible(p) for p in factors)
 
 
+# Number of irreducible factors of x^n - 1 for n = 1, 3, ..., 255, recorded
+# with a Berlekamp (Frobenius-matrix nullspace) factorizer, which shares no
+# code with the cyclotomic-coset split under test.
+_FACTOR_COUNTS = [
+    1, 2, 2, 3, 3, 2, 2, 5, 3, 2, 6, 3, 3, 4, 2, 7,
+    5, 6, 2, 5, 3, 4, 8, 3, 5, 8, 2, 5, 5, 2, 2, 13,
+    7, 2, 6, 3, 9, 8, 6, 3, 5, 2, 12, 5, 9, 10, 14, 5,
+    3, 8, 2, 3, 15, 2, 4, 5, 5, 6, 12, 9, 3, 8, 4, 19,
+    11, 2, 10, 11, 3, 2, 6, 5, 7, 10, 2, 11, 13, 14, 4, 5,
+    9, 2, 14, 3, 3, 12, 2, 9, 5, 2, 2, 5, 7, 8, 20, 3,
+    3, 20, 2, 3, 5, 6, 12, 9, 5, 2, 6, 11, 21, 18, 12, 7,
+    13, 2, 4, 15, 9, 6, 6, 3, 11, 6, 10, 9, 5, 6, 6, 35,
+]
+
+
+@pytest.mark.parametrize("n, count", zip(range(1, 256, 2), _FACTOR_COUNTS))
+def test_factor_xn1_splits_into_count_irreducibles(n, count):
+    # count nonconstant factors multiplying to x^n - 1, which has exactly
+    # count irreducible factors, must each be irreducible.
+    factors = factor_xn1(n)
+    prod = bp("1")
+    for p in factors:
+        prod = prod * p
+    assert prod == gf2.xn1(n)
+    assert len(set(factors)) == len(factors) == count
+    assert all(p.degree >= 1 for p in factors)
+    assert factors == sorted(factors, key=gf2.poly_key)
+
+
 def test_divisors_xn1_odd_n():
     divs = divisors_xn1(3)
     assert divs == [bp("1"), bp("x+1"), bp("x^2+x+1"), bp("x^3+1")]
