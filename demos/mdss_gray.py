@@ -9,34 +9,45 @@ Both sit exactly on the bound d - 1 <= alpha + 2*beta - gamma - 2*delta.
 import itertools
 
 from z2z4cyclic import (
+    Codeword,
+    code_report,
     code_type,
+    codeword_matrix,
     construct_mdss,
     dual_spec,
-    enumerate_codewords,
     format_codeword,
     gray_map,
-    is_mdss,
-    min_distance,
 )
 
 alpha, beta = 2, 3
 n = alpha + 2 * beta
 
+
+def codewords(spec):
+    """The rows of the canonical word matrix as Codewords, in row order."""
+    return [
+        Codeword(tuple(row[:alpha].tolist()), tuple(row[alpha:].tolist()))
+        for row in codeword_matrix(spec)
+    ]
+
+
 spec = construct_mdss(alpha, beta)
 t = code_type(spec)
 print(f"code: b = {spec.b}, ell = {spec.ell}, f = h = 1, type {t}")
 
-images = {gray_map(w) for w in enumerate_codewords(spec)}
+images = {gray_map(w) for w in codewords(spec)}
 assert images == {
     v for v in itertools.product((0, 1), repeat=n) if sum(v) % 2 == 0
 }
 print(f"Gray image = all {len(images)} even-weight vectors of length {n}")
-print(f"minimum distance {min_distance(spec)}, meets the bound: {is_mdss(spec)}")
+report = code_report(spec)
+print(f"minimum distance {report.min_distance}, meets the bound: {report.is_mdss}")
 
 dual = dual_spec(spec)
 print(f"\ndual: b = {dual.b}, ell = {dual.ell}, f = {dual.f}, h = {dual.h}")
 print(f"dual type {code_type(dual)}, codewords and Gray images:")
-for w in sorted(enumerate_codewords(dual), key=lambda w: (w.u, w.uq)):
+for w in codewords(dual):
     bits = " ".join(str(bit) for bit in gray_map(w))
     print(f"  {format_codeword(w)}  ->  {bits}")
-print(f"minimum distance {min_distance(dual)}, meets the bound: {is_mdss(dual)}")
+report = code_report(dual)
+print(f"minimum distance {report.min_distance}, meets the bound: {report.is_mdss}")

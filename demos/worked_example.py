@@ -7,14 +7,14 @@ dual's generator tuple in closed form and checks orthogonality.
 
 from z2z4cyclic import (
     BinPoly,
+    Codeword,
     QuatPoly,
     cardinality,
     code_type,
+    codeword_matrix,
     dual_generators,
     dual_spec,
-    enumerate_codewords,
     format_codeword,
-    inner_product,
     spanning_set,
     validate_spec,
 )
@@ -36,18 +36,18 @@ for row in spanning_set(spec):
     print(" ", format_codeword(row))
 
 print("\nall codewords:")
-for w in sorted(enumerate_codewords(spec), key=lambda w: (w.u, w.uq)):
-    print(" ", format_codeword(w))
+a = spec.alpha
+words = codeword_matrix(spec)
+for row in words:
+    print(" ", format_codeword(Codeword(tuple(row[:a].tolist()), tuple(row[a:].tolist()))))
 
 d = dual_generators(spec)
 print(f"\ndual generators: b = {d.b_bar}, ell = {d.ell_bar}, f = {d.f_bar}, h = {d.h_bar}")
 dual = dual_spec(spec)
 print(f"dual type {code_type(dual)}, {cardinality(dual)} codewords")
 
-pairs = [
-    (w, v)
-    for w in enumerate_codewords(spec)
-    for v in enumerate_codewords(dual)
-]
-assert all(inner_product(w, v) == 0 for w, v in pairs)
-print(f"\nall {len(pairs)} inner products across code x dual vanish")
+# Inner product 2*<u, u'> + <q, q'> mod 4 of every codeword with every dual word.
+dual_words = codeword_matrix(dual)
+products = (2 * words[:, :a] @ dual_words[:, :a].T + words[:, a:] @ dual_words[:, a:].T) % 4
+assert not products.any()
+print(f"\nall {products.size} inner products across code x dual vanish")

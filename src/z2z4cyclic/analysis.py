@@ -1,10 +1,9 @@
 """Structural analysis: distances, classifications, constructions, search.
 
-The minimum distance is the Hamming distance of the Gray image
-(equivalently, binary weight plus Lee weight), computed by exhaustive
-enumeration.  Classification predicates (MDSS, self-dual, separable)
-reduce to exact integer comparisons on the type parameters plus set
-equalities on enumerated codes, so there is no floating point anywhere.
+code_report computes the minimum distance, the Hamming distance of the
+Gray image (binary weight plus Lee weight), by exhaustive enumeration.
+Its MDSS, self-dual and separable flags reduce to exact comparisons of
+type parameters and canonical word matrices: no floating point anywhere.
 
 search_codes sweeps every valid generator tuple over small block
 lengths: b runs over binary divisors of x^alpha - 1, the pair (f, h)
@@ -31,6 +30,7 @@ from .code import (
     CodeType,
     CyclicCodeSpec,
     _deg,
+    _reduce_blocks,
     _row_word,
     _span_rows,
     cardinality,
@@ -43,7 +43,6 @@ from .code import (
     inner_product,
     spec_fields,
     validate_spec,
-    words_equal,
 )
 from .dual import (
     AMBIENT_CAP,
@@ -52,7 +51,7 @@ from .dual import (
     dual_spec,
     hensel_divisibility_check,
 )
-from .errors import InvalidParameter, TooLarge, TrivialCode
+from .errors import InvalidParameter, TooLarge
 from .gf2poly import BinPoly
 from .poly import DEGREE_CAP
 from .z4poly import QuatPoly
@@ -78,41 +77,9 @@ def _gray_weights(mat: np.ndarray, alpha: int) -> np.ndarray:
     return mat[:, :alpha].sum(axis=1) + _LEE[mat[:, alpha:]].sum(axis=1)
 
 
-def min_distance(spec: CyclicCodeSpec) -> int:
-    """Minimum Gray-image Hamming weight over the nonzero codewords."""
-    mat = codeword_matrix(spec)
-    if len(mat) < 2:
-        raise TrivialCode("the trivial code has no minimum distance")
-    weights = _gray_weights(mat, spec.alpha)
-    return int(weights[weights > 0].min())
-
-
 def _mdss_gap(spec: CyclicCodeSpec, d: int, t: CodeType) -> int:
     """Integer slack in the Singleton-type bound; zero means equality."""
     return (spec.alpha + 2 * spec.beta - t.gamma - 2 * t.delta) - (d - 1)
-
-
-def is_mdss(spec: CyclicCodeSpec) -> bool:
-    """Whether d - 1 equals alpha + 2*beta - gamma - 2*delta exactly."""
-    try:
-        d = min_distance(spec)
-    except TrivialCode:
-        return False
-    return _mdss_gap(spec, d, code_type(spec)) == 0
-
-
-def is_self_dual(spec: CyclicCodeSpec) -> bool:
-    """Set equality of the code with its dual (size fast-path first)."""
-    t = code_type(spec)
-    if 2 * (t.gamma + 2 * t.delta) != spec.alpha + 2 * spec.beta:
-        return False
-    return words_equal(codeword_matrix(spec), codeword_matrix(dual_spec(spec)))
-
-
-def is_separable(spec: CyclicCodeSpec) -> bool:
-    """Whether the code splits as C_X x C_Y, read off as kappa2 = delta1 = 0."""
-    t = code_type(spec)
-    return t.kappa2 == 0 and t.delta1 == 0
 
 
 def _cyclic_closed(mat: np.ndarray, alpha: int) -> bool:
@@ -124,7 +91,10 @@ def _cyclic_closed(mat: np.ndarray, alpha: int) -> bool:
 
 
 def code_report(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> CodeReport:
-    """Type, minimum distance, and all classification flags in one pass."""
+    """Type, minimum distance, and all classification flags in one pass.
+
+    The trivial code has min_distance None and is never MDSS.
+    """
     mat = codeword_matrix(spec, cap)
     t = code_type(spec)
     if len(mat) < 2:
@@ -134,13 +104,13 @@ def code_report(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> CodeReport:
         d = int(weights[weights > 0].min())
     self_dual = False
     if 2 * (t.gamma + 2 * t.delta) == spec.alpha + 2 * spec.beta:
-        self_dual = words_equal(mat, codeword_matrix(dual_spec(spec), cap))
+        self_dual = np.array_equal(mat, codeword_matrix(dual_spec(spec), cap))
     return CodeReport(
         type=t,
         min_distance=d,
         is_mdss=d is not None and _mdss_gap(spec, d, t) == 0,
         is_self_dual=self_dual,
-        is_separable=t.kappa2 == 0 and t.delta1 == 0,
+        is_separable=t.is_separable,
         is_cyclic_verified=_cyclic_closed(mat, spec.alpha),
     )
 
@@ -166,6 +136,19 @@ def construct_mdss(alpha: int, beta: int) -> CyclicCodeSpec:
 
 # -- exhaustive small-parameter search -------------------------------------
 
+SEARCH_CAP = 2**16
+
+
+def _tuple_count(divisors: list[BinPoly], factors: list[BinPoly]) -> int:
+    """How many tuples iter_valid_specs yields for these b and factors of x^beta - 1.
+
+    A factor p outside b has 3 routes (f, h or g) and one ell each; a
+    factor dividing b, routed to h or g, also frees deg p bits of ell.
+    """
+    return sum(
+        math.prod(3 if b % p else 1 + 2 ** (_deg(p) + 1) for p in factors) for b in divisors
+    )
+
 
 def iter_valid_specs(alpha: int, beta: int):
     """Every valid generator tuple for the given block lengths, lazily.
@@ -173,11 +156,17 @@ def iter_valid_specs(alpha: int, beta: int):
     b runs over all binary divisors of x^alpha - 1; each irreducible
     factor of x^beta - 1 is routed to f, h, or g through its Hensel
     lift; ell runs over exactly the multiples of b/gcd(b, (x^beta-1)/f)
-    below deg b, which is precisely the divisibility condition.
+    below deg b, which is precisely the divisibility condition.  More
+    than SEARCH_CAP tuples raise TooLarge before the first is built.
     """
-    basics = [z4.hensel_lift(p, beta) for p in gf2.factor_xn1(beta)]
+    factors = gf2.factor_xn1(beta)
+    divisors = gf2.divisors_xn1(alpha)
+    count = _tuple_count(divisors, factors)
+    if count > SEARCH_CAP:
+        raise TooLarge(f"{count} tuples for alpha = {alpha}, beta = {beta}, above the cap of {SEARCH_CAP}")
+    basics = [z4.hensel_lift(p, beta) for p in factors]
     xb1 = gf2.xn1(beta)
-    for b in gf2.divisors_xn1(alpha):
+    for b in divisors:
         for assign in itertools.product((0, 1, 2), repeat=len(basics)):
             f = QuatPoly.one()
             h = QuatPoly.one()
@@ -218,7 +207,8 @@ def search_codes(
     """All codes with alpha <= alpha_max, beta in beta_set matching the predicate.
 
     Distinct tuples generating equal codeword sets are collapsed to the
-    earliest tuple in sort order, so the result is deterministic.
+    earliest tuple in sort order, so the result is deterministic.  A pair
+    (alpha, beta) with more than SEARCH_CAP tuples raises TooLarge.
     """
     if predicate not in _PREDICATES:
         raise InvalidParameter(f"predicate must be one of {', '.join(_PREDICATES)}")
@@ -297,16 +287,13 @@ def _sample_rows(spec: CyclicCodeSpec, rng: random.Random, count: int) -> np.nda
     coeff = np.array(
         [[rng.randrange(1 << w) for w in widths] for _ in range(count)], dtype=np.int16
     )
-    out = coeff @ rows
-    out[:, : spec.alpha] %= 2
-    out[:, spec.alpha :] %= 4
-    return out
+    return _reduce_blocks(coeff @ rows, spec.alpha)
 
 
 def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> list[CheckResult]:
     """Run every invariant the construction promises, on one spec.
 
-    Returns the named checks that ran.  The caps act in three ways:
+    Returns the named checks that ran.  The caps act in four ways:
 
     * |C| above cap raises TooLarge at once; no check result is returned.
     * |C_dual| above cap drops "dual-oracle" and "duality-involution"
@@ -364,11 +351,10 @@ def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> lis
         n_x == fam.c_x and n_y == fam.c_y,
         f"|C_X| = {n_x}, |C_Y| = {n_y}",
     )
-    separable_formula = t.kappa2 == 0 and t.delta1 == 0
     check(
         "separability-agreement",
-        separable_formula == spec.ell.is_zero == (n_x * n_y == len(mat)),
-        f"kappa2/delta1 test {separable_formula}, ell = 0 is {spec.ell.is_zero}, "
+        t.is_separable == spec.ell.is_zero == (n_x * n_y == len(mat)),
+        f"kappa2/delta1 test {t.is_separable}, ell = 0 is {spec.ell.is_zero}, "
         f"|C_X|*|C_Y| = {n_x * n_y} vs |C| = {len(mat)}",
     )
     gray = np.concatenate(
@@ -400,13 +386,13 @@ def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> lis
             brute = brute_force_dual_matrix(spec)
             check(
                 "dual-oracle",
-                words_equal(dual_mat, brute),
+                np.array_equal(dual_mat, brute),
                 f"formula dual = brute-force dual: {len(brute)} codewords",
             )
         redual = codeword_matrix(dual_spec(dspec), cap)
         check(
             "duality-involution",
-            words_equal(redual, mat),
+            np.array_equal(redual, mat),
             "dual of the dual reproduces the codeword set",
         )
 

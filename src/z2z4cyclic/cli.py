@@ -33,8 +33,6 @@ from .code import (
 )
 from .dual import dual_degrees, dual_generators
 from .errors import InvalidParameter, ParseError, TooLarge, Z2Z4Error
-from .gf2poly import BinPoly
-from .z4poly import QuatPoly
 
 _VERBS = ("info", "dual", "matrix", "enumerate", "gray", "verify", "search")
 
@@ -51,15 +49,6 @@ class Command:
     alpha_max: int = 0
     beta_set: tuple[int, ...] = ()
     predicate: str = ""
-
-
-def parse_poly(s: str, modulus: int):
-    """Parse a polynomial in human or coefficient-list form over Z2 or Z4."""
-    if modulus == 2:
-        return BinPoly.parse(s)
-    if modulus == 4:
-        return QuatPoly.parse(s)
-    raise InvalidParameter("modulus must be 2 or 4")
 
 
 def _load_spec(source):

@@ -129,10 +129,10 @@ class CyclicCodeSpec:
             raise InvalidSpec(f"b = {self.b} does not divide ell*(x^{self.beta}-1)/f mod 2 = {ghl}")
         # Consequences of the defining conditions; failure here means a bug above.
         if (g.reduce_mod2() * self.h.reduce_mod2() * gf2.gcd(self.b, self.ell)) % self.b:
-            raise InvalidSpec("b does not divide (x^beta-1)/f * gcd(b, ell) mod 2")
+            raise ArithmeticError("internal error: b does not divide (x^beta-1)/f * gcd(b, ell) mod 2")
         lg = self.ell * g.reduce_mod2()
         if (self.h.reduce_mod2() * gf2.gcd(self.b, lg)) % self.b:
-            raise InvalidSpec("b does not divide h * gcd(b, ell*g) mod 2")
+            raise ArithmeticError("internal error: b does not divide h * gcd(b, ell*g) mod 2")
         object.__setattr__(self, "g", g)
 
 
@@ -228,6 +228,11 @@ class CodeType:
 
     def __str__(self) -> str:
         return f"({self.alpha},{self.beta};{self.gamma},{self.delta};{self.kappa})"
+
+    @property
+    def is_separable(self) -> bool:
+        """Whether the code splits as C_X x C_Y, read off as kappa2 = delta1 = 0."""
+        return self.kappa2 == 0 and self.delta1 == 0
 
 
 def _deg(p) -> int:
@@ -364,16 +369,6 @@ def codeword_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
     return words
 
 
-def enumerate_codewords(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> set[Codeword]:
-    """The codeword set (within the cap)."""
-    return {_row_word(row, spec.alpha) for row in codeword_matrix(spec, cap)}
-
-
-def words_equal(m1: np.ndarray, m2: np.ndarray) -> bool:
-    """Set equality of two canonical codeword matrices."""
-    return m1.shape == m2.shape and bool(np.array_equal(m1, m2))
-
-
 def contains(spec: CyclicCodeSpec, w: Codeword) -> bool:
     """Membership by enumeration."""
     mat = codeword_matrix(spec)
@@ -470,11 +465,6 @@ def circ_product(w1: Codeword, w2: Codeword) -> QuatPoly:
         term = uq4 * th * QuatPoly.x(m - 1 - _deg(vq)) * vq.reciprocal()
         total = total + term.fold(m)
     return total
-
-
-def orthogonal_all_shifts(w1: Codeword, w2: Codeword) -> bool:
-    """True iff w1 is orthogonal to every simultaneous shift of w2."""
-    return circ_product(w1, w2).is_zero
 
 
 # -- distinguished subcodes ----------------------------------------------

@@ -8,9 +8,9 @@ back to Z4, and ell_bar is assembled from modular inverses of
 rho = ell/gcd(b, ell).  Separable codes (ell = 0) take a shortcut where
 every dual factor is a normalized reciprocal.
 
-brute_force_dual is the independent check: it scans the whole ambient
-space for vectors orthogonal to the spanning set, which is what the
-definition of the dual says and nothing more.
+brute_force_dual_matrix is the independent check: it scans the whole
+ambient space for vectors orthogonal to the spanning set, which is what
+the definition of the dual says and nothing more.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ import numpy as np
 from . import gf2poly as gf2
 from . import z4poly as z4
 from .code import (
-    Codeword,
     CyclicCodeSpec,
     _deg,
-    _row_word,
     _span_rows,
     cardinality_family,
     code_type,
@@ -180,11 +178,6 @@ def brute_force_dual_matrix(spec: CyclicCodeSpec, cap: int = AMBIENT_CAP) -> np.
             f"internal error: ambient scan found {len(words)} dual words, formula says {expected}"
         )
     return words
-
-
-def brute_force_dual(spec: CyclicCodeSpec) -> set[Codeword]:
-    """The dual codeword set, by definition (every ambient vector is tested)."""
-    return {_row_word(row, spec.alpha) for row in brute_force_dual_matrix(spec)}
 
 
 def hensel_divisibility_check(spec: CyclicCodeSpec) -> bool:

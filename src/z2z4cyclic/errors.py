@@ -51,7 +51,3 @@ class AmbientMismatch(Z2Z4Error, ValueError):
 
 class ParseError(Z2Z4Error, ValueError):
     """Malformed polynomial, codeword, or spec text."""
-
-
-class TrivialCode(Z2Z4Error):
-    """The operation needs at least one nonzero codeword."""

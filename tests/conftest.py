@@ -15,6 +15,11 @@ def qp(text: str) -> QuatPoly:
     return QuatPoly.parse(text)
 
 
+def word_set(mat, alpha: int) -> set[Codeword]:
+    """The rows of a word matrix (binary block first) as a set of Codewords."""
+    return {Codeword(tuple(r[:alpha].tolist()), tuple(r[alpha:].tolist())) for r in mat}
+
+
 def word(text: str) -> Codeword:
     from z2z4cyclic import parse_codeword
 

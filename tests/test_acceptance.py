@@ -20,6 +20,7 @@ import pytest
 from z2z4cyclic import (
     Codeword,
     circ_product,
+    code_report,
     code_type,
     code_type_from_words,
     codeword_matrix,
@@ -28,24 +29,18 @@ from z2z4cyclic import (
     cyclic_shift,
     dual_generators,
     dual_spec,
-    enumerate_codewords,
     gray_map,
     hensel_divisibility_check,
     inner_product,
-    is_mdss,
-    is_self_dual,
-    is_separable,
     iter_valid_specs,
-    min_distance,
     theta,
     validate_spec,
-    words_equal,
 )
 from z2z4cyclic import gf2poly as gf2
 from z2z4cyclic import z4poly as z4
 from z2z4cyclic.dual import brute_force_dual_matrix
 
-from conftest import bp, qp, word
+from conftest import bp, qp, word, word_set
 
 FAMILY_ALPHA_MAX = 5
 FAMILY_BETAS = (1, 3, 5)
@@ -77,16 +72,16 @@ def family():
                         "spec": spec,
                         "n": len(mat),
                         "n_dual": len(brute_dual),
-                        "oracle_equal": words_equal(formula_dual, brute_dual),
+                        "oracle_equal": np.array_equal(formula_dual, brute_dual),
                         "cardinality_ok": len(mat)
                         == 2 ** (alpha - spec.b.degree)
                         * 4**spec.g.degree
                         * 2**spec.h.degree,
                         "type_ok": measured == t,
                         "hensel_ok": hensel_divisibility_check(spec),
-                        "involution_ok": words_equal(back, mat),
+                        "involution_ok": np.array_equal(back, mat),
                         "sep_product": n_x * n_y == len(mat),
-                        "sep_type": is_separable(spec),
+                        "sep_type": t.is_separable,
                         "sep_ell": spec.ell.is_zero,
                     }
                 )
@@ -98,7 +93,7 @@ def test_criterion_1_worked_example_and_its_dual():
     spec = validate_spec(3, 3, bp("x^3+1"), bp("x+1"), qp("1"), qp("x^2+x+1"))
     assert str(code_type(spec)) == "(3,3;2,1;2)"
 
-    code = enumerate_codewords(spec)
+    code = word_set(codeword_matrix(spec), 3)
     assert len(code) == 16
     for row in ("1 0 1 | 0 0 2", "1 1 0 | 0 2 2", "0 0 0 | 1 1 1"):
         assert word(row) in code
@@ -107,7 +102,7 @@ def test_criterion_1_worked_example_and_its_dual():
     assert (d.b_bar, d.ell_bar) == (bp("x^2+x+1"), bp("x"))
     assert (d.f_bar, d.h_bar) == (qp("x+3"), qp("1"))
 
-    dual_code = enumerate_codewords(dual_spec(spec))
+    dual_code = word_set(codeword_matrix(dual_spec(spec)), 3)
     assert len(dual_code) == 32
     for row in ("1 1 1 | 0 0 0", "0 0 1 | 0 1 3", "1 0 0 | 1 0 3"):
         assert word(row) in dual_code
@@ -159,7 +154,7 @@ def test_criterion_4_self_dual_catalog_rows():
     for spec, size in ((row_14_7, 2**14), (row_10_5, 2**10)):
         mat = codeword_matrix(spec)
         assert len(mat) == size
-        assert words_equal(mat, codeword_matrix(dual_spec(spec)))
+        assert np.array_equal(mat, codeword_matrix(dual_spec(spec)))
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     _stamp("criterion 4", t0, "both catalog rows self-dual by set equality")
@@ -173,7 +168,7 @@ def test_criterion_5_self_dual_family():
             spec = construct_self_dual_family(alpha, beta)
             expected = f"({alpha},{beta};{beta + alpha // 2},0;{alpha // 2})"
             assert str(code_type(spec)) == expected
-            assert is_self_dual(spec)
+            assert code_report(spec).is_self_dual
             checked += 1
     _stamp("criterion 5", t0, f"{checked} (alpha, beta) pairs")
 
@@ -185,25 +180,27 @@ def test_criterion_6_mdss_pair():
             spec = construct_mdss(alpha, beta)
             n = alpha + 2 * beta
 
-            images = {gray_map(w) for w in enumerate_codewords(spec)}
+            images = {gray_map(w) for w in word_set(codeword_matrix(spec), alpha)}
             even = {
                 v for v in itertools.product((0, 1), repeat=n) if sum(v) % 2 == 0
             }
             assert images == even
+            report = code_report(spec)
             if n >= 2:
-                assert min_distance(spec) == 2
+                assert report.min_distance == 2
 
             d = dual_generators(spec)
             assert (d.b_bar, d.ell_bar) == (gf2.xn1(alpha), theta(alpha, 1))
             assert (d.f_bar, d.h_bar) == (z4.lift_binary(theta(beta, 1)), qp("x+3"))
 
             dual = dual_spec(spec)
-            dual_images = {gray_map(w) for w in enumerate_codewords(dual)}
+            dual_images = {gray_map(w) for w in word_set(codeword_matrix(dual), alpha)}
             assert dual_images == {(0,) * n, (1,) * n}
-            assert min_distance(dual) == n
+            dual_report = code_report(dual)
+            assert dual_report.min_distance == n
 
-            assert is_mdss(spec)
-            assert is_mdss(dual)
+            assert report.is_mdss
+            assert dual_report.is_mdss
     _stamp("criterion 6", t0, "even-weight / repetition pair, both at the bound")
 
 
@@ -279,8 +276,8 @@ def test_criterion_8_circ_product_characterization():
         key = lambda w: (w.u, w.uq)
         pools.append(
             (
-                sorted(enumerate_codewords(spec), key=key),
-                sorted(enumerate_codewords(dual_spec(spec)), key=key),
+                sorted(word_set(codeword_matrix(spec), spec.alpha), key=key),
+                sorted(word_set(codeword_matrix(dual_spec(spec)), spec.alpha), key=key),
             )
         )
 

@@ -5,53 +5,51 @@ import itertools
 import pytest
 
 from z2z4cyclic import (
+    SEARCH_CAP,
     BinPoly,
     code_report,
     code_type,
+    codeword_matrix,
     construct_mdss,
     construct_self_dual_family,
     dual_spec,
-    enumerate_codewords,
     gray_map,
-    is_mdss,
-    is_self_dual,
-    is_separable,
     iter_valid_specs,
-    min_distance,
     report_dict,
     report_line,
     search_codes,
     validate_spec,
     verify_code,
 )
+from z2z4cyclic import analysis
 from z2z4cyclic import gf2poly as gf2
-from z2z4cyclic.errors import InvalidParameter, TooLarge, TrivialCode
+from z2z4cyclic.errors import InvalidParameter, TooLarge
 
-from conftest import bp, qp
+from conftest import bp, qp, word_set
 
 # -- minimum distance ---------------------------------------------------------
 
 
 def test_min_distance_worked_example(example_spec):
-    assert min_distance(example_spec) == 3
+    assert code_report(example_spec).min_distance == 3
 
 
 def test_min_distance_of_even_weight_construction():
     # b = x+1, ell = 1, f = h = 1 always yields a Gray image of distance 2.
     for alpha, beta in [(1, 1), (2, 3), (3, 3), (4, 5)]:
-        assert min_distance(construct_mdss(alpha, beta)) == 2
+        assert code_report(construct_mdss(alpha, beta)).min_distance == 2
 
 
 def test_min_distance_of_its_dual_is_the_whole_length():
     for alpha, beta in [(2, 1), (3, 3), (3, 5)]:
-        d = min_distance(dual_spec(construct_mdss(alpha, beta)))
+        d = code_report(dual_spec(construct_mdss(alpha, beta))).min_distance
         assert d == alpha + 2 * beta
 
 
-def test_min_distance_of_trivial_code_raises():
+def test_trivial_code_has_no_min_distance_and_is_not_mdss():
     trivial = validate_spec(1, 1, bp("x+1"), BinPoly.zero(), qp("x+3"), qp("1"))
-    with pytest.raises(TrivialCode):
-        min_distance(trivial)
+    report = code_report(trivial)
+    assert report.min_distance is None and not report.is_mdss
 
 
 def test_singleton_bound_over_small_family():
@@ -59,28 +57,28 @@ def test_singleton_bound_over_small_family():
     # with equality exactly when the MDSS flag is set.
     for spec in iter_valid_specs(3, 3):
         t = code_type(spec)
-        try:
-            d = min_distance(spec)
-        except TrivialCode:
-            assert not is_mdss(spec)
+        report = code_report(spec)
+        d = report.min_distance
+        if d is None:
+            assert not report.is_mdss
             continue
         gap = (spec.alpha + 2 * spec.beta - t.gamma - 2 * t.delta) - (d - 1)
         assert gap >= 0
-        assert is_mdss(spec) == (gap == 0)
+        assert report.is_mdss == (gap == 0)
 
 
 # -- classification flags -----------------------------------------------------
 
 
 def test_is_mdss_flags():
-    assert is_mdss(construct_mdss(2, 3))
-    assert is_mdss(dual_spec(construct_mdss(2, 3)))
-    assert not is_mdss(construct_self_dual_family(4, 3))
+    assert code_report(construct_mdss(2, 3)).is_mdss
+    assert code_report(dual_spec(construct_mdss(2, 3))).is_mdss
+    assert not code_report(construct_self_dual_family(4, 3)).is_mdss
 
 
 def test_worked_example_is_not_mdss(example_spec):
     # type (3,3;2,1;2): d - 1 = 2 but alpha + 2*beta - gamma - 2*delta = 5.
-    assert not is_mdss(example_spec)
+    assert not code_report(example_spec).is_mdss
 
 
 def test_is_self_dual_on_catalog_rows():
@@ -93,24 +91,24 @@ def test_is_self_dual_on_catalog_rows():
         qp("x^4+2x^3+3x^2+x+1"),
     )
     row2 = construct_self_dual_family(10, 5)
-    assert is_self_dual(row1)
-    assert is_self_dual(row2)
+    assert code_report(row1).is_self_dual
+    assert code_report(row2).is_self_dual
     assert str(code_type(row1)) == "(14,7;8,3;7)"
     assert str(code_type(row2)) == "(10,5;10,0;5)"
 
 
 def test_is_self_dual_rejects_worked_example(example_spec):
-    assert not is_self_dual(example_spec)
+    assert not code_report(example_spec).is_self_dual
 
 
 def test_separable_iff_torsion_free_mixing(example_spec):
     # kappa2 = delta1 = 0 characterizes C = C_X x C_Y.
-    assert not is_separable(example_spec)
-    assert is_separable(construct_self_dual_family(4, 3))
+    assert not code_type(example_spec).is_separable
+    assert code_type(construct_self_dual_family(4, 3)).is_separable
     mdss = construct_mdss(3, 3)
     t = code_type(mdss)
     assert (t.kappa2, t.delta1) == (0, 1)
-    assert not is_separable(mdss)
+    assert not t.is_separable
 
 
 # -- named constructions ------------------------------------------------------
@@ -143,7 +141,7 @@ def test_mdss_construction_fields():
 
 def test_mdss_gray_image_is_the_even_weight_code():
     spec = construct_mdss(3, 3)
-    images = {gray_map(w) for w in enumerate_codewords(spec)}
+    images = {gray_map(w) for w in word_set(codeword_matrix(spec), 3)}
     even = {v for v in itertools.product((0, 1), repeat=9) if sum(v) % 2 == 0}
     assert images == even
 
@@ -157,6 +155,28 @@ def test_valid_spec_counts_are_stable():
         for alpha, beta in [(1, 1), (2, 1), (1, 3), (3, 3), (4, 5)]
     }
     assert counts == {(1, 1): 8, (2, 1): 13, (1, 3): 24, (3, 3): 96, (4, 5): 69}
+
+
+def test_tuple_count_formula_matches_iter_valid_specs():
+    # Every pair below, including shared factors of degree 2, 3 and 4
+    # (beta = 3, 7, 5) and repeated factors of x^alpha - 1 (even alpha).
+    pairs = [(a, b) for a in range(1, 11) for b in (1, 3, 5, 7)]
+    pairs += [(a, 9) for a in range(1, 7)]
+    for alpha, beta in pairs:
+        count = analysis._tuple_count(gf2.divisors_xn1(alpha), gf2.factor_xn1(beta))
+        assert count == sum(1 for _ in iter_valid_specs(alpha, beta)), (alpha, beta)
+
+
+def test_search_caps_tuple_count_before_building_specs(monkeypatch):
+    def no_specs(*args):
+        raise AssertionError("a spec was built before the tuple-count check")
+
+    monkeypatch.setattr(analysis, "validate_spec", no_specs)
+    # x^63 - 1 has 13 irreducible factors: 3^13 + 5 * 3^12 = 4251528 tuples.
+    with pytest.raises(TooLarge, match=f"4251528 .* {SEARCH_CAP}"):
+        search_codes(1, {63}, "mdss")
+    with pytest.raises(TooLarge):
+        next(iter_valid_specs(1, 63))
 
 
 def test_valid_specs_are_distinct_and_well_formed():

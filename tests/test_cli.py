@@ -5,9 +5,9 @@ import time
 
 import pytest
 
-from z2z4cyclic import CheckResult
-from z2z4cyclic.cli import Command, main, parse_poly, run
-from z2z4cyclic.errors import InvalidParameter, ParseError
+from z2z4cyclic import BinPoly, CheckResult, QuatPoly
+from z2z4cyclic.cli import Command, main, run
+from z2z4cyclic.errors import ParseError
 
 C1_TEXT = "alpha=3\nbeta=3\nb=x^3+1\nell=x+1\nf=1\nh=x^2+x+1\n"
 
@@ -301,6 +301,17 @@ def test_search_with_huge_beta_exits_three_quickly(capsys):
     assert time.perf_counter() - t0 < 2
 
 
+def test_search_with_too_many_tuples_exits_three_quickly(capsys):
+    # x^63 - 1 has 13 irreducible factors: 4251528 tuples for alpha = 1.
+    t0 = time.perf_counter()
+    status, _, err = run_cli(
+        capsys, "search", "--alpha-max", "1", "--beta-set", "63", "--predicate", "mdss"
+    )
+    assert status == 3
+    assert "4251528 tuples" in err
+    assert time.perf_counter() - t0 < 2
+
+
 def test_verify_with_huge_shift_period_exits_three_quickly(capsys):
     # A one-word code whose lcm(alpha, beta) = 261632 is above the length cap.
     t0 = time.perf_counter()
@@ -372,21 +383,16 @@ def test_bad_beta_set_exits_two(capsys):
 
 
 def test_parse_poly_human_form():
-    assert parse_poly("x^4+2x^3+3x^2+x+1", 4).coeffs == (1, 1, 3, 2, 1)
-    assert parse_poly("0", 2).is_zero
+    assert QuatPoly.parse("x^4+2x^3+3x^2+x+1").coeffs == (1, 1, 3, 2, 1)
+    assert BinPoly.parse("0").is_zero
 
 
 def test_parse_poly_coefficient_list():
-    assert parse_poly("1,1,0,1", 2) == parse_poly("x^3+x+1", 2)
-
-
-def test_parse_poly_rejects_bad_modulus():
-    with pytest.raises(InvalidParameter):
-        parse_poly("x+1", 3)
+    assert BinPoly.parse("1,1,0,1") == BinPoly.parse("x^3+x+1")
 
 
 def test_parse_poly_rejects_syntax_errors():
     with pytest.raises(ParseError):
-        parse_poly("x^", 2)
+        BinPoly.parse("x^")
     with pytest.raises(ParseError):
-        parse_poly("3x+1", 2)
+        BinPoly.parse("3x+1")

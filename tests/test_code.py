@@ -20,13 +20,11 @@ from z2z4cyclic import (
     construct_mdss,
     construct_self_dual_family,
     cyclic_shift,
-    enumerate_codewords,
     format_codeword,
     format_spec_text,
     gray_map,
     inner_product,
     iter_valid_specs,
-    orthogonal_all_shifts,
     parse_codeword,
     parse_spec_text,
     project_xy,
@@ -36,9 +34,9 @@ from z2z4cyclic import (
     star,
     subcode_order_two,
     validate_spec,
-    words_equal,
 )
-from z2z4cyclic.dual import brute_force_dual
+from z2z4cyclic import gf2poly as gf2
+from z2z4cyclic.dual import brute_force_dual_matrix
 from z2z4cyclic.errors import (
     AmbientMismatch,
     InvalidParameter,
@@ -47,7 +45,7 @@ from z2z4cyclic.errors import (
     TooLarge,
 )
 
-from conftest import bp, qp, word
+from conftest import bp, qp, word, word_set
 
 # -- codewords ---------------------------------------------------------------
 
@@ -132,6 +130,24 @@ def test_validate_spec_rejects_structural_errors():
         validate_spec(3, 3, bp("x^3+1"), BinPoly.zero(), qp("x+1"), qp("1"))  # fh not a divisor
 
 
+def test_validate_spec_consequence_checks_raise_internal_errors(monkeypatch):
+    # Both checks after the defining conditions can only fail through a
+    # bug; a gcd that returns 1 once stands in for one, at each check.
+    real_gcd = gf2.gcd
+    for bad_call in (1, 2):
+        calls = []
+
+        def broken_gcd(a, b):
+            calls.append(None)
+            return BinPoly.one() if len(calls) == bad_call else real_gcd(a, b)
+
+        monkeypatch.setattr(gf2, "gcd", broken_gcd)
+        with pytest.raises(ArithmeticError, match="internal error") as exc:
+            validate_spec(1, 1, bp("x+1"), BinPoly.zero(), qp("x+3"), qp("1"))
+        assert not isinstance(exc.value, InvalidSpec)
+        assert len(calls) == bad_call
+
+
 def test_spec_text_round_trip(example_spec):
     text = format_spec_text(example_spec)
     again = parse_spec_text(text)
@@ -211,7 +227,7 @@ def test_cardinality_worked_example(example_spec):
 
 
 def test_enumerate_worked_example(example_spec):
-    words = enumerate_codewords(example_spec)
+    words = word_set(codeword_matrix(example_spec), 3)
     assert len(words) == 16
     # Generator matrix rows, with each block stored lowest exponent first.
     assert word("1 0 1 | 0 0 2") in words
@@ -221,7 +237,7 @@ def test_enumerate_worked_example(example_spec):
 
 def test_enumerate_tiny_ambient():
     spec = validate_spec(1, 1, bp("x+1"), BinPoly.zero(), qp("1"), qp("1"))
-    assert enumerate_codewords(spec) == {
+    assert word_set(codeword_matrix(spec), 1) == {
         word("0 | 0"),
         word("0 | 1"),
         word("0 | 2"),
@@ -231,7 +247,7 @@ def test_enumerate_tiny_ambient():
 
 def test_enumerate_respects_cap(example_spec):
     with pytest.raises(TooLarge):
-        enumerate_codewords(example_spec, cap=8)
+        codeword_matrix(example_spec, cap=8)
 
 
 def test_contains_examples(example_spec):
@@ -315,7 +331,7 @@ def test_cardinality_formula_and_cyclicity_exhaustive():
                         [np.roll(mat[:, :alpha], 1, axis=1), np.roll(mat[:, alpha:], 1, axis=1)],
                         axis=1,
                     )
-                    assert words_equal(np.unique(shifted, axis=0), mat)
+                    assert np.array_equal(np.unique(shifted, axis=0), mat)
 
 
 def test_measured_type_matches_formula(example_spec):
@@ -345,7 +361,7 @@ def test_gray_map_symbol_table():
 
 
 def test_gray_map_injective_on_code(example_spec):
-    words = enumerate_codewords(example_spec)
+    words = word_set(codeword_matrix(example_spec), 3)
     assert len({gray_map(w) for w in words}) == len(words)
 
 
@@ -398,15 +414,15 @@ def test_circ_product_is_bilinear():
 
 
 def test_orthogonal_all_shifts_on_code_and_dual(example_spec):
-    code = enumerate_codewords(example_spec)
-    dual = brute_force_dual(example_spec)
-    assert all(orthogonal_all_shifts(w1, w2) for w1 in code for w2 in dual)
+    code = word_set(codeword_matrix(example_spec), 3)
+    dual = word_set(brute_force_dual_matrix(example_spec), 3)
+    assert all(circ_product(w1, w2).is_zero for w1 in code for w2 in dual)
     assert all(inner_product(w1, w2) == 0 for w1 in code for w2 in dual)
 
 
 def test_orthogonal_all_shifts_negative_and_zero():
-    assert not orthogonal_all_shifts(word("1 | 0"), word("1 | 0"))
-    assert orthogonal_all_shifts(word("1 | 0"), word("0 | 0"))
+    assert not circ_product(word("1 | 0"), word("1 | 0")).is_zero
+    assert circ_product(word("1 | 0"), word("0 | 0")).is_zero
 
 
 def test_circ_product_caps_the_period():
@@ -437,7 +453,7 @@ def test_subcode_order_two_worked_example(example_spec):
     span = _closure(rows)
     t = code_type(example_spec)
     assert len(span) == 2 ** (t.gamma + t.delta) == 8
-    order_two = {w for w in enumerate_codewords(example_spec) if all(v in (0, 2) for v in w.uq)}
+    order_two = {w for w in word_set(codeword_matrix(example_spec), 3) if all(v in (0, 2) for v in w.uq)}
     assert span == order_two
 
 
@@ -464,7 +480,7 @@ def test_subcode_order_two_particular_class():
         )
         rows.extend(cyclic_shift(base, -i) for i in range(3))
     span = _closure(rows)
-    order_two = {w for w in enumerate_codewords(spec) if all(v in (0, 2) for v in w.uq)}
+    order_two = {w for w in word_set(codeword_matrix(spec), 3) if all(v in (0, 2) for v in w.uq)}
     assert span == order_two
 
 
