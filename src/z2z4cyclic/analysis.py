@@ -53,7 +53,7 @@ from .dual import (
 )
 from .errors import InvalidParameter, TooLarge
 from .gf2poly import BinPoly
-from .poly import DEGREE_CAP
+from .poly import DEGREE_CAP, SEARCH_CAP
 from .z4poly import QuatPoly
 
 
@@ -136,8 +136,6 @@ def construct_mdss(alpha: int, beta: int) -> CyclicCodeSpec:
 
 # -- exhaustive small-parameter search -------------------------------------
 
-SEARCH_CAP = 2**16
-
 
 def _tuple_count(divisors: list[BinPoly], factors: list[BinPoly]) -> int:
     """How many tuples iter_valid_specs yields for these b and factors of x^beta - 1.
@@ -179,7 +177,7 @@ def iter_valid_specs(alpha: int, beta: int):
             base = gf2.exact_div(b, gf2.gcd(b, cofactor))
             room = _deg(b) - _deg(base)
             for bits in range(1 << room):
-                t = BinPoly._make([(bits >> i) & 1 for i in range(room)])
+                t = BinPoly._wrap(bits)
                 yield validate_spec(alpha, beta, b, base * t, f, h)
 
 

@@ -1,10 +1,12 @@
 """Polynomial arithmetic over Z2[x].
 
-BinPoly supplies ring operations via the shared dense base; this module
-adds the number-theoretic helpers the code constructions need: monic
-gcd, modular inverse, the all-ones polynomial theta, factorization of
-x^n - 1 for odd n (split by its cyclotomic cosets), and divisor
-enumeration for arbitrary n.
+BinPoly stores a polynomial as one int whose bit i is the coefficient
+of x^i: addition is XOR, multiplication shift-and-XOR, division
+leading-bit reduction, folding mask-and-XOR and the reciprocal a bit
+reversal.  This module adds the number-theoretic helpers the code
+constructions need: monic gcd, modular inverse, the all-ones polynomial
+theta, factorization of x^n - 1 for odd n (split by its cyclotomic
+cosets), and divisor enumeration for arbitrary n.
 """
 
 from __future__ import annotations
@@ -16,19 +18,110 @@ from .errors import (
     GcdUndefined,
     InvalidParameter,
     NotInvertible,
+    TooLarge,
 )
-from .poly import DensePoly
+from .poly import NEG_INF, SEARCH_CAP, DensePoly
+
+
+def _clmul(a: int, b: int) -> int:
+    """Carry-less product of two bit-packed polynomials."""
+    if a > b:
+        a, b = b, a
+    out = 0
+    while a:
+        low = a & -a  # lowest set bit, so b * low is b shifted up
+        out ^= b * low
+        a ^= low
+    return out
+
+
+def _divmod_bits(a: int, d: int) -> tuple[int, int]:
+    """Quotient and remainder of bit-packed a by nonzero d."""
+    width = d.bit_length()
+    q = 0
+    shift = a.bit_length() - width
+    while shift >= 0:
+        q |= 1 << shift
+        a ^= d << shift
+        shift = a.bit_length() - width
+    return q, a
+
+
+def _mod_bits(a: int, d: int) -> int:
+    """Remainder of bit-packed a by nonzero d."""
+    width = d.bit_length()
+    shift = a.bit_length() - width
+    while shift >= 0:
+        a ^= d << shift
+        shift = a.bit_length() - width
+    return a
 
 
 class BinPoly(DensePoly):
+    """Z2[x]; the stored int has bit i set when x^i has coefficient 1."""
+
     MOD = 2
+    __slots__ = ()
+
+    @classmethod
+    def _pack(cls, vals) -> int:
+        bits = 0
+        for i, v in enumerate(vals):
+            if v & 1:
+                bits |= 1 << i
+        return bits
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Ascending coefficients, no trailing zeros."""
+        return tuple(map(int, bin(self._rep)[:1:-1])) if self._rep else ()
+
+    @property
+    def degree(self):
+        """Degree of the polynomial; NEG_INF for zero."""
+        return self._rep.bit_length() - 1 if self._rep else NEG_INF
+
+    @property
+    def is_monic(self) -> bool:
+        return bool(self._rep)
+
+    def _add(self, other: int):
+        return self._wrap(self._rep ^ other)
+
+    _sub = _add
+
+    def _neg(self):
+        return self
+
+    def _scale(self, k: int):
+        return self if k & 1 else self._wrap(0)
+
+    def _mul(self, other: int):
+        return self._wrap(_clmul(self._rep, other))
+
+    def _divmod(self, d: int):
+        q, r = _divmod_bits(self._rep, d)
+        return self._wrap(q), self._wrap(r)
+
+    def _mod(self, d: int):
+        return self._wrap(_mod_bits(self._rep, d))
+
+    def _reciprocal(self):
+        return self._wrap(int(bin(self._rep)[:1:-1], 2))
+
+    def _fold(self, n: int):
+        bits, mask, out = self._rep, (1 << n) - 1, 0
+        while bits:
+            out ^= bits & mask
+            bits >>= n
+        return self._wrap(out)
 
 
 def xn1(n: int) -> BinPoly:
     """x^n - 1 over Z2, i.e. x^n + 1."""
     if n < 1:
         raise InvalidParameter("n must be a positive integer")
-    return BinPoly._make([1] + [0] * (n - 1) + [1])
+    return BinPoly._wrap(1 << n | 1)
 
 
 def poly_key(p: DensePoly) -> tuple:
@@ -38,11 +131,15 @@ def poly_key(p: DensePoly) -> tuple:
 
 def gcd(a: BinPoly, b: BinPoly) -> BinPoly:
     """Monic greatest common divisor; gcd(a, 0) = a."""
-    if a.is_zero and b.is_zero:
+    for p in (a, b):
+        if not isinstance(p, BinPoly):
+            raise TypeError(f"expected a polynomial over Z2, got {p!r}")
+    x, y = a._rep, b._rep
+    if not x and not y:
         raise GcdUndefined("gcd(0, 0) is undefined")
-    while b:
-        a, b = b, a % b
-    return a
+    while y:
+        x, y = y, _mod_bits(x, y)
+    return BinPoly._wrap(x)
 
 
 def exact_div(a: BinPoly, b: BinPoly) -> BinPoly:
@@ -72,10 +169,7 @@ def theta(m: int, n: int) -> BinPoly:
     """theta_m(x^n) = 1 + x^n + x^{2n} + ... + x^{(m-1)n}."""
     if m < 1 or n < 1:
         raise InvalidParameter("theta requires m >= 1 and n >= 1")
-    out = [0] * ((m - 1) * n + 1)
-    for i in range(m):
-        out[i * n] = 1
-    return BinPoly._make(out)
+    return BinPoly._wrap(sum(1 << (i * n) for i in range(m)))
 
 
 def factor_xn1(n: int) -> list[BinPoly]:
@@ -94,12 +188,13 @@ def factor_xn1(n: int) -> list[BinPoly]:
     for j in range(n):
         if seen[j]:
             continue
-        ind = [0] * n
+        ind = 0
         k = j
         while not seen[k]:
-            seen[k] = ind[k] = 1
+            seen[k] = 1
+            ind |= 1 << k
             k = 2 * k % n
-        indicators.append(BinPoly._make(ind))
+        indicators.append(BinPoly._wrap(ind))
     factors = [xn1(n)]
     for v in indicators:
         if len(factors) == len(indicators):
@@ -121,7 +216,9 @@ def divisors_xn1(n: int) -> list[BinPoly]:
     """All monic divisors of x^n - 1 over Z2, any n >= 1, sorted by degree then coefficients.
 
     x^n - 1 = (x^m - 1)^(2^s) for n = 2^s * m with m odd, so each odd-part
-    factor may appear with multiplicity up to 2^s.
+    factor may appear with multiplicity up to 2^s: (2^s + 1)^k divisors for
+    k odd-part factors.  More than SEARCH_CAP of them raise TooLarge before
+    the first is built.
     """
     if n < 1:
         raise InvalidParameter("n must be a positive integer")
@@ -131,6 +228,9 @@ def divisors_xn1(n: int) -> list[BinPoly]:
         m //= 2
     base = factor_xn1(m)
     mult = 2**s
+    count = (mult + 1) ** len(base)
+    if count > SEARCH_CAP:
+        raise TooLarge(f"x^{n}-1 has {count} divisors, above the cap of {SEARCH_CAP}")
     divisors = []
     for exps in product(range(mult + 1), repeat=len(base)):
         d = BinPoly.one()

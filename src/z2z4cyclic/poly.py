@@ -1,9 +1,13 @@
-"""Dense polynomials with coefficients in Z2 or Z4.
+"""Polynomials with coefficients in Z2 or Z4: the shared ring front end.
 
-Coefficients are stored ascending, index = exponent, with no trailing
-zeros; the zero polynomial is the empty tuple and reports the sentinel
-degree NEG_INF.  Instances are immutable and hashable.  Subclasses fix
-the modulus: BinPoly works over Z2, QuatPoly over Z4.
+DensePoly holds the public arithmetic entry points, the text forms and
+equality; each subclass fixes the modulus and the storage.  BinPoly
+(gf2poly) works over Z2 and stores one int whose bit i is the
+coefficient of x^i.  QuatPoly (z4poly) works over Z4 and stores the
+coefficients as an ascending tuple.  Either way `coeffs` reads as the
+ascending coefficient tuple with no trailing zeros, the zero polynomial
+is the empty tuple with the sentinel degree NEG_INF, and instances are
+immutable and hashable.
 
 Two text forms are accepted by parse(): a human form such as
 "x^3+2x+1" (terms in any order, '-' allowed and folded mod m) and an
@@ -25,6 +29,10 @@ NEG_INF = float("-inf")
 # Largest exponent that polynomial text may name; alpha and beta share it.
 DEGREE_CAP = 2**12
 
+# Most generator tuples a search builds per (alpha, beta).  divisors_xn1
+# shares it: each divisor of x^alpha - 1 is the b of at least one tuple.
+SEARCH_CAP = 2**16
+
 # Numerals are ASCII digits only: str.isdigit() also accepts superscripts.
 _NUMERAL = re.compile(r"[0-9]+")
 # One human-form term: sign, coefficient, then x with an optional exponent;
@@ -44,26 +52,35 @@ def _value(numeral: str) -> int:
 
 
 class DensePoly:
+    """The ring entry points shared by BinPoly and QuatPoly.
+
+    Each arithmetic method here checks its arguments (same ring, nonzero
+    divisor, int scalars) and then calls a private kernel of the subclass
+    on the stored representation: _pack, _add, _sub, _neg, _scale, _mul,
+    _divmod, _mod, _reciprocal, _fold.  Subclasses supply kernels and
+    never override an entry point.
+    """
+
     MOD = 0  # set by subclasses
-    __slots__ = ("coeffs",)
+    __slots__ = ("_rep",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
         vals = list(coeffs)
         for v in vals:
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < self.MOD:
                 raise ValueError(f"coefficient {v!r} is not a Z{self.MOD} residue")
-        while vals and vals[-1] == 0:
-            vals.pop()
-        object.__setattr__(self, "coeffs", tuple(vals))
+        _set_rep(self, self._pack(vals))
 
     @classmethod
     def _make(cls, vals: Iterable[int]):
         """Trusted constructor: reduces mod m and trims trailing zeros."""
-        c = [v % cls.MOD for v in vals]
-        while c and c[-1] == 0:
-            c.pop()
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "coeffs", tuple(c))
+        return cls._wrap(cls._pack(vals))
+
+    @classmethod
+    def _wrap(cls, rep):
+        """An instance around an already reduced representation."""
+        obj = _new(cls)
+        _set_rep(obj, rep)
         return obj
 
     @classmethod
@@ -85,62 +102,36 @@ class DensePoly:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
-    def degree(self):
-        """Degree of the polynomial; NEG_INF for zero."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return not self._rep
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._rep)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DensePoly):
             return NotImplemented
-        return self.MOD == other.MOD and self.coeffs == other.coeffs
+        return self.MOD == other.MOD and self._rep == other._rep
 
     def __hash__(self):
-        return hash((self.MOD, self.coeffs))
+        return hash((self.MOD, self._rep))
 
     def __add__(self, other):
         self._check_ring(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return self._make(out)
+        return self._add(other._rep)
 
     def __sub__(self, other):
         self._check_ring(other)
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, v in enumerate(other.coeffs):
-            out[i] -= v
-        return self._make(out)
+        return self._sub(other._rep)
 
     def __neg__(self):
-        return self._make([-v for v in self.coeffs])
+        return self._neg()
 
     def __mul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
-            return self._make([other * v for v in self.coeffs])
+            return self._scale(other)
         self._check_ring(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return self.zero()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, va in enumerate(a):
-            if va:
-                for j, vb in enumerate(b):
-                    out[i + j] += va * vb
-        return self._make(out)
+        return self._mul(other._rep)
 
     __rmul__ = __mul__
 
@@ -153,50 +144,37 @@ class DensePoly:
         return result
 
     def __divmod__(self, divisor):
-        self._check_ring(divisor)
-        if divisor.is_zero:
-            raise DivisorZero("polynomial division by zero")
-        lead = divisor.coeffs[-1]
-        if self.MOD == 4 and lead == 2:
-            raise ValueError("division by a polynomial with non-unit leading coefficient")
-        inv = lead  # 1 and 3 are self-inverse mod 4; 1 mod 2
-        rem = list(self.coeffs)
-        dn = len(divisor.coeffs)
-        qlen = max(len(rem) - dn + 1, 0)
-        quo = [0] * qlen
-        for i in range(qlen - 1, -1, -1):
-            c = rem[i + dn - 1] % self.MOD
-            if c:
-                t = (c * inv) % self.MOD
-                quo[i] = t
-                for j, dv in enumerate(divisor.coeffs):
-                    rem[i + j] -= t * dv
-        return self._make(quo), self._make(rem)
+        self._check_divisor(divisor)
+        return self._divmod(divisor._rep)
 
     def __floordiv__(self, divisor):
-        return divmod(self, divisor)[0]
+        self._check_divisor(divisor)
+        return self._divmod(divisor._rep)[0]
 
     def __mod__(self, divisor):
-        return divmod(self, divisor)[1]
+        self._check_divisor(divisor)
+        return self._mod(divisor._rep)
 
     def _check_ring(self, other):
         if not isinstance(other, DensePoly) or other.MOD != self.MOD:
             raise TypeError(f"expected a polynomial over Z{self.MOD}, got {other!r}")
 
+    def _check_divisor(self, divisor):
+        self._check_ring(divisor)
+        if not divisor._rep:
+            raise DivisorZero("polynomial division by zero")
+
     def reciprocal(self):
         """Coefficient reversal x^deg * p(1/x); raises on the zero polynomial."""
-        if self.is_zero:
+        if not self._rep:
             raise ReciprocalOfZero("the zero polynomial has no reciprocal")
-        return self._make(reversed(self.coeffs))
+        return self._reciprocal()
 
     def fold(self, n: int):
         """Reduce mod x^n - 1 by folding exponents mod n."""
         if n < 1:
             raise ValueError("fold length must be positive")
-        out = [0] * n
-        for i, v in enumerate(self.coeffs):
-            out[i % n] += v
-        return self._make(out)
+        return self._fold(n)
 
     # -- text forms ---------------------------------------------------
 
@@ -260,9 +238,10 @@ class DensePoly:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
+        coeffs = self.coeffs
         parts = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
+        for e in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[e]
             if c == 0:
                 continue
             if e == 0:
@@ -280,3 +259,8 @@ class DensePoly:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}('{self}')"
+
+
+# Construction bypasses the immutability guard in __setattr__.
+_new = object.__new__
+_set_rep = DensePoly._rep.__set__

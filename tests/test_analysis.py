@@ -1,6 +1,7 @@
 """Classification layer: distance, MDSS/self-dual/separable flags, search, reports."""
 
 import itertools
+import time
 
 import pytest
 
@@ -177,6 +178,17 @@ def test_search_caps_tuple_count_before_building_specs(monkeypatch):
         search_codes(1, {63}, "mdss")
     with pytest.raises(TooLarge):
         next(iter_valid_specs(1, 63))
+
+
+def test_divisor_count_is_capped_before_any_divisor_is_built():
+    # x^255 - 1 has 35 irreducible factors, so 2^35 divisors; no tuple
+    # count can be smaller than the divisor count.
+    assert analysis.SEARCH_CAP == SEARCH_CAP == 2**16
+    for call in (lambda: next(iter_valid_specs(255, 1)), lambda: gf2.divisors_xn1(255)):
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge, match=f"{2**35} divisors"):
+            call()
+        assert time.perf_counter() - t0 < 2
 
 
 def test_valid_specs_are_distinct_and_well_formed():

@@ -1,13 +1,16 @@
-"""Property tests for the text front end: polynomials, spec text, CLI flags."""
+"""Property tests: the text front end (polynomials, spec text, CLI flags) and
+the bit-packed BinPoly arithmetic against a schoolbook Z2 reference."""
 
 import contextlib
 import io
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from z2z4cyclic import (
     BinPoly,
+    NotInvertible,
     QuatPoly,
     Z2Z4Error,
     format_spec_text,
@@ -16,7 +19,10 @@ from z2z4cyclic import (
     spec_fields,
     spec_from_fields,
 )
+from z2z4cyclic import gf2poly as gf2
+from z2z4cyclic import z4poly as z4
 from z2z4cyclic.cli import main
+from z2z4cyclic.poly import NEG_INF
 
 PROPERTY = settings(deadline=None, max_examples=200)
 
@@ -80,3 +86,154 @@ def test_arbitrary_inline_flags_exit_cleanly(alpha, beta, b, ell, f, h):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         status = main(argv)
     assert status in (0, 2, 3)
+
+
+# -- BinPoly against a schoolbook reference on coefficient tuples -----------------
+
+
+def ref_trim(coeffs) -> tuple:
+    c = list(coeffs)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def ref_add(a, b) -> tuple:
+    n = max(len(a), len(b))
+    return ref_trim((a[i] if i < len(a) else 0) ^ (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def ref_mul(a, b) -> tuple:
+    out = [0] * (len(a) + len(b))
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] ^= u & v
+    return ref_trim(out)
+
+
+def ref_divmod(a, d) -> tuple:
+    rem = list(a)
+    quo = [0] * max(len(a) - len(d) + 1, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        if rem[i + len(d) - 1]:
+            quo[i] = 1
+            for j, v in enumerate(d):
+                rem[i + j] ^= v
+    return ref_trim(quo), ref_trim(rem)
+
+
+def ref_gcd(a, b) -> tuple:
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return a
+
+
+def ref_fold(a, n: int) -> tuple:
+    out = [0] * n
+    for i, v in enumerate(a):
+        out[i % n] ^= v
+    return ref_trim(out)
+
+
+def ref_str(a) -> str:
+    terms = ["1" if e == 0 else "x" if e == 1 else f"x^{e}" for e in range(len(a) - 1, -1, -1) if a[e]]
+    return "+".join(terms) or "0"
+
+
+bits = st.lists(st.integers(0, 1), max_size=81)
+nonzero_bits = bits.filter(any)
+
+
+@PROPERTY
+@given(bits)
+def test_binpoly_views_match_reference(a):
+    p, ta = BinPoly(a), ref_trim(a)
+    assert p.coeffs == ta
+    assert p.degree == (len(ta) - 1 if ta else NEG_INF)
+    assert p.is_zero == (not ta) == (not p)
+    assert str(p) == ref_str(ta)
+    assert p.coeff_csv() == (",".join(map(str, ta)) or "0")
+
+
+@PROPERTY
+@given(bits, bits, st.integers(0, 3))
+def test_binpoly_ring_ops_match_reference(a, b, k):
+    p, q = BinPoly(a), BinPoly(b)
+    ta, tb = ref_trim(a), ref_trim(b)
+    assert (p + q).coeffs == (p - q).coeffs == ref_add(ta, tb)
+    assert (-p).coeffs == ta
+    assert (p * q).coeffs == ref_mul(ta, tb)
+    assert (p * k).coeffs == (k * p).coeffs == (ta if k % 2 else ())
+
+
+@PROPERTY
+@given(bits, nonzero_bits)
+def test_binpoly_division_matches_reference(a, d):
+    p, dp = BinPoly(a), BinPoly(d)
+    quo, rem = ref_divmod(ref_trim(a), ref_trim(d))
+    q, r = divmod(p, dp)
+    assert (q.coeffs, r.coeffs) == (quo, rem)
+    assert (p // dp).coeffs == quo
+    assert (p % dp).coeffs == rem
+
+
+@PROPERTY
+@given(bits, st.integers(1, 90))
+def test_binpoly_fold_matches_reference(a, n):
+    assert BinPoly(a).fold(n).coeffs == ref_fold(ref_trim(a), n)
+
+
+@PROPERTY
+@given(nonzero_bits)
+def test_binpoly_reciprocal_matches_reference(a):
+    assert BinPoly(a).reciprocal().coeffs == ref_trim(reversed(ref_trim(a)))
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 1), max_size=17), st.integers(0, 5))
+def test_binpoly_power_matches_reference(a, n):
+    want = (1,)
+    for _ in range(n):
+        want = ref_mul(want, ref_trim(a))
+    assert (BinPoly(a) ** n).coeffs == want
+
+
+@PROPERTY
+@given(bits, bits)
+def test_gcd_matches_reference(a, b):
+    ta, tb = ref_trim(a), ref_trim(b)
+    assume(ta or tb)
+    assert gf2.gcd(BinPoly(a), BinPoly(b)).coeffs == ref_gcd(ta, tb)
+
+
+@PROPERTY
+@given(bits, nonzero_bits)
+def test_modinv_matches_reference(a, m):
+    tm = ref_trim(m)
+    assume(len(tm) >= 2)
+    p, mp = BinPoly(a), BinPoly(m)
+    if ref_gcd(ref_divmod(ref_trim(a), tm)[1], tm) != (1,):
+        with pytest.raises(NotInvertible):
+            gf2.modinv(p, mp)
+        return
+    inv = gf2.modinv(p, mp)
+    assert inv.degree < mp.degree
+    assert ref_divmod(ref_mul(ref_trim(a), inv.coeffs), tm)[1] == (1,)
+
+
+@PROPERTY
+@given(bits, nonzero_bits)
+def test_exact_div_matches_reference(a, b):
+    product = BinPoly(ref_mul(ref_trim(a), ref_trim(b)))
+    assert gf2.exact_div(product, BinPoly(b)).coeffs == ref_trim(a)
+
+
+@PROPERTY
+@given(bits, bits)
+def test_binpoly_equality_hash_and_lift(a, b):
+    p, q = BinPoly(a), BinPoly(b)
+    assert (p == q) == (ref_trim(a) == ref_trim(b))
+    twin = BinPoly.parse(str(p))
+    assert twin == p and hash(twin) == hash(p)
+    assert p != QuatPoly(a)
+    assert z4.lift_binary(p).reduce_mod2() == p
