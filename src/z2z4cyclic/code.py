@@ -9,7 +9,13 @@ everything reduced mod x^alpha - 1 and x^beta - 1.
 
 Vectors and polynomials correspond by (u_0, ..., u_{n-1}) <-> sum u_i x^i.
 Codeword sets are canonically represented as int16 matrices of unique
-rows (binary block first), which keeps brute-force comparisons exact.
+rows (binary block first) in lexicographic row order, which keeps
+brute-force comparisons exact.  That order is found by sorting packed
+integer keys: each row is written MSB-first with 1 bit per Z2 coordinate
+(or Gray bit) and 2 bits per Z4 coordinate, so packed-key order equals
+lexicographic row order.  A row of alpha + 2*beta <= 64 bits is one
+uint64; a wider row takes ceil((alpha + 2*beta) / 64) uint64 limbs, most
+significant limb first, compared limb by limb.
 """
 
 from __future__ import annotations
@@ -343,6 +349,37 @@ def _reduce_blocks(words: np.ndarray, alpha: int) -> np.ndarray:
     return words
 
 
+def _row_keys(words: np.ndarray, alpha: int) -> np.ndarray:
+    """Each row packed MSB-first into uint64 limbs: shape (k, rows), limb 0 most significant.
+
+    Columns before alpha take 1 bit and the rest 2 bits, so entries must
+    already be reduced into 0..1 and 0..3; k = max(1, ceil(bits / 64)).
+    The bits are right-aligned in the limbs, so the 2-bit columns, which
+    come last, never straddle two limbs.
+    """
+    n_rows, n = words.shape
+    widths = np.where(np.arange(n) < alpha, 1, 2)
+    k = max(1, -(-int(widths.sum()) // 64))
+    lsb = np.cumsum(widths[::-1])[::-1] - widths
+    keys = np.zeros((k, n_rows), dtype=np.uint64)
+    for j in range(n):
+        limb, shift = divmod(int(lsb[j]), 64)
+        keys[k - 1 - limb] |= words[:, j].astype(np.uint64) << np.uint64(shift)
+    return keys
+
+
+def _unique_rows(words: np.ndarray, alpha: int) -> np.ndarray:
+    """Indices of the first occurrence of each distinct row, in lexicographic row order.
+
+    words[_unique_rows(words, alpha)] is np.unique(words, axis=0), found by
+    one sort of the packed keys of _row_keys: plain integers when they fit
+    one limb, rows of limbs otherwise.
+    """
+    keys = _row_keys(words, alpha)
+    _, idx = np.unique(keys[0] if len(keys) == 1 else keys.T, axis=0, return_index=True)
+    return idx
+
+
 def codeword_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
     """All codewords as a canonical (sorted, unique) int16 matrix.
 
@@ -361,7 +398,8 @@ def codeword_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
         idx = np.arange(lo, min(lo + _BLOCK, total), dtype=np.int64)
         coeff = ((idx[:, None] >> offsets) & masks).astype(np.int16)
         chunks.append(_reduce_blocks(coeff @ rows, spec.alpha))
-    words = np.unique(np.vstack(chunks), axis=0)
+    words = np.vstack(chunks)
+    words = words[_unique_rows(words, spec.alpha)]
     if len(words) != total:
         raise ArithmeticError(
             f"internal error: enumeration found {len(words)} codewords, formula says {total}"
@@ -370,12 +408,21 @@ def codeword_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
 
 
 def contains(spec: CyclicCodeSpec, w: Codeword) -> bool:
-    """Membership by enumeration."""
-    mat = codeword_matrix(spec)
+    """Membership by enumeration: a binary search of w's packed key among the code's.
+
+    A word of the wrong block lengths is not a member, whatever the code's size.
+    """
     if len(w.u) != spec.alpha or len(w.uq) != spec.beta:
         return False
-    vec = np.array(w.u + w.uq, dtype=np.int16)
-    return bool(np.any(np.all(mat == vec, axis=1)))
+    keys = _row_keys(codeword_matrix(spec), spec.alpha)
+    key = _row_keys(np.array([w.u + w.uq], dtype=np.int16), spec.alpha)[:, 0]
+    # Canonical keys are sorted limb by limb: narrow the run of equal
+    # leading limbs one limb at a time.
+    lo, hi = 0, keys.shape[1]
+    for limb, want in zip(keys, key):
+        run = limb[lo:hi]
+        lo, hi = lo + np.searchsorted(run, want), lo + np.searchsorted(run, want, side="right")
+    return bool(hi > lo)
 
 
 def code_type_from_words(alpha: int, beta: int, words: np.ndarray) -> CodeType:
@@ -386,7 +433,7 @@ def code_type_from_words(alpha: int, beta: int, words: np.ndarray) -> CodeType:
     n2 = int(order2.sum())
     delta = _exact_log2(n) - _exact_log2(n2)
     gamma = _exact_log2(n2) - delta
-    kappa = _exact_log2(len(np.unique(ub[order2], axis=0)))
+    kappa = _exact_log2(len(_unique_rows(ub[order2], alpha)))
     kappa1 = _exact_log2(int(np.all(qb == 0, axis=1).sum()))
     zero_x = np.all(ub == 0, axis=1)
     d_tot = int(zero_x.sum())

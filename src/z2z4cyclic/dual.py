@@ -26,6 +26,7 @@ from .code import (
     CyclicCodeSpec,
     _deg,
     _span_rows,
+    _unique_rows,
     cardinality_family,
     code_type,
     validate_spec,
@@ -171,7 +172,8 @@ def brute_force_dual_matrix(spec: CyclicCodeSpec, cap: int = AMBIENT_CAP) -> np.
         vecs = ((idx[:, None] >> shifts) & masks).astype(np.int16)
         ok = np.all((vecs @ weights) % 4 == 0, axis=1)
         keep.append(vecs[ok])
-    words = np.unique(np.vstack(keep), axis=0)
+    words = np.vstack(keep)
+    words = words[_unique_rows(words, a)]
     expected = cardinality_family(code_type(spec)).c_dual
     if len(words) != expected:
         raise ArithmeticError(

@@ -3,10 +3,11 @@
 perfbench/run.py rejects a change whose traced call counts drift from the
 hand-derived ones in perfbench/selftest.py, or whose outputs differ from
 perfbench/expected/*.json.  These tests run the same checks on every 16th
-closed_form item and every 20th oracle_family item.  They also pin what
-the tracer's poly layer relies on: it wraps the POLY_METHODS entry points
-on DensePoly only, so a subclass override of one would take that
-method's calls out of the poly metrics without any error.
+closed_form item, every 20th oracle_family item and all four big_codes
+items.  They also pin what the tracer's poly layer relies on: it wraps
+the POLY_METHODS entry points on DensePoly only, so a subclass override
+of one would take that method's calls out of the poly metrics without
+any error.
 """
 
 import sys
@@ -28,7 +29,9 @@ def test_selftest_counts_match():
     assert run_selftest(pkg, cli) == []
 
 
-@pytest.mark.parametrize("workload, stride", [("closed_form", 16), ("oracle_family", 20)])
+@pytest.mark.parametrize(
+    "workload, stride", [("closed_form", 16), ("oracle_family", 20), ("big_codes", 1)]
+)
 def test_sampled_items_match_their_records(workload, stride):
     _, cli = load_package()
     items = build_items(cli, workload, seed=0)[::stride]

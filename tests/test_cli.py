@@ -1,5 +1,6 @@
 """Command-line front end: verbs, output formats, and exit codes."""
 
+import hashlib
 import json
 import time
 
@@ -322,6 +323,39 @@ def test_verify_with_huge_shift_period_exits_three_quickly(capsys):
     assert status == 3
     assert "lcm(alpha, beta) = 261632" in err
     assert time.perf_counter() - t0 < 2
+
+
+# sha256 of run()'s output on two ambients wider than 64 bits (68 and 67),
+# whose packed keys take two limbs, as rendered when codeword sets were
+# sorted as int16 rows.
+WIDE_SPECS = {
+    "50/9": ("50", "9", "x^50+1", "0", "x^3+3", "1"),  # |C| = 4096
+    "65/1": ("65", "1", "x^65+1", "0", "1", "x+3"),  # |C| = 2
+}
+WIDE_DIGESTS = {
+    ("50/9", "info", "text"): "62cc4de9c0d6adcd112557a7fe6a8c56e0b71c09581f94591d81b51f55dac95d",
+    ("50/9", "info", "json"): "3e7ac7fea10bdbbe7bbf3c4d0a6cefb2b088e7c255e8bfbb7f459112396ad0d6",
+    ("50/9", "enumerate", "text"): "fe59d047cb6048276db5bafb678e4b051c7ffafe70f9fdde618a658425c70492",
+    ("50/9", "enumerate", "json"): "3465f8781d59fa6d95c751156552daf708a417b0e97bd4dd351fe9007036550a",
+    ("50/9", "verify", "text"): "c037f86eae4526111e777232c22565e4892413413d7f9b862c687aa20a80b592",
+    ("50/9", "verify", "json"): "87ea7bdca50b42dfe9c20cab8a99a3737b79012a1cb510eb63abef236e7fe0ff",
+    ("65/1", "info", "text"): "2774f57d11096d8cec3fd3b0fdb78c894186bf3bb4d562200f9c4ad5499d560d",
+    ("65/1", "info", "json"): "aecc8a320550ef73044c13387ef308752ff1feae4b95e600d81844f3bcad2e98",
+    ("65/1", "enumerate", "text"): "93e06163c6c4452a12be1231074c595be2e7621535e3f9f82f8b2fa6262eb594",
+    ("65/1", "enumerate", "json"): "364738be9c029dea9822ae54ba26e0f15f58c7ccaa9adcf99cca519df4afaf8d",
+    ("65/1", "verify", "text"): "84e94cb906531611fb34ee213c9349d879e9d37cd47bfce2757a8c48a866f34c",
+    ("65/1", "verify", "json"): "ba4e6d43071deffbc06489494c1f09ec0b9432e8fc62ba3480bafd582b3cb98c",
+}
+
+
+@pytest.mark.parametrize("name, verb, fmt", sorted(WIDE_DIGESTS))
+def test_wide_ambient_outputs_are_unchanged(name, verb, fmt):
+    fields = dict(zip(("alpha", "beta", "b", "ell", "f", "h"), WIDE_SPECS[name]))
+    status, out = run(Command(verb=verb, spec_source=fields, output_format=fmt))
+    assert status == 0
+    if (verb, fmt) == ("verify", "text"):
+        assert out.endswith("\nall 14 checks passed")
+    assert hashlib.sha256(out.encode()).hexdigest() == WIDE_DIGESTS[name, verb, fmt]
 
 
 def test_command_dict_missing_a_key_is_a_parse_error():

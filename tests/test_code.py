@@ -258,6 +258,38 @@ def test_contains_examples(example_spec):
     assert not contains(example_spec, word("1 0 | 0 0 2"))
 
 
+def test_contains_answers_a_wrong_length_word_without_enumerating():
+    # |C| = 2^24 * 4 is above ENUM_CAP, so only the length check can answer.
+    spec = validate_spec(24, 1, bp("1"), bp("0"), qp("1"), qp("1"))
+    assert not contains(spec, word("0 | 0"))
+    with pytest.raises(TooLarge):
+        contains(spec, Codeword((0,) * 24, (0,)))
+
+
+def test_contains_agrees_with_the_word_set_on_every_ambient_word(example_spec):
+    members = word_set(codeword_matrix(example_spec), 3)
+    for bits in itertools.product(range(2), repeat=3):
+        for quats in itertools.product(range(4), repeat=3):
+            w = Codeword(bits, quats)
+            assert contains(example_spec, w) == (w in members), w
+
+
+def test_contains_searches_every_limb_of_a_wide_word():
+    # 65 + 2 = 67 bits take two limbs: the top 3 binary coordinates and the rest.
+    # C = {0, all-ones} x {0, 2}, so members and non-members share either limb.
+    spec = validate_spec(65, 1, BinPoly((1,) * 65), bp("0"), qp("1"), qp("x+3"))
+    members = word_set(codeword_matrix(spec), 65)
+    assert len(members) == 4
+    for m in members:
+        assert contains(spec, m)
+        for i in range(65):
+            u = m.u[:i] + (1 - m.u[i],) + m.u[i + 1 :]
+            assert not contains(spec, Codeword(u, m.uq))
+        for q in range(4):
+            w = Codeword(m.u, (q,))
+            assert contains(spec, w) == (w in members)
+
+
 def test_spanning_set_worked_example(example_spec):
     rows = spanning_set(example_spec)
     assert rows == [

@@ -1,9 +1,11 @@
-"""Property tests: the text front end (polynomials, spec text, CLI flags) and
-the bit-packed BinPoly arithmetic against a schoolbook Z2 reference."""
+"""Property tests: the text front end (polynomials, spec text, CLI flags),
+the bit-packed BinPoly arithmetic against a schoolbook Z2 reference, and
+the packed-key canonical sort against numpy's row sort."""
 
 import contextlib
 import io
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from z2z4cyclic import (
 from z2z4cyclic import gf2poly as gf2
 from z2z4cyclic import z4poly as z4
 from z2z4cyclic.cli import main
+from z2z4cyclic.code import _row_keys, _unique_rows
 from z2z4cyclic.poly import NEG_INF
 
 PROPERTY = settings(deadline=None, max_examples=200)
@@ -237,3 +240,44 @@ def test_binpoly_equality_hash_and_lift(a, b):
     assert twin == p and hash(twin) == hash(p)
     assert p != QuatPoly(a)
     assert z4.lift_binary(p).reduce_mod2() == p
+
+
+# -- packed-key canonical sort ------------------------------------------------
+
+# (alpha, beta) with 1 <= alpha + 2*beta <= 140 bits: an X block only, a Y
+# block only, or both; keys then take one, two or three limbs.
+ambients = st.one_of(
+    st.tuples(st.integers(1, 140), st.just(0)),
+    st.tuples(st.just(0), st.integers(1, 70)),
+    st.integers(1, 69).flatmap(lambda b: st.tuples(st.integers(1, 140 - 2 * b), st.just(b))),
+)
+
+
+@PROPERTY
+@given(
+    ambients,
+    st.booleans(),
+    st.integers(1, 12),
+    st.integers(1, 40),
+    st.sampled_from((0.02, 0.2, 1.0)),
+    st.integers(0, 2**32 - 1),
+)
+def test_unique_rows_matches_numpy_row_sort(ambient, gray, distinct, n_rows, density, seed):
+    alpha, beta = ambient
+    rng = np.random.default_rng(seed)
+    base = np.concatenate(
+        [rng.integers(0, 2, (distinct, alpha)), rng.integers(0, 4, (distinct, beta))], axis=1
+    )
+    # Sparse rows share long zero prefixes, so they differ only in later limbs.
+    base = base * (rng.random(base.shape) < density)
+    rows = base[rng.integers(0, distinct, n_rows)].astype(np.int16)
+    if gray:
+        q = rows[:, alpha:]
+        rows = np.concatenate([rows[:, :alpha], q >> 1, (q + 1) >> 1 & 1], axis=1)
+        alpha = rows.shape[1]
+    bits = alpha + 2 * (rows.shape[1] - alpha)
+    assert _row_keys(rows, alpha).shape == (max(1, -(-bits // 64)), n_rows)
+    ref = np.unique(rows, axis=0)
+    idx = _unique_rows(rows, alpha)
+    assert len(idx) == len(ref)
+    assert np.array_equal(rows[idx], ref)
