@@ -2,8 +2,8 @@
 
 For every valid generator tuple with alpha <= 4 and beta in {1, 3},
 enumerate the code built from the predicted dual generators and compare
-its canonical word matrix with the words found by scanning the whole
-ambient space for orthogonality.  Also confirms |C| * |C_dual| =
+its canonical word matrix with the brute-force dual: every vector of
+the ambient space orthogonal to the code.  Also confirms |C| * |C_dual| =
 2^(alpha + 2*beta).
 """
 

@@ -8,6 +8,9 @@ the mixing action lambda * (p | q) = (lambda*p mod 2 | lambda*q), with
 everything reduced mod x^alpha - 1 and x^beta - 1.
 
 Vectors and polynomials correspond by (u_0, ..., u_{n-1}) <-> sum u_i x^i.
+The spanning rows are the shifts of three base rows, taken by one index
+gather, and a code is enumerated from them by doubling: each row's
+multiples are added to all the words built so far, into one array.
 Codeword sets are canonically represented as int16 matrices of unique
 rows (binary block first) in lexicographic row order, which keeps
 brute-force comparisons exact.  That order is found by sorting packed
@@ -36,7 +39,6 @@ ENUM_CAP = 2**22
 
 _LEE = np.array([0, 1, 2, 1], dtype=np.int16)
 _GRAY = ((0, 0), (0, 1), (1, 1), (1, 0))
-_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -314,23 +316,26 @@ def _pair_row(p: BinPoly, q: QuatPoly, alpha: int, beta: int) -> np.ndarray:
 
 
 def _span_rows(spec: CyclicCodeSpec) -> tuple[np.ndarray, list[int]]:
-    """Spanning rows S1|S2|S3 as one matrix plus each row's coefficient width in bits."""
+    """Spanning rows S1|S2|S3 as one matrix plus each row's coefficient width in bits.
+
+    Row i of each block is the block's base row shifted i steps in both
+    blocks, all taken by one gather: column j reads (j - i) mod alpha in
+    X and alpha + (j - i) mod beta in Y.
+    """
     a, beta = spec.alpha, spec.beta
     counts = (a - _deg(spec.b), _deg(spec.g), _deg(spec.h))
-    bases = (
+    bases = np.stack([
         _pair_row(spec.b, QuatPoly.zero(), a, beta),
         _pair_row(spec.ell, spec.f * spec.h + 2 * spec.f, a, beta),
         _pair_row(spec.ell * spec.g.reduce_mod2(), 2 * spec.f * spec.g, a, beta),
+    ])
+    which = np.repeat(np.arange(3), counts)
+    back = (np.cumsum(counts) - counts)[which] - np.arange(len(which))
+    cols = np.concatenate(
+        [(np.arange(a) + back[:, None]) % a, a + (np.arange(beta) + back[:, None]) % beta], axis=1
     )
-    rows, widths = [], []
-    for base, count, width in zip(bases, counts, (1, 2, 1)):
-        row = base
-        for _ in range(count):
-            rows.append(row)
-            row = np.concatenate([np.roll(row[:a], 1), np.roll(row[a:], 1)])
-            widths.append(width)
-    mat = np.array(rows, dtype=np.int16) if rows else np.zeros((0, a + beta), dtype=np.int16)
-    return mat, widths
+    widths = [w for count, w in zip(counts, (1, 2, 1)) for _ in range(count)]
+    return bases[which[:, None], cols], widths
 
 
 def spanning_set(spec: CyclicCodeSpec) -> list[Codeword]:
@@ -384,21 +389,23 @@ def codeword_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
     """All codewords as a canonical (sorted, unique) int16 matrix.
 
     Coefficients range over Z2 for order-two rows (S1, S3) and Z4 for S2
-    rows; the row count of the result is asserted against the
-    cardinality formula rather than assumed.
+    rows.  The words are enumerated by doubling: after the rows before
+    row j, the first `size` words are all their combinations, and
+    coefficient c of row j fills words c*size .. (c+1)*size - 1.  The
+    row count of the result is asserted against the cardinality formula
+    rather than assumed.
     """
     total = cardinality(spec)
     if total > cap:
         raise TooLarge(f"code has {total} codewords, above the cap of {cap}")
     rows, widths = _span_rows(spec)
-    offsets = np.cumsum([0] + widths[:-1]) if widths else np.zeros(0, dtype=int)
-    masks = np.array([(1 << w) - 1 for w in widths], dtype=np.int64)
-    chunks = []
-    for lo in range(0, total, _BLOCK):
-        idx = np.arange(lo, min(lo + _BLOCK, total), dtype=np.int64)
-        coeff = ((idx[:, None] >> offsets) & masks).astype(np.int16)
-        chunks.append(_reduce_blocks(coeff @ rows, spec.alpha))
-    words = np.vstack(chunks)
+    words = np.zeros((total, spec.alpha + spec.beta), dtype=np.int16)
+    size = 1
+    for row, width in zip(rows, widths):
+        for c in range(1, 1 << width):
+            np.add(words[:size], c * row, out=words[c * size : (c + 1) * size])
+        size <<= width
+    words = _reduce_blocks(words, spec.alpha)
     words = words[_unique_rows(words, spec.alpha)]
     if len(words) != total:
         raise ArithmeticError(

@@ -8,9 +8,13 @@ back to Z4, and ell_bar is assembled from modular inverses of
 rho = ell/gcd(b, ell).  Separable codes (ell = 0) take a shortcut where
 every dual factor is a normalized reciprocal.
 
-brute_force_dual_matrix is the independent check: it scans the whole
-ambient space for vectors orthogonal to the spanning set, which is what
-the definition of the dual says and nothing more.
+brute_force_dual_matrix is the independent check: it finds every
+ambient vector orthogonal to the spanning set, which is what the
+definition of the dual says and nothing more.  It uses only that
+definition and the bilinearity of the inner product: each ambient index
+splits into its low and high bits, the residues of each half against
+every spanning row are tabulated once, and a vector is in the dual
+exactly when its low half's residues cancel its high half's.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ from .gf2poly import BinPoly
 from .z4poly import QuatPoly
 
 AMBIENT_CAP = 2**24
-
-_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -150,29 +152,62 @@ def dual_spec(spec: CyclicCodeSpec) -> CyclicCodeSpec:
     return validate_spec(spec.alpha, spec.beta, d.b_bar, d.ell_bar, d.f_bar, d.h_bar)
 
 
+def _residue_keys(coef: np.ndarray) -> np.ndarray:
+    """Packed residues, 2 bits per spanning row, of every index over these bits.
+
+    coef[k] holds bit k's contribution mod 4 to the inner product with
+    each spanning row; entry i of the result packs the residues of
+    sum_k bit_k(i) * coef[k], with row r in bits 2r and 2r + 1.
+    """
+    res = np.zeros((1, coef.shape[1]), dtype=np.int64)
+    for c in coef:
+        res = np.concatenate([res, (res + c) % 4])
+    return (res << 2 * np.arange(coef.shape[1])).sum(axis=1)
+
+
 def brute_force_dual_matrix(spec: CyclicCodeSpec, cap: int = AMBIENT_CAP) -> np.ndarray:
     """All ambient vectors orthogonal to the code, as a canonical matrix.
 
-    Scans the full ambient space in blocks and keeps vectors orthogonal
-    to every spanning row (orthogonality to a spanning set extends to
-    the whole code by additivity).  The survivor count is asserted
-    against the dual cardinality formula.
+    Ambient index i holds Z2 coordinate j in bit j and Z4 coordinate j in
+    bits alpha + 2j and alpha + 2j + 1.  The inner product with a
+    spanning row is a sum of per-bit contributions mod 4, so i = lo +
+    (hi << n//2) is orthogonal to every spanning row (and, by
+    additivity, to the code) exactly when lo's residues are minus hi's.
+    Both halves' residue vectors are tabulated and packed into integer
+    keys, the keys are matched by one sort, and only the matching
+    indices are decoded.  The survivor count is asserted against the
+    dual cardinality formula.
     """
     a, beta = spec.alpha, spec.beta
-    total = 2 ** (a + 2 * beta)
+    n = a + 2 * beta
+    total = 2**n
     if total > cap:
         raise TooLarge(f"ambient space has {total} vectors, above the cap of {cap}")
     rows, _ = _span_rows(spec)
-    shifts = np.concatenate([np.arange(a), a + 2 * np.arange(beta)])
-    masks = np.concatenate([np.ones(a, dtype=np.int64), 3 * np.ones(beta, dtype=np.int64)])
-    weights = np.concatenate([2 * rows[:, :a], rows[:, a:]], axis=1).T
-    keep = []
-    for lo in range(0, total, _BLOCK):
-        idx = np.arange(lo, min(lo + _BLOCK, total), dtype=np.int64)
-        vecs = ((idx[:, None] >> shifts) & masks).astype(np.int16)
-        ok = np.all((vecs @ weights) % 4 == 0, axis=1)
-        keep.append(vecs[ok])
-    words = np.vstack(keep)
+    rows = rows.astype(np.int64)
+    # Contribution of each index bit: 2u for a Z2 bit, q and 2q for the
+    # low and high bits of a Z4 coordinate.
+    coef = np.empty((n, len(rows)), dtype=np.int64)
+    coef[:a] = 2 * rows[:, :a].T
+    coef[a::2] = rows[:, a:].T
+    coef[a + 1 :: 2] = 2 * rows[:, a:].T
+    coef %= 4
+    half = n // 2
+    lo_keys = _residue_keys(coef[:half])
+    hi_keys = _residue_keys((-coef[half:]) % 4)
+    order = np.argsort(lo_keys)
+    sorted_lo = lo_keys[order]
+    left = np.searchsorted(sorted_lo, hi_keys, side="left")
+    counts = np.searchsorted(sorted_lo, hi_keys, side="right") - left
+    starts = np.cumsum(counts) - counts
+    pos = np.arange(counts.sum()) - np.repeat(starts - left, counts)
+    idx = order[pos] + (np.repeat(np.arange(len(hi_keys), dtype=np.int64), counts) << half)
+    # Decoded one column at a time, so no temporary is wider than idx.
+    words = np.empty((len(idx), a + beta), dtype=np.int16)
+    for j in range(a):
+        words[:, j] = (idx >> j) & 1
+    for j in range(beta):
+        words[:, a + j] = (idx >> (a + 2 * j)) & 3
     words = words[_unique_rows(words, a)]
     expected = cardinality_family(code_type(spec)).c_dual
     if len(words) != expected:

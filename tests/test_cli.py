@@ -325,6 +325,19 @@ def test_verify_with_huge_shift_period_exits_three_quickly(capsys):
     assert time.perf_counter() - t0 < 2
 
 
+def test_verify_with_long_shift_period_below_the_cap_is_quick(capsys):
+    # A 32-word code with lcm(alpha, beta) = 4095, just below the length cap:
+    # circ-shift-equivalence compares 4095 shifted inner products per pair.
+    t0 = time.perf_counter()
+    status, out, _ = run_cli(
+        capsys, "verify", "--alpha", "5", "--beta", "819",
+        "--b", "1", "--ell", "0", "--f", "x^819+3", "--h", "1",
+    )
+    assert status == 0
+    assert "circ-shift-equivalence" in out
+    assert time.perf_counter() - t0 < 2
+
+
 # sha256 of run()'s output on two ambients wider than 64 bits (68 and 67),
 # whose packed keys take two limbs, as rendered when codeword sets were
 # sorted as int16 rows.

@@ -146,6 +146,34 @@ def test_brute_force_dual_matches_literal_definition():
         assert word_set(brute_force_dual_matrix(spec), spec.alpha) == literal
 
 
+def _full_scan_dual(spec):
+    """Every ambient vector, in lexicographic order, orthogonal to every codeword."""
+    a = spec.alpha
+    ambient = np.array(
+        list(itertools.product(*[(0, 1)] * a, *[range(4)] * spec.beta)), dtype=np.int64
+    )
+    code = codeword_matrix(spec).astype(np.int64)
+    ips = 2 * ambient[:, :a] @ code[:, :a].T + ambient[:, a:] @ code[:, a:].T
+    return ambient[np.all(ips % 4 == 0, axis=1)]
+
+
+def test_brute_force_dual_matches_full_scan_exhaustive():
+    # Every valid tuple with alpha + 2*beta <= 9: odd and even ambient
+    # widths, the trivial code (no spanning rows) and the full code.
+    seen = set()
+    for beta in (1, 3):
+        for alpha in range(1, 10 - 2 * beta):
+            for spec in iter_valid_specs(alpha, beta):
+                brute = brute_force_dual_matrix(spec)
+                assert np.array_equal(brute, _full_scan_dual(spec)), spec
+                seen.add(("parity", (alpha + 2 * beta) % 2))
+                if cardinality(spec) == 1:
+                    seen.add("trivial")
+                if len(brute) == 1:
+                    seen.add("full")
+    assert seen == {("parity", 0), ("parity", 1), "trivial", "full"}
+
+
 def test_brute_force_dual_respects_cap(example_spec):
     with pytest.raises(TooLarge):
         brute_force_dual_matrix(example_spec, cap=16)

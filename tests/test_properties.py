@@ -1,9 +1,11 @@
 """Property tests: the text front end (polynomials, spec text, CLI flags),
-the bit-packed BinPoly arithmetic against a schoolbook Z2 reference, and
-the packed-key canonical sort against numpy's row sort."""
+the bit-packed BinPoly arithmetic against a schoolbook Z2 reference, the
+packed-key canonical sort against numpy's row sort, and the gathered
+spanning rows and correlated shift products against their loop forms."""
 
 import contextlib
 import io
+import math
 
 import numpy as np
 import pytest
@@ -12,10 +14,13 @@ from hypothesis import strategies as st
 
 from z2z4cyclic import (
     BinPoly,
+    Codeword,
     NotInvertible,
     QuatPoly,
     Z2Z4Error,
+    cyclic_shift,
     format_spec_text,
+    inner_product,
     iter_valid_specs,
     parse_spec_text,
     spec_fields,
@@ -23,8 +28,9 @@ from z2z4cyclic import (
 )
 from z2z4cyclic import gf2poly as gf2
 from z2z4cyclic import z4poly as z4
+from z2z4cyclic.analysis import _shifted_inner_products
 from z2z4cyclic.cli import main
-from z2z4cyclic.code import _row_keys, _unique_rows
+from z2z4cyclic.code import _deg, _pair_row, _row_keys, _span_rows, _unique_rows
 from z2z4cyclic.poly import NEG_INF
 
 PROPERTY = settings(deadline=None, max_examples=200)
@@ -281,3 +287,61 @@ def test_unique_rows_matches_numpy_row_sort(ambient, gray, distinct, n_rows, den
     idx = _unique_rows(rows, alpha)
     assert len(idx) == len(ref)
     assert np.array_equal(rows[idx], ref)
+
+
+# -- spanning rows and shifted inner products ---------------------------------
+
+
+def ref_span_rows(spec):
+    """The spanning rows built one np.roll at a time, each from the one before."""
+    a, beta = spec.alpha, spec.beta
+    counts = (a - _deg(spec.b), _deg(spec.g), _deg(spec.h))
+    bases = (
+        _pair_row(spec.b, QuatPoly.zero(), a, beta),
+        _pair_row(spec.ell, spec.f * spec.h + 2 * spec.f, a, beta),
+        _pair_row(spec.ell * spec.g.reduce_mod2(), 2 * spec.f * spec.g, a, beta),
+    )
+    rows, widths = [], []
+    for base, count, width in zip(bases, counts, (1, 2, 1)):
+        row = base
+        for _ in range(count):
+            rows.append(row)
+            row = np.concatenate([np.roll(row[:a], 1), np.roll(row[a:], 1)])
+            widths.append(width)
+    mat = np.array(rows, dtype=np.int16) if rows else np.zeros((0, a + beta), dtype=np.int16)
+    return mat, widths
+
+
+# Longer blocks too, where shift counts reach alpha or beta - 1.
+VALID_SPECS = SMALL_SPECS + [
+    spec for ab in ((6, 7), (9, 3), (3, 9)) for spec in iter_valid_specs(*ab)
+]
+
+
+@PROPERTY
+@given(st.sampled_from(VALID_SPECS))
+def test_span_rows_match_rolled_rows(spec):
+    rows, widths = _span_rows(spec)
+    ref_rows, ref_widths = ref_span_rows(spec)
+    assert rows.dtype == ref_rows.dtype and rows.shape == ref_rows.shape
+    assert np.array_equal(rows, ref_rows)
+    assert widths == ref_widths
+
+
+@st.composite
+def word_pairs(draw):
+    alpha, beta = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    u = st.lists(st.integers(0, 1), min_size=alpha, max_size=alpha).map(tuple)
+    q = st.lists(st.integers(0, 3), min_size=beta, max_size=beta).map(tuple)
+    return Codeword(draw(u), draw(q)), Codeword(draw(u), draw(q))
+
+
+@PROPERTY
+@given(word_pairs())
+def test_shifted_inner_products_match_shift_loop(pair):
+    w1, w2 = pair
+    alpha, beta = len(w1.u), len(w1.uq)
+    r1, r2 = (np.array(w.u + w.uq, dtype=np.int16) for w in pair)
+    got = _shifted_inner_products(r1, r2, alpha)
+    want = [inner_product(w1, cyclic_shift(w2, k)) for k in range(math.lcm(alpha, beta))]
+    assert got.tolist() == want
