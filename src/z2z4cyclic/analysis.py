@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,12 +223,7 @@ def search_codes(
                     continue
                 seen.add(key)
                 report = code_report(spec, cap)
-                matched = {
-                    "self_dual": report.is_self_dual,
-                    "mdss": report.is_mdss,
-                    "separable": report.is_separable,
-                }[predicate]
-                if matched:
+                if getattr(report, f"is_{predicate}"):
                     results.append((spec, report))
     return results
 
@@ -250,18 +244,19 @@ def report_dict(spec: CyclicCodeSpec, report: CodeReport) -> dict:
     }
 
 
+def _field_text(value) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return str(value)
+
+
 def report_line(spec: CyclicCodeSpec, report: CodeReport) -> str:
-    """One-line record with the same fields as report_dict."""
-    d = "-" if report.min_distance is None else report.min_distance
-    flags = (
-        f"min_distance={d}"
-        f" is_mdss={'yes' if report.is_mdss else 'no'}"
-        f" is_self_dual={'yes' if report.is_self_dual else 'no'}"
-        f" is_separable={'yes' if report.is_separable else 'no'}"
-        f" is_cyclic_verified={'yes' if report.is_cyclic_verified else 'no'}"
-    )
-    fields = " ".join(f"{k}={v}" for k, v in spec_fields(spec).items())
-    return f"{fields} type={report.type} {flags}"
+    """report_dict as one line of key=value: flags as yes/no, no distance as -."""
+    data = report_dict(spec, report)
+    items = [*data.pop("spec").items(), *data.items()]
+    return " ".join(f"{k}={_field_text(v)}" for k, v in items)
 
 
 # -- invariant suite ---------------------------------------------------------
@@ -276,14 +271,12 @@ class CheckResult:
     detail: str
 
 
-def _sample_rows(spec: CyclicCodeSpec, rng: random.Random, count: int) -> np.ndarray:
+def _sample_rows(spec: CyclicCodeSpec, rng: np.random.Generator, count: int) -> np.ndarray:
     """Uniform random codewords from the spanning-set decomposition."""
     rows, widths = _span_rows(spec)
     if not len(rows):
         return np.zeros((count, spec.alpha + spec.beta), dtype=np.int16)
-    coeff = np.array(
-        [[rng.randrange(1 << w) for w in widths] for _ in range(count)], dtype=np.int16
-    )
+    coeff = rng.integers(0, 1 << np.array(widths), size=(count, len(widths)), dtype=np.int16)
     return _reduce_blocks(coeff @ rows, spec.alpha)
 
 
@@ -314,13 +307,15 @@ def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> lis
 
     * |C| above cap raises TooLarge at once; no check result is returned.
     * |C_dual| above cap drops "dual-oracle" and "duality-involution"
-      from the list without a word.
+      from the list without a word; the same cap bounds the words the
+      brute-force dual may return.
     * An ambient space 2^(alpha + 2*beta) above AMBIENT_CAP drops
       "dual-oracle" the same way.
     * lcm(alpha, beta) above poly.DEGREE_CAP raises TooLarge from
       circ_product; no check result is returned.
     """
-    rng = random.Random(seed)
+    # default_rng rejects negative seeds, and --seed takes any integer.
+    rng = np.random.default_rng(abs(seed))
     out: list[CheckResult] = []
 
     def check(name: str, ok: bool, detail: str) -> None:
@@ -400,7 +395,7 @@ def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> lis
     dual_mat = codeword_matrix(dspec, cap) if fam.c_dual <= cap else None
     if dual_mat is not None:
         if 2 ** (spec.alpha + 2 * spec.beta) <= AMBIENT_CAP:
-            brute = brute_force_dual_matrix(spec)
+            brute = brute_force_dual_matrix(spec, cap)
             check(
                 "dual-oracle",
                 np.array_equal(dual_mat, brute),

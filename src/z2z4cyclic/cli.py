@@ -34,8 +34,6 @@ from .code import (
 from .dual import dual_degrees, dual_generators
 from .errors import InvalidParameter, ParseError, TooLarge, Z2Z4Error
 
-_VERBS = ("info", "dual", "matrix", "enumerate", "gray", "verify", "search")
-
 
 @dataclass(frozen=True)
 class Command:
@@ -162,22 +160,27 @@ def _run_search(cmd: Command) -> tuple[int, str]:
     return 0, _render(data, "\n".join(lines), cmd.output_format == "json")
 
 
+# Every verb, once: its handler and its help text, in the parser's order.
+# A handler takes (spec, cmd), except search's, which reads no spec.
+_VERB_TABLE = {
+    "info": (_run_info, "type, cardinality, distance, and classification flags"),
+    "dual": (_run_dual, "closed-form dual generator tuple and dual type"),
+    "matrix": (_run_matrix, "spanning-set rows labeled S1/S2/S3 with shift indices"),
+    "enumerate": (_run_enumerate, "list every codeword"),
+    "gray": (_run_gray, "list codewords with their Gray images"),
+    "verify": (_run_verify, "run the oracle and invariant suite; nonzero exit on failure"),
+    "search": (_run_search, "scan all small codes for a predicate"),
+}
+
+
 def run(cmd: Command) -> tuple[int, str]:
     """Execute one command; returns (exit status, rendered output)."""
-    if cmd.verb not in _VERBS:
+    if cmd.verb not in _VERB_TABLE:
         raise InvalidParameter(f"unknown verb {cmd.verb!r}")
-    if cmd.verb == "search":
-        return _run_search(cmd)
-    spec = _load_spec(cmd.spec_source)
-    handler = {
-        "info": _run_info,
-        "dual": _run_dual,
-        "matrix": _run_matrix,
-        "enumerate": _run_enumerate,
-        "gray": _run_gray,
-        "verify": _run_verify,
-    }[cmd.verb]
-    return handler(spec, cmd)
+    handler, _ = _VERB_TABLE[cmd.verb]
+    if handler is _run_search:
+        return handler(cmd)
+    return handler(_load_spec(cmd.spec_source), cmd)
 
 
 def _add_spec_flags(sub: argparse.ArgumentParser) -> None:
@@ -199,33 +202,27 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
 
+def _add_search_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--alpha-max", type=int, required=True, help="largest alpha")
+    sub.add_argument("--beta-set", required=True, help="comma-separated odd beta values")
+    sub.add_argument(
+        "--predicate",
+        required=True,
+        choices=analysis._PREDICATES,
+        help="classification filter",
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="z2z4cyclic",
         description="Construct, analyze, and dualize additive cyclic codes on Z2^a x Z4^b.",
     )
     subs = parser.add_subparsers(dest="verb", required=True)
-    for verb, desc in (
-        ("info", "type, cardinality, distance, and classification flags"),
-        ("dual", "closed-form dual generator tuple and dual type"),
-        ("matrix", "spanning-set rows labeled S1/S2/S3 with shift indices"),
-        ("enumerate", "list every codeword"),
-        ("gray", "list codewords with their Gray images"),
-        ("verify", "run the oracle and invariant suite; nonzero exit on failure"),
-        ("search", "scan all small codes for a predicate"),
-    ):
+    for verb, (handler, desc) in _VERB_TABLE.items():
         sub = subs.add_parser(verb, help=desc)
-        if verb == "search":
-            sub.add_argument("--alpha-max", type=int, required=True, help="largest alpha")
-            sub.add_argument(
-                "--beta-set", required=True, help="comma-separated odd beta values"
-            )
-            sub.add_argument(
-                "--predicate",
-                required=True,
-                choices=("self_dual", "mdss", "separable"),
-                help="classification filter",
-            )
+        if handler is _run_search:
+            _add_search_flags(sub)
         else:
             _add_spec_flags(sub)
         _add_common_flags(sub)
@@ -233,7 +230,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _command_from_args(args: argparse.Namespace) -> Command:
-    if args.verb == "search":
+    common = {
+        "verb": args.verb,
+        "output_format": "json" if args.json else "text",
+        "cap": args.cap,
+        "seed": args.seed,
+    }
+    if _VERB_TABLE[args.verb][0] is _run_search:
         try:
             beta_set = tuple(int(tok) for tok in args.beta_set.split(",") if tok.strip())
         except ValueError:
@@ -241,36 +244,20 @@ def _command_from_args(args: argparse.Namespace) -> Command:
         if not beta_set:
             raise ParseError("--beta-set must name at least one value")
         return Command(
-            verb=args.verb,
             spec_source=None,
-            output_format="json" if args.json else "text",
-            cap=args.cap,
-            seed=args.seed,
             alpha_max=args.alpha_max,
             beta_set=beta_set,
             predicate=args.predicate,
+            **common,
         )
     inline = {k: getattr(args, k) for k in SPEC_KEYS if getattr(args, k) is not None}
     if args.spec and inline:
         raise ParseError("give either --spec or the inline flags, not both")
-    if args.spec:
-        source: str | dict = args.spec
-    elif len(inline) == len(SPEC_KEYS):
-        source = inline
-    elif inline:
+    if inline and len(inline) < len(SPEC_KEYS):
         missing = sorted(set(SPEC_KEYS) - set(inline))
         raise ParseError(f"inline spec is missing: {', '.join(missing)}")
-    else:
-        raise ParseError(
-            "no spec given: use --spec FILE or all of --alpha/--beta/--b/--ell/--f/--h"
-        )
-    return Command(
-        verb=args.verb,
-        spec_source=source,
-        output_format="json" if args.json else "text",
-        cap=args.cap,
-        seed=args.seed,
-    )
+    # With neither, _load_spec reports the missing spec.
+    return Command(spec_source=args.spec or inline or None, **common)
 
 
 def main(argv=None) -> int:

@@ -415,21 +415,13 @@ def codeword_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
 
 
 def contains(spec: CyclicCodeSpec, w: Codeword) -> bool:
-    """Membership by enumeration: a binary search of w's packed key among the code's.
+    """Membership by enumeration: whether w's row is a row of codeword_matrix(spec).
 
     A word of the wrong block lengths is not a member, whatever the code's size.
     """
     if len(w.u) != spec.alpha or len(w.uq) != spec.beta:
         return False
-    keys = _row_keys(codeword_matrix(spec), spec.alpha)
-    key = _row_keys(np.array([w.u + w.uq], dtype=np.int16), spec.alpha)[:, 0]
-    # Canonical keys are sorted limb by limb: narrow the run of equal
-    # leading limbs one limb at a time.
-    lo, hi = 0, keys.shape[1]
-    for limb, want in zip(keys, key):
-        run = limb[lo:hi]
-        lo, hi = lo + np.searchsorted(run, want), lo + np.searchsorted(run, want, side="right")
-    return bool(hi > lo)
+    return bool((codeword_matrix(spec) == w.u + w.uq).all(axis=1).any())
 
 
 def code_type_from_words(alpha: int, beta: int, words: np.ndarray) -> CodeType:

@@ -27,6 +27,7 @@ import numpy as np
 from . import gf2poly as gf2
 from . import z4poly as z4
 from .code import (
+    ENUM_CAP,
     CyclicCodeSpec,
     _deg,
     _span_rows,
@@ -165,7 +166,7 @@ def _residue_keys(coef: np.ndarray) -> np.ndarray:
     return (res << 2 * np.arange(coef.shape[1])).sum(axis=1)
 
 
-def brute_force_dual_matrix(spec: CyclicCodeSpec, cap: int = AMBIENT_CAP) -> np.ndarray:
+def brute_force_dual_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
     """All ambient vectors orthogonal to the code, as a canonical matrix.
 
     Ambient index i holds Z2 coordinate j in bit j and Z4 coordinate j in
@@ -177,12 +178,18 @@ def brute_force_dual_matrix(spec: CyclicCodeSpec, cap: int = AMBIENT_CAP) -> np.
     keys, the keys are matched by one sort, and only the matching
     indices are decoded.  The survivor count is asserted against the
     dual cardinality formula.
+
+    An ambient space above AMBIENT_CAP vectors, or a dual of more than
+    cap words, raises TooLarge before any table is built.
     """
     a, beta = spec.alpha, spec.beta
     n = a + 2 * beta
     total = 2**n
-    if total > cap:
-        raise TooLarge(f"ambient space has {total} vectors, above the cap of {cap}")
+    if total > AMBIENT_CAP:
+        raise TooLarge(f"ambient space has {total} vectors, above the cap of {AMBIENT_CAP}")
+    expected = cardinality_family(code_type(spec)).c_dual
+    if expected > cap:
+        raise TooLarge(f"dual has {expected} codewords, above the cap of {cap}")
     rows, _ = _span_rows(spec)
     rows = rows.astype(np.int64)
     # Contribution of each index bit: 2u for a Z2 bit, q and 2q for the
@@ -209,7 +216,6 @@ def brute_force_dual_matrix(spec: CyclicCodeSpec, cap: int = AMBIENT_CAP) -> np.
     for j in range(beta):
         words[:, a + j] = (idx >> (a + 2 * j)) & 3
     words = words[_unique_rows(words, a)]
-    expected = cardinality_family(code_type(spec)).c_dual
     if len(words) != expected:
         raise ArithmeticError(
             f"internal error: ambient scan found {len(words)} dual words, formula says {expected}"

@@ -1,14 +1,15 @@
 """Command-line front end: verbs, output formats, and exit codes."""
 
+import argparse
 import hashlib
 import json
 import time
 
 import pytest
 
-from z2z4cyclic import BinPoly, CheckResult, QuatPoly
-from z2z4cyclic.cli import Command, main, run
-from z2z4cyclic.errors import ParseError
+from z2z4cyclic import BinPoly, CheckResult, QuatPoly, analysis
+from z2z4cyclic.cli import Command, _build_parser, main, run
+from z2z4cyclic.errors import InvalidParameter, ParseError
 
 C1_TEXT = "alpha=3\nbeta=3\nb=x^3+1\nell=x+1\nf=1\nh=x^2+x+1\n"
 
@@ -189,6 +190,12 @@ def test_verify_json(capsys, c1_file):
     assert data["passed"] is True
     assert len(data["checks"]) == 16
     assert all(check["ok"] for check in data["checks"])
+
+
+def test_verify_accepts_a_negative_seed(capsys, c1_file):
+    status, out, _ = run_cli(capsys, "verify", "--spec", c1_file, "--seed", "-1")
+    assert status == 0
+    assert out.splitlines()[-1] == "all 16 checks passed"
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch, c1_file):
@@ -411,6 +418,36 @@ def test_cap_overflow_exits_three(capsys, c1_file):
 
 def test_unknown_verb_exits_two(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
+
+
+def _verb_parsers():
+    parser = _build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return subs.choices
+
+
+def test_every_verb_the_parser_offers_dispatches_through_run():
+    fields = dict(line.split("=") for line in C1_TEXT.split())
+    verbs = list(_verb_parsers())
+    assert len(verbs) == 7
+    for verb in verbs:
+        cmd = Command(
+            verb=verb, spec_source=fields, alpha_max=1, beta_set=(1,), predicate="separable"
+        )
+        status, out = run(cmd)
+        assert status == 0 and out, verb
+    with pytest.raises(InvalidParameter, match="unknown verb"):
+        run(Command(verb="frobnicate", spec_source=fields))
+
+
+def test_predicate_choices_are_the_names_search_codes_accepts():
+    search = _verb_parsers()["search"]
+    action = next(a for a in search._actions if a.dest == "predicate")
+    assert tuple(action.choices) == analysis._PREDICATES
+    for predicate in action.choices:
+        assert isinstance(analysis.search_codes(1, (1,), predicate), list)
+    with pytest.raises(InvalidParameter):
+        analysis.search_codes(1, (1,), "cyclic")
 
 
 def test_no_arguments_exits_two(capsys):

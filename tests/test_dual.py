@@ -1,6 +1,7 @@
 """Closed-form duals: degree predictions, generator tuples, brute-force oracle."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -127,8 +128,8 @@ def test_brute_force_dual_of_trivial_is_full_ambient():
 
 
 def test_brute_force_dual_matches_literal_definition():
-    # Independent cross-check of the blocked scan: filter every ambient
-    # vector by the definition, one inner product at a time.
+    # Independent cross-check of the half-table match: filter every
+    # ambient vector by the definition, one inner product at a time.
     specs = [
         validate_spec(2, 3, bp("x+1"), bp("1"), qp("1"), qp("1")),
         validate_spec(3, 1, bp("x^3+1"), bp("x^2+x+1"), qp("1"), qp("1")),
@@ -177,6 +178,16 @@ def test_brute_force_dual_matches_full_scan_exhaustive():
 def test_brute_force_dual_respects_cap(example_spec):
     with pytest.raises(TooLarge):
         brute_force_dual_matrix(example_spec, cap=16)
+
+
+def test_brute_force_dual_above_the_enum_cap_raises_quickly():
+    # A one-word code whose ambient of 2^24 vectors is exactly AMBIENT_CAP:
+    # its dual is that whole ambient, above ENUM_CAP = 2^22 words.
+    trivial = validate_spec(2, 11, bp("x^2+1"), BinPoly.zero(), qp("x^11+3"), qp("1"))
+    t0 = time.perf_counter()
+    with pytest.raises(TooLarge, match="dual has 16777216 codewords"):
+        brute_force_dual_matrix(trivial)
+    assert time.perf_counter() - t0 < 2
 
 
 # -- the central equivalence ---------------------------------------------------------
