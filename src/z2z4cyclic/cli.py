@@ -22,11 +22,11 @@ from . import analysis
 from .code import (
     ENUM_CAP,
     SPEC_KEYS,
+    _gray_rows,
     _row_word,
     cardinality,
     codeword_matrix,
     format_codeword,
-    gray_map,
     parse_spec_text,
     spanning_set,
     spec_from_fields,
@@ -121,10 +121,10 @@ def _run_enumerate(spec, cmd: Command) -> tuple[int, str]:
 def _run_gray(spec, cmd: Command) -> tuple[int, str]:
     mat = codeword_matrix(spec, cmd.cap)
     words = [_row_word(row, spec.alpha) for row in mat]
-    images = [gray_map(w) for w in words]
+    images = _gray_rows(mat, spec.alpha).tolist()
     data = {
         "codewords": [format_codeword(w) for w in words],
-        "gray_images": [list(img) for img in images],
+        "gray_images": images,
     }
     text = "\n".join(
         f"{format_codeword(w)}  ->  {' '.join(str(bit) for bit in img)}"
@@ -135,18 +135,23 @@ def _run_gray(spec, cmd: Command) -> tuple[int, str]:
 
 def _run_verify(spec, cmd: Command) -> tuple[int, str]:
     results = analysis.verify_code(spec, seed=cmd.seed, cap=cmd.cap)
-    ok = all(r.ok for r in results)
-    lines = [f"{'ok  ' if r.ok else 'FAIL'} {r.name}: {r.detail}" for r in results]
-    lines.append(
-        f"all {len(results)} checks passed"
-        if ok
-        else f"{sum(not r.ok for r in results)} of {len(results)} checks FAILED"
-    )
+    mark = {True: "ok  ", False: "FAIL", None: "skip"}
+    lines = [f"{mark[r.ok]} {r.name}: {r.detail}" for r in results]
+    failed = sum(r.ok is False for r in results)
+    skipped = sum(r.ok is None for r in results)
+    ran = len(results) - skipped
+    if failed:
+        summary = f"{failed} of {ran} checks FAILED"
+    elif skipped:
+        summary = f"{ran} passed"
+    else:
+        summary = f"all {ran} checks passed"
+    lines.append(summary + (f", {skipped} skipped" if skipped else ""))
     data = {
         "checks": [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results],
-        "passed": ok,
+        "passed": not failed,
     }
-    return (0 if ok else 1), _render(data, "\n".join(lines), cmd.output_format == "json")
+    return (1 if failed else 0), _render(data, "\n".join(lines), cmd.output_format == "json")
 
 
 def _run_search(cmd: Command) -> tuple[int, str]:

@@ -8,9 +8,14 @@ the mixing action lambda * (p | q) = (lambda*p mod 2 | lambda*q), with
 everything reduced mod x^alpha - 1 and x^beta - 1.
 
 Vectors and polynomials correspond by (u_0, ..., u_{n-1}) <-> sum u_i x^i.
-The spanning rows are the shifts of three base rows, taken by one index
-gather, and a code is enumerated from them by doubling: each row's
-multiples are added to all the words built so far, into one array.
+Each word fact has one implementation here: _shift_cols is the column
+gather of the simultaneous block shift, cardinality(spec) is |C| from
+the generator degrees, and _gray_rows is the Gray map (gray_map is its
+one-row view).  The spanning rows are the shifts of three base rows,
+taken by one _shift_cols gather, and a code is enumerated from them by
+doubling: each row's multiples are added to all the words built so far,
+into one array.  Membership is decided in the dual module, from the
+dual's spanning rows, without enumerating the code.
 Codeword sets are canonically represented as int16 matrices of unique
 rows (binary block first) in lexicographic row order, which keeps
 brute-force comparisons exact.  That order is found by sorting packed
@@ -36,9 +41,6 @@ from .poly import DEGREE_CAP
 from .z4poly import QuatPoly
 
 ENUM_CAP = 2**22
-
-_LEE = np.array([0, 1, 2, 1], dtype=np.int16)
-_GRAY = ((0, 0), (0, 1), (1, 1), (1, 0))
 
 
 @dataclass(frozen=True)
@@ -279,25 +281,18 @@ def cardinality(spec: CyclicCodeSpec) -> int:
 
 @dataclass(frozen=True)
 class CardinalityFamily:
-    """Sizes of the code, its dual, and the X/Y projections and their duals."""
+    """Sizes of the dual and of the X/Y projections; |C| itself is cardinality(spec)."""
 
-    c: int
     c_dual: int
     c_x: int
-    c_x_dual: int
     c_y: int
-    c_y_dual: int
 
 
 def cardinality_family(t: CodeType) -> CardinalityFamily:
-    a, beta = t.alpha, t.beta
     return CardinalityFamily(
-        c=2**t.gamma * 4**t.delta,
-        c_dual=2 ** (a + t.gamma - 2 * t.kappa) * 4 ** (beta - t.gamma - t.delta + t.kappa),
+        c_dual=2 ** (t.alpha + t.gamma - 2 * t.kappa) * 4 ** (t.beta - t.gamma - t.delta + t.kappa),
         c_x=2 ** (t.kappa + t.delta1),
-        c_x_dual=2 ** (a - t.kappa - t.delta1),
         c_y=2 ** (t.gamma - t.kappa1) * 4**t.delta,
-        c_y_dual=2 ** (t.gamma - t.kappa1) * 4 ** (beta - t.gamma - t.delta + t.kappa1),
     )
 
 
@@ -315,12 +310,19 @@ def _pair_row(p: BinPoly, q: QuatPoly, alpha: int, beta: int) -> np.ndarray:
     return np.concatenate([_poly_vec(p, alpha), _poly_vec(q, beta)])
 
 
+def _shift_cols(alpha: int, beta: int, k) -> np.ndarray:
+    """Columns of the simultaneous shift by k: j reads (j + k) mod alpha in X, alpha +
+    (j + k) mod beta in Y.  A column of shifts gives one row of columns per shift."""
+    return np.concatenate(
+        [(np.arange(alpha) + k) % alpha, alpha + (np.arange(beta) + k) % beta], axis=-1
+    )
+
+
 def _span_rows(spec: CyclicCodeSpec) -> tuple[np.ndarray, list[int]]:
     """Spanning rows S1|S2|S3 as one matrix plus each row's coefficient width in bits.
 
     Row i of each block is the block's base row shifted i steps in both
-    blocks, all taken by one gather: column j reads (j - i) mod alpha in
-    X and alpha + (j - i) mod beta in Y.
+    blocks, all taken by one gather of the shifts by -i.
     """
     a, beta = spec.alpha, spec.beta
     counts = (a - _deg(spec.b), _deg(spec.g), _deg(spec.h))
@@ -331,11 +333,8 @@ def _span_rows(spec: CyclicCodeSpec) -> tuple[np.ndarray, list[int]]:
     ])
     which = np.repeat(np.arange(3), counts)
     back = (np.cumsum(counts) - counts)[which] - np.arange(len(which))
-    cols = np.concatenate(
-        [(np.arange(a) + back[:, None]) % a, a + (np.arange(beta) + back[:, None]) % beta], axis=1
-    )
     widths = [w for count, w in zip(counts, (1, 2, 1)) for _ in range(count)]
-    return bases[which[:, None], cols], widths
+    return bases[which[:, None], _shift_cols(a, beta, back[:, None])], widths
 
 
 def spanning_set(spec: CyclicCodeSpec) -> list[Codeword]:
@@ -414,16 +413,6 @@ def codeword_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
     return words
 
 
-def contains(spec: CyclicCodeSpec, w: Codeword) -> bool:
-    """Membership by enumeration: whether w's row is a row of codeword_matrix(spec).
-
-    A word of the wrong block lengths is not a member, whatever the code's size.
-    """
-    if len(w.u) != spec.alpha or len(w.uq) != spec.beta:
-        return False
-    return bool((codeword_matrix(spec) == w.u + w.uq).all(axis=1).any())
-
-
 def code_type_from_words(alpha: int, beta: int, words: np.ndarray) -> CodeType:
     """Type parameters measured on a canonical codeword matrix (no degree formulas)."""
     ub, qb = words[:, :alpha], words[:, alpha:]
@@ -460,12 +449,21 @@ def _exact_log2(n: int) -> int:
 # -- Gray map and inner products -----------------------------------------
 
 
+def _gray_rows(words: np.ndarray, alpha: int) -> np.ndarray:
+    """Gray images of a word matrix's rows, filled into one array: the binary block,
+    then (q >> 1, (q + 1) >> 1 & 1) per Z4 symbol q, so 0, 1, 2, 3 map to 00, 01,
+    11, 10 and a row's sum is its binary plus Lee weight."""
+    q = words[:, alpha:]
+    out = np.empty((len(words), alpha + 2 * q.shape[1]), dtype=words.dtype)
+    out[:, :alpha] = words[:, :alpha]
+    out[:, alpha::2] = q >> 1
+    out[:, alpha + 1 :: 2] = (q + 1) >> 1 & 1
+    return out
+
+
 def gray_map(w: Codeword) -> tuple[int, ...]:
     """Binary image of length alpha + 2*beta: identity on u, phi(q) per symbol."""
-    bits = list(w.u)
-    for q in w.uq:
-        bits.extend(_GRAY[q])
-    return tuple(bits)
+    return tuple(_gray_rows(np.array([w.u + w.uq], dtype=np.int16), len(w.u))[0].tolist())
 
 
 def _check_ambient(w1: Codeword, w2: Codeword) -> None:

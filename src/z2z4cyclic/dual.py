@@ -8,6 +8,10 @@ back to Z4, and ell_bar is assembled from modular inverses of
 rho = ell/gcd(b, ell).  Separable codes (ell = 0) take a shortcut where
 every dual factor is a normalized reciprocal.
 
+contains decides membership from the closed form: C = (C_dual)^perp, so
+a word is a codeword exactly when it is orthogonal to every spanning row
+of dual_spec(spec).
+
 brute_force_dual_matrix is the independent check: it finds every
 ambient vector orthogonal to the spanning set, which is what the
 definition of the dual says and nothing more.  It uses only that
@@ -28,6 +32,7 @@ from . import gf2poly as gf2
 from . import z4poly as z4
 from .code import (
     ENUM_CAP,
+    Codeword,
     CyclicCodeSpec,
     _deg,
     _span_rows,
@@ -151,6 +156,17 @@ def dual_spec(spec: CyclicCodeSpec) -> CyclicCodeSpec:
     """The dual code as a validated generator tuple."""
     d = dual_generators(spec)
     return validate_spec(spec.alpha, spec.beta, d.b_bar, d.ell_bar, d.f_bar, d.h_bar)
+
+
+def contains(spec: CyclicCodeSpec, w: Codeword) -> bool:
+    """Whether w is a codeword, decided as C = (C_dual)^perp without enumerating C:
+    w has the code's block lengths and is orthogonal to every spanning row of
+    dual_spec(spec), by one matmul mod 4 in int64 so that long rows cannot overflow."""
+    if len(w.u) != spec.alpha or len(w.uq) != spec.beta:
+        return False
+    rows = _span_rows(dual_spec(spec))[0].astype(np.int64)
+    rows[:, : spec.alpha] *= 2
+    return not (rows @ (w.u + w.uq) % 4).any()
 
 
 def _residue_keys(coef: np.ndarray) -> np.ndarray:

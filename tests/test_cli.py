@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from z2z4cyclic import BinPoly, CheckResult, QuatPoly, analysis
+from z2z4cyclic import BinPoly, CheckResult, QuatPoly, analysis, spec_fields
 from z2z4cyclic.cli import Command, _build_parser, main, run
 from z2z4cyclic.errors import InvalidParameter, ParseError
 
@@ -212,6 +212,65 @@ def test_verify_failure_exits_one(capsys, monkeypatch, c1_file):
     assert "1 of 1 checks FAILED" in out
 
 
+NINE_NINE = ["--alpha", "9", "--beta", "9", "--b", "x^9+1", "--ell", "0", "--f", "x^9+3", "--h", "1"]
+DUAL_SIDE = ("dual-oracle", "duality-involution")
+
+
+def test_verify_reports_checks_a_cap_refused(capsys):
+    # The one-word code: its dual is the whole 2^27-word ambient, above ENUM_CAP.
+    reason = "code has 134217728 codewords, above the cap of 4194304"
+    status, out, _ = run_cli(capsys, "verify", *NINE_NINE)
+    assert status == 0
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("skip")] == [
+        f"skip {name}: {reason}" for name in DUAL_SIDE
+    ]
+    assert lines[-1] == "14 passed, 2 skipped"
+
+    status, out, _ = run_cli(capsys, "verify", *NINE_NINE, "--json")
+    assert status == 0
+    data = json.loads(out)
+    assert data["passed"] is True
+    assert len(data["checks"]) == 16
+    skipped = [c for c in data["checks"] if c["ok"] is None]
+    assert [(c["name"], c["detail"]) for c in skipped] == [(name, reason) for name in DUAL_SIDE]
+    assert all(c["ok"] is True for c in data["checks"] if c not in skipped)
+
+
+def test_verify_skips_only_the_oracle_above_the_ambient_cap():
+    # 2^(2 + 2*13) ambient vectors are above AMBIENT_CAP; |C_dual| = 2^14 is not.
+    fields = spec_fields(analysis.construct_self_dual_family(2, 13))
+    reason = "ambient space has 268435456 vectors, above the cap of 16777216"
+    status, out = run(Command(verb="verify", spec_source=fields))
+    assert status == 0
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("skip")] == [f"skip dual-oracle: {reason}"]
+    assert "ok   duality-involution: dual of the dual reproduces the codeword set" in lines
+    assert lines[-1] == "15 passed, 1 skipped"
+
+    status, out = run(Command(verb="verify", spec_source=fields, output_format="json"))
+    data = json.loads(out)
+    assert status == 0 and data["passed"] is True
+    assert [c["name"] for c in data["checks"] if c["ok"] is None] == ["dual-oracle"]
+    assert len(data["checks"]) == 16
+
+
+def test_verify_failure_with_a_skip_counts_only_the_checks_that_ran(capsys, monkeypatch, c1_file):
+    import z2z4cyclic.analysis as analysis
+
+    monkeypatch.setattr(
+        analysis,
+        "verify_code",
+        lambda spec, seed=0, cap=0: [
+            CheckResult("defining-conditions", False, "forced"),
+            CheckResult("dual-oracle", None, "refused"),
+        ],
+    )
+    status, out, _ = run_cli(capsys, "verify", "--spec", c1_file)
+    assert status == 1
+    assert out.splitlines()[-2:] == ["skip dual-oracle: refused", "1 of 1 checks FAILED, 1 skipped"]
+
+
 def test_search_text(capsys):
     status, out, _ = run_cli(
         capsys, "search", "--alpha-max", "2", "--beta-set", "1",
@@ -347,7 +406,8 @@ def test_verify_with_long_shift_period_below_the_cap_is_quick(capsys):
 
 # sha256 of run()'s output on two ambients wider than 64 bits (68 and 67),
 # whose packed keys take two limbs, as rendered when codeword sets were
-# sorted as int16 rows.
+# sorted as int16 rows.  Both duals are above ENUM_CAP, so the verify
+# digests include the two dual-side checks as skipped.
 WIDE_SPECS = {
     "50/9": ("50", "9", "x^50+1", "0", "x^3+3", "1"),  # |C| = 4096
     "65/1": ("65", "1", "x^65+1", "0", "1", "x+3"),  # |C| = 2
@@ -357,14 +417,14 @@ WIDE_DIGESTS = {
     ("50/9", "info", "json"): "3e7ac7fea10bdbbe7bbf3c4d0a6cefb2b088e7c255e8bfbb7f459112396ad0d6",
     ("50/9", "enumerate", "text"): "fe59d047cb6048276db5bafb678e4b051c7ffafe70f9fdde618a658425c70492",
     ("50/9", "enumerate", "json"): "3465f8781d59fa6d95c751156552daf708a417b0e97bd4dd351fe9007036550a",
-    ("50/9", "verify", "text"): "c037f86eae4526111e777232c22565e4892413413d7f9b862c687aa20a80b592",
-    ("50/9", "verify", "json"): "87ea7bdca50b42dfe9c20cab8a99a3737b79012a1cb510eb63abef236e7fe0ff",
+    ("50/9", "verify", "text"): "28cd6fdbefdace247592f30f36b85e3aff521c2b9dd5cd18a2452433e9dd4c43",
+    ("50/9", "verify", "json"): "d93bcfc09095cbf3de198abb21d076df25df7e79e4e5f00896c4b0e92e06b2f9",
     ("65/1", "info", "text"): "2774f57d11096d8cec3fd3b0fdb78c894186bf3bb4d562200f9c4ad5499d560d",
     ("65/1", "info", "json"): "aecc8a320550ef73044c13387ef308752ff1feae4b95e600d81844f3bcad2e98",
     ("65/1", "enumerate", "text"): "93e06163c6c4452a12be1231074c595be2e7621535e3f9f82f8b2fa6262eb594",
     ("65/1", "enumerate", "json"): "364738be9c029dea9822ae54ba26e0f15f58c7ccaa9adcf99cca519df4afaf8d",
-    ("65/1", "verify", "text"): "84e94cb906531611fb34ee213c9349d879e9d37cd47bfce2757a8c48a866f34c",
-    ("65/1", "verify", "json"): "ba4e6d43071deffbc06489494c1f09ec0b9432e8fc62ba3480bafd582b3cb98c",
+    ("65/1", "verify", "text"): "9948ec949402643a2a3eca1a7c86ea41eaec26d057c1bdde38f7fa2da3f0ca0e",
+    ("65/1", "verify", "json"): "b19f83f86d149eeb66d4aced224b8cd001c05a055ceb0f511ff74a562ce5f179",
 }
 
 
@@ -374,7 +434,7 @@ def test_wide_ambient_outputs_are_unchanged(name, verb, fmt):
     status, out = run(Command(verb=verb, spec_source=fields, output_format=fmt))
     assert status == 0
     if (verb, fmt) == ("verify", "text"):
-        assert out.endswith("\nall 14 checks passed")
+        assert out.endswith("\n14 passed, 2 skipped")
     assert hashlib.sha256(out.encode()).hexdigest() == WIDE_DIGESTS[name, verb, fmt]
 
 

@@ -8,12 +8,14 @@ import pytest
 
 from z2z4cyclic import (
     BinPoly,
+    Codeword,
     QuatPoly,
     cardinality,
     code_type,
     codeword_matrix,
     construct_mdss,
     construct_self_dual_family,
+    contains,
     dual_degrees,
     dual_generators,
     dual_spec,
@@ -291,3 +293,32 @@ def test_hensel_divisibility_check_lets_internal_errors_through(example_spec, mo
     monkeypatch.setattr(z4, "hensel_lift", broken)
     with pytest.raises(ArithmeticError, match="forced"):
         hensel_divisibility_check(example_spec)
+
+
+# -- membership from the dual's spanning rows -----------------------------------
+
+
+def test_contains_agrees_with_enumeration_on_the_family():
+    # Every valid tuple with alpha <= 5 and beta in {1, 3, 5}: two members
+    # and four uniformly random ambient words each, against the word set.
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(11)
+    n_specs = non_members = 0
+    for alpha in range(1, 6):
+        for beta in (1, 3, 5):
+            for spec in iter_valid_specs(alpha, beta):
+                mat = codeword_matrix(spec)
+                members = {tuple(r) for r in mat.tolist()}
+                picks = mat[rng.integers(0, len(mat), size=2)].tolist()
+                for _ in range(4):
+                    picks.append(
+                        rng.integers(0, 2, size=alpha).tolist() + rng.integers(0, 4, size=beta).tolist()
+                    )
+                for row in picks:
+                    w = Codeword(tuple(row[:alpha]), tuple(row[alpha:]))
+                    assert contains(spec, w) == (tuple(row) in members), (spec, w)
+                    non_members += tuple(row) not in members
+                n_specs += 1
+    assert n_specs == 820
+    assert non_members > 0
+    assert time.perf_counter() - t0 < 5

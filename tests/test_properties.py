@@ -1,7 +1,8 @@
 """Property tests: the text front end (polynomials, spec text, CLI flags),
 the bit-packed BinPoly arithmetic against a schoolbook Z2 reference, the
-packed-key canonical sort against numpy's row sort, and the gathered
-spanning rows and correlated shift products against their loop forms."""
+packed-key canonical sort against numpy's row sort, the gathered
+spanning rows and correlated shift products against their loop forms,
+and the Gray image against a literal per-symbol table."""
 
 import contextlib
 import io
@@ -18,8 +19,11 @@ from z2z4cyclic import (
     NotInvertible,
     QuatPoly,
     Z2Z4Error,
+    code_report,
+    codeword_matrix,
     cyclic_shift,
     format_spec_text,
+    gray_map,
     inner_product,
     iter_valid_specs,
     parse_spec_text,
@@ -30,7 +34,7 @@ from z2z4cyclic import gf2poly as gf2
 from z2z4cyclic import z4poly as z4
 from z2z4cyclic.analysis import _shifted_inner_products
 from z2z4cyclic.cli import main
-from z2z4cyclic.code import _deg, _pair_row, _row_keys, _span_rows, _unique_rows
+from z2z4cyclic.code import _deg, _gray_rows, _pair_row, _row_keys, _span_rows, _unique_rows
 from z2z4cyclic.poly import NEG_INF
 
 PROPERTY = settings(deadline=None, max_examples=200)
@@ -345,3 +349,47 @@ def test_shifted_inner_products_match_shift_loop(pair):
     got = _shifted_inner_products(r1, r2, alpha)
     want = [inner_product(w1, cyclic_shift(w2, k)) for k in range(math.lcm(alpha, beta))]
     assert got.tolist() == want
+
+
+# -- Gray map against a literal table -------------------------------------------
+
+# The reference encoding, written out once here and nowhere in the package.
+GRAY_TABLE = {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}
+LEE_WEIGHT = {0: 0, 1: 1, 2: 2, 3: 1}
+
+
+def ref_gray_row(row, alpha):
+    return [*row[:alpha], *(bit for q in row[alpha:] for bit in GRAY_TABLE[q])]
+
+
+@st.composite
+def word_matrices(draw):
+    """(matrix, alpha): rows of alpha bits then beta Z4 symbols, either block possibly empty."""
+    alpha, beta, n_rows = draw(st.integers(0, 8)), draw(st.integers(0, 8)), draw(st.integers(0, 6))
+    rows = [
+        draw(st.lists(st.integers(0, 1), min_size=alpha, max_size=alpha))
+        + draw(st.lists(st.integers(0, 3), min_size=beta, max_size=beta))
+        for _ in range(n_rows)
+    ]
+    return np.array(rows, dtype=np.int16).reshape(n_rows, alpha + beta), alpha
+
+
+@PROPERTY
+@given(word_matrices())
+def test_gray_rows_match_the_symbol_table(case):
+    mat, alpha = case
+    want = [ref_gray_row(row, alpha) for row in mat.tolist()]
+    got = _gray_rows(mat, alpha)
+    assert got.shape == (len(mat), alpha + 2 * (mat.shape[1] - alpha))
+    assert got.tolist() == want
+    for row, image in zip(mat.tolist(), want):
+        assert gray_map(Codeword(tuple(row[:alpha]), tuple(row[alpha:]))) == tuple(image)
+    lee = [sum(row[:alpha]) + sum(LEE_WEIGHT[q] for q in row[alpha:]) for row in mat.tolist()]
+    assert got.sum(axis=1).tolist() == lee
+
+
+def test_min_distance_is_the_least_nonzero_table_weight():
+    for spec in SMALL_SPECS:
+        weights = [sum(ref_gray_row(row, spec.alpha)) for row in codeword_matrix(spec).tolist()]
+        nonzero = [w for w in weights if w]
+        assert code_report(spec).min_distance == (min(nonzero) if nonzero else None), spec
