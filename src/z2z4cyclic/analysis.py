@@ -34,7 +34,6 @@ from .code import (
     _shift_cols,
     _span_rows,
     _unique_rows,
-    cardinality,
     cardinality_family,
     code_type,
     code_type_from_words,
@@ -335,7 +334,7 @@ def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> lis
     mat = codeword_matrix(spec, cap)
     check(
         "cardinality-formula",
-        len(mat) == cardinality(spec),
+        len(mat) == 2**t.gamma * 4**t.delta,
         f"|C| = {len(mat)} = 2^{t.gamma} * 4^{t.delta}",
     )
     measured = code_type_from_words(spec.alpha, spec.beta, mat)

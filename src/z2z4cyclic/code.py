@@ -16,6 +16,10 @@ taken by one _shift_cols gather, and a code is enumerated from them by
 doubling: each row's multiples are added to all the words built so far,
 into one array.  Membership is decided in the dual module, from the
 dual's spanning rows, without enumerating the code.
+The spanning rows (read-only) and the dual spec that membership uses live
+on the spec instance: each is built on first use and kept in a private
+field that takes no part in ==, hash or repr, so equal instances share
+nothing and no result outlives the instance.
 Codeword sets are canonically represented as int16 matrices of unique
 rows (binary block first) in lexicographic row order, which keeps
 brute-force comparisons exact.  That order is found by sorting packed
@@ -107,6 +111,10 @@ class CyclicCodeSpec:
     f: QuatPoly
     h: QuatPoly
     g: QuatPoly = field(init=False)
+    # Memos filled on first use and kept for the life of this instance:
+    # _span_rows's (read-only rows, widths) and dual.contains's dual spec.
+    _span: tuple | None = field(init=False, compare=False, repr=False, default=None)
+    _dual: CyclicCodeSpec | None = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         for name in ("alpha", "beta"):
@@ -144,6 +152,15 @@ class CyclicCodeSpec:
         if (self.h.reduce_mod2() * gf2.gcd(self.b, lg)) % self.b:
             raise ArithmeticError("internal error: b does not divide h * gcd(b, ell*g) mod 2")
         object.__setattr__(self, "g", g)
+
+
+def _memo(spec: CyclicCodeSpec, name: str, build):
+    """spec's private memo field `name`, set to build(spec) on first use."""
+    value = getattr(spec, name)
+    if value is None:
+        value = build(spec)
+        object.__setattr__(spec, name, value)
+    return value
 
 
 def validate_spec(alpha: int, beta: int, b: BinPoly, ell: BinPoly, f: QuatPoly, h: QuatPoly) -> CyclicCodeSpec:
@@ -318,12 +335,17 @@ def _shift_cols(alpha: int, beta: int, k) -> np.ndarray:
     )
 
 
-def _span_rows(spec: CyclicCodeSpec) -> tuple[np.ndarray, list[int]]:
+def _span_rows(spec: CyclicCodeSpec) -> tuple[np.ndarray, tuple[int, ...]]:
     """Spanning rows S1|S2|S3 as one matrix plus each row's coefficient width in bits.
 
     Row i of each block is the block's base row shifted i steps in both
-    blocks, all taken by one gather of the shifts by -i.
+    blocks, all taken by one gather of the shifts by -i.  Built once per
+    spec instance; the matrix is read-only.
     """
+    return _memo(spec, "_span", _build_span_rows)
+
+
+def _build_span_rows(spec: CyclicCodeSpec) -> tuple[np.ndarray, tuple[int, ...]]:
     a, beta = spec.alpha, spec.beta
     counts = (a - _deg(spec.b), _deg(spec.g), _deg(spec.h))
     bases = np.stack([
@@ -333,8 +355,10 @@ def _span_rows(spec: CyclicCodeSpec) -> tuple[np.ndarray, list[int]]:
     ])
     which = np.repeat(np.arange(3), counts)
     back = (np.cumsum(counts) - counts)[which] - np.arange(len(which))
-    widths = [w for count, w in zip(counts, (1, 2, 1)) for _ in range(count)]
-    return bases[which[:, None], _shift_cols(a, beta, back[:, None])], widths
+    widths = tuple(w for count, w in zip(counts, (1, 2, 1)) for _ in range(count))
+    rows = bases[which[:, None], _shift_cols(a, beta, back[:, None])]
+    rows.flags.writeable = False
+    return rows, widths
 
 
 def spanning_set(spec: CyclicCodeSpec) -> list[Codeword]:
@@ -348,8 +372,9 @@ def _row_word(row: np.ndarray, alpha: int) -> Codeword:
 
 
 def _reduce_blocks(words: np.ndarray, alpha: int) -> np.ndarray:
-    words[:, :alpha] %= 2
-    words[:, alpha:] %= 4
+    # Two's-complement & is exact mod 2 and mod 4, wrapped int16 values too.
+    words[:, :alpha] &= 1
+    words[:, alpha:] &= 3
     return words
 
 
@@ -365,10 +390,19 @@ def _row_keys(words: np.ndarray, alpha: int) -> np.ndarray:
     widths = np.where(np.arange(n) < alpha, 1, 2)
     k = max(1, -(-int(widths.sum()) // 64))
     lsb = np.cumsum(widths[::-1])[::-1] - widths
+    limb = lsb // 64
+    weights = np.uint64(1) << (lsb % 64).astype(np.uint64)
     keys = np.zeros((k, n_rows), dtype=np.uint64)
-    for j in range(n):
-        limb, shift = divmod(int(lsb[j]), 64)
-        keys[k - 1 - limb] |= words[:, j].astype(np.uint64) << np.uint64(shift)
+    # A limb's columns are one contiguous slice with disjoint bits, so the
+    # sum of value << shift over the slice is their OR.  einsum casts the
+    # int16 slice in buffered chunks, never as a whole (rows, columns) copy.
+    for i in range(k):
+        cols = np.flatnonzero(limb == k - 1 - i)
+        if len(cols):
+            lo, hi = cols[0], cols[-1] + 1
+            keys[i] = np.einsum(
+                "ij,j->i", words[:, lo:hi], weights[lo:hi], dtype=np.uint64, casting="unsafe"
+            )
     return keys
 
 

@@ -3,8 +3,8 @@
 DensePoly holds the public arithmetic entry points, the text forms and
 equality; each subclass fixes the modulus and the storage.  BinPoly
 (gf2poly) works over Z2 and stores one int whose bit i is the
-coefficient of x^i.  QuatPoly (z4poly) works over Z4 and stores the
-coefficients as an ascending tuple.  Either way `coeffs` reads as the
+coefficient of x^i.  QuatPoly (z4poly) works over Z4 and stores one int
+whose byte i is the coefficient of x^i.  Either way `coeffs` reads as the
 ascending coefficient tuple with no trailing zeros, the zero polynomial
 is the empty tuple with the sentinel degree NEG_INF, and instances are
 immutable and hashable.

@@ -1,7 +1,13 @@
 """Polynomial arithmetic over Z4[x].
 
-QuatPoly stores its coefficients as an ascending tuple and supplies the
-dense schoolbook kernels behind the shared ring entry points.  This
+QuatPoly stores one int whose byte i is the coefficient of x^i, and its
+kernels behind the shared ring entry points work on that int whole:
+sums, differences, negation and scaling are one int operation and a
+0x0303...03 mask; a product is one int multiply (Kronecker substitution),
+with the operands spread to wider slots when one-byte coefficient sums
+could carry; division is long division, one shifted multiply-add of the
+divisor per step; the coefficient tuple, the reciprocal and the images
+to and from Z2 go through to_bytes, from_bytes and bytes.translate.  This
 module adds reduction to Z2, multiplication mod x^beta - 1, exact
 division of x^beta - 1, and the Hensel lift taking a binary divisor of
 x^beta + 1 to the unique monic quaternary divisor of x^beta - 1 above it
@@ -14,101 +20,134 @@ from __future__ import annotations
 from . import gf2poly
 from .errors import EvenLengthUnsupported, InvalidParameter, NotADivisor, NotMonic
 from .gf2poly import BinPoly
-from .poly import NEG_INF, DensePoly
+from .poly import DEGREE_CAP, NEG_INF, DensePoly
+
+
+# The coefficient of x^i is byte i of the stored int.  Sums of at most 85
+# reduced coefficients fit a byte, so x & _THREES (x & 0x0303...03) reduces
+# every coefficient of such a sum mod 4 at once.  _THREES covers the products
+# the package forms from polynomials of degree up to DEGREE_CAP; _reduce
+# builds a wider mask for a longer value.
+_MASK_BYTES = 4 * DEGREE_CAP
+_THREES = int.from_bytes(b"\x03" * _MASK_BYTES, "little")
+# bytes.translate tables: a byte mod 4, a byte's low bit as an ASCII digit,
+# and an ASCII binary digit as a byte.
+_MOD4 = bytes(v & 3 for v in range(256))
+_LOW_BIT_DIGIT = bytes(0x30 | v & 1 for v in range(256))
+_DIGIT_BYTE = bytes(v & 1 for v in range(256))
+
+
+def _reduce(x: int) -> int:
+    """Every byte of a nonnegative x mod 4."""
+    if x.bit_length() <= 8 * _MASK_BYTES:
+        return x & _THREES
+    return x & int.from_bytes(b"\x03" * _nbytes(x), "little")
+
+
+def _nbytes(x: int) -> int:
+    """Bytes in a nonnegative x: a polynomial's coefficient count."""
+    return (x.bit_length() + 7) >> 3
+
+
+def _spread(x: int, n: int, s: int) -> int:
+    """x's n bytes moved to bytes 0, s, 2s, ... with zeros between."""
+    wide = bytearray(n * s)
+    wide[::s] = x.to_bytes(n, "little")
+    return int.from_bytes(wide, "little")
 
 
 class QuatPoly(DensePoly):
-    """Z4[x]; the stored tuple is the ascending coefficient list."""
+    """Z4[x]; the stored int holds the coefficient of x^i in byte i."""
 
     MOD = 4
     __slots__ = ()
 
     @classmethod
-    def _pack(cls, vals) -> tuple[int, ...]:
-        c = [v % 4 for v in vals]
-        while c and c[-1] == 0:
-            c.pop()
-        return tuple(c)
+    def _pack(cls, vals) -> int:
+        vals = list(vals)
+        try:
+            raw = bytes(vals)
+        except ValueError:  # negative or above 255
+            raw = bytes([v % 4 for v in vals])
+        return int.from_bytes(raw.translate(_MOD4), "little")
 
     @property
     def coeffs(self) -> tuple[int, ...]:
         """Ascending coefficients, no trailing zeros."""
-        return self._rep
+        return tuple(self._rep.to_bytes(_nbytes(self._rep), "little"))
 
     @property
     def degree(self):
         """Degree of the polynomial; NEG_INF for zero."""
-        return len(self._rep) - 1 if self._rep else NEG_INF
+        return (self._rep.bit_length() - 1) >> 3 if self._rep else NEG_INF
 
     @property
     def is_monic(self) -> bool:
-        return bool(self._rep) and self._rep[-1] == 1
+        return bool(self._rep) and self._rep >> 8 * self.degree == 1
 
     def _add(self, b):
-        a = self._rep
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return self._make(out)
+        return self._wrap(_reduce(self._rep + b))
 
     def _sub(self, b):
-        out = list(self._rep) + [0] * max(0, len(b) - len(self._rep))
-        for i, v in enumerate(b):
-            out[i] -= v
-        return self._make(out)
+        return self._wrap(_reduce(self._rep + 3 * b))
 
     def _neg(self):
-        return self._make([-v for v in self._rep])
+        return self._wrap(_reduce(3 * self._rep))
 
     def _scale(self, k: int):
-        return self._make([k * v for v in self._rep])
+        return self._wrap(_reduce(k % 4 * self._rep))
 
     def _mul(self, b):
+        """One integer product (Kronecker substitution).  A product coefficient
+        sums at most min(len) terms of at most 9, so with one byte per slot the
+        product is exact while 9 * min(len) < 256; longer operands are spread
+        to s-byte slots, s chosen from that bound, and narrowed back."""
         a = self._rep
         if not a or not b:
-            return self.zero()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, va in enumerate(a):
-            if va:
-                for j, vb in enumerate(b):
-                    out[i + j] += va * vb
-        return self._make(out)
+            return self._wrap(0)
+        la, lb = _nbytes(a), _nbytes(b)
+        bound = 9 * min(la, lb)
+        if bound < 256:
+            return self._wrap(_reduce(a * b))
+        s = _nbytes(bound)
+        prod = _spread(a, la, s) * _spread(b, lb, s)
+        # A slot's low byte is its coefficient mod 256, so mod 4 too.
+        narrow = prod.to_bytes((la + lb - 1) * s, "little")[::s]
+        return self._wrap(int.from_bytes(narrow.translate(_MOD4), "little"))
 
     def _divmod(self, d):
-        lead = d[-1]
+        top = (d.bit_length() - 1) >> 3
+        lead = d >> 8 * top
         if lead == 2:
             raise ValueError("division by a polynomial with non-unit leading coefficient")
-        # 1 and 3 are their own inverses mod 4.
-        rem = list(self._rep)
-        dn = len(d)
-        qlen = max(len(rem) - dn + 1, 0)
-        quo = [0] * qlen
-        for i in range(qlen - 1, -1, -1):
-            c = rem[i + dn - 1] % 4
-            if c:
-                t = (c * lead) % 4
-                quo[i] = t
-                for j, dv in enumerate(d):
-                    rem[i + j] -= t * dv
-        return self._make(quo), self._make(rem)
+        # 1 and 3 are their own inverses mod 4, so t = c * lead cancels a
+        # leading coefficient c; -t * d is added as (4 - t) * d.
+        rem, quo = self._rep, 0
+        shift = ((rem.bit_length() - 1) >> 3) - top
+        while shift >= 0:
+            t = (rem >> 8 * (shift + top)) * lead & 3
+            quo |= t << 8 * shift
+            rem = _reduce(rem + ((4 - t) * d << 8 * shift))
+            shift = ((rem.bit_length() - 1) >> 3) - top
+        return self._wrap(quo), self._wrap(rem)
 
     def _mod(self, d):
         return self._divmod(d)[1]
 
     def _reciprocal(self):
-        return self._make(reversed(self._rep))
+        return self._wrap(int.from_bytes(self._rep.to_bytes(_nbytes(self._rep), "little"), "big"))
 
     def _fold(self, n: int):
-        out = [0] * n
-        for i, v in enumerate(self._rep):
-            out[i % n] += v
-        return self._make(out)
+        rep, low, out = self._rep, (1 << 8 * n) - 1, 0
+        while rep:
+            out = _reduce(out + (rep & low))
+            rep >>= 8 * n
+        return self._wrap(out)
 
     def reduce_mod2(self) -> BinPoly:
         """Image in Z2[x]."""
-        return BinPoly._make(self._rep)
+        rep = self._rep
+        return BinPoly._wrap(int(rep.to_bytes(_nbytes(rep), "big").translate(_LOW_BIT_DIGIT) or b"0", 2))
 
 
 def check_beta(beta: int) -> None:
@@ -122,12 +161,12 @@ def xn1(n: int) -> QuatPoly:
     """x^n - 1 over Z4."""
     if n < 1:
         raise InvalidParameter("n must be a positive integer")
-    return QuatPoly._make([3] + [0] * (n - 1) + [1])
+    return QuatPoly._wrap(1 << 8 * n | 3)
 
 
 def lift_binary(p: BinPoly) -> QuatPoly:
     """Reinterpret a binary polynomial over Z4 with 0/1 coefficients."""
-    return QuatPoly._make(p.coeffs)
+    return QuatPoly._wrap(int.from_bytes(f"{p._rep:b}".encode().translate(_DIGIT_BYTE), "big"))
 
 
 def make_monic(p: QuatPoly) -> QuatPoly:

@@ -1,5 +1,6 @@
 """Classification layer: distance, MDSS/self-dual/separable flags, search, reports."""
 
+import dataclasses
 import itertools
 import time
 
@@ -278,6 +279,17 @@ def test_verify_code_runs_all_checks(example_spec):
         "circ-shift-equivalence",
     ]
     assert all(r.ok for r in results)
+
+
+def test_cardinality_formula_check_compares_with_the_type(example_spec, monkeypatch):
+    # |C| = 2^gamma * 4^delta is read off the formula type, so a wrong gamma
+    # there must fail the check while the detail text keeps its form.
+    true_type = code_type(example_spec)
+    wrong = dataclasses.replace(true_type, gamma=true_type.gamma + 1)
+    monkeypatch.setattr(analysis, "code_type", lambda spec: wrong if spec == example_spec else true_type)
+    result = next(r for r in verify_code(example_spec) if r.name == "cardinality-formula")
+    assert result.ok is False
+    assert result.detail == f"|C| = 16 = 2^{wrong.gamma} * 4^{wrong.delta}"
 
 
 def test_verify_code_passes_on_varied_specs():

@@ -34,7 +34,15 @@ from z2z4cyclic import gf2poly as gf2
 from z2z4cyclic import z4poly as z4
 from z2z4cyclic.analysis import _shifted_inner_products
 from z2z4cyclic.cli import main
-from z2z4cyclic.code import _deg, _gray_rows, _pair_row, _row_keys, _span_rows, _unique_rows
+from z2z4cyclic.code import (
+    _build_span_rows,
+    _deg,
+    _gray_rows,
+    _pair_row,
+    _row_keys,
+    _span_rows,
+    _unique_rows,
+)
 from z2z4cyclic.poly import NEG_INF
 
 PROPERTY = settings(deadline=None, max_examples=200)
@@ -252,6 +260,136 @@ def test_binpoly_equality_hash_and_lift(a, b):
     assert z4.lift_binary(p).reduce_mod2() == p
 
 
+# -- QuatPoly against a schoolbook reference on coefficient tuples ---------------
+
+
+def ref4_add(a, b, sign=1) -> tuple:
+    n = max(len(a), len(b))
+    return ref_trim(
+        ((a[i] if i < len(a) else 0) + sign * (b[i] if i < len(b) else 0)) % 4 for i in range(n)
+    )
+
+
+def ref4_mul(a, b) -> tuple:
+    out = [0] * (len(a) + len(b))
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return ref_trim(v % 4 for v in out)
+
+
+def ref4_divmod(a, d) -> tuple:
+    # The leading coefficient of d is 1 or 3, its own inverse mod 4.
+    rem = list(a)
+    quo = [0] * max(len(a) - len(d) + 1, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        t = rem[i + len(d) - 1] * d[-1] % 4
+        quo[i] = t
+        for j, v in enumerate(d):
+            rem[i + j] = (rem[i + j] - t * v) % 4
+    return ref_trim(quo), ref_trim(rem)
+
+
+def ref4_fold(a, n: int) -> tuple:
+    out = [0] * n
+    for i, v in enumerate(a):
+        out[i % n] = (out[i % n] + v) % 4
+    return ref_trim(out)
+
+
+def ref4_str(a) -> str:
+    terms = []
+    for e in range(len(a) - 1, -1, -1):
+        if a[e]:
+            base = "" if e == 0 else "x" if e == 1 else f"x^{e}"
+            terms.append(str(a[e]) if e == 0 else base if a[e] == 1 else f"{a[e]}{base}")
+    return "+".join(terms) or "0"
+
+
+# Up to 81 coefficients: a product of two such crosses 9 * min(len) >= 256,
+# the bound past which QuatPoly._mul spreads its operands to wider slots.
+quats = st.lists(st.integers(0, 3), max_size=81)
+unit_led = st.tuples(st.lists(st.integers(0, 3), max_size=40), st.sampled_from((1, 3))).map(
+    lambda t: [*t[0], t[1]]
+)
+
+
+@PROPERTY
+@given(quats)
+def test_quatpoly_views_match_reference(a):
+    p, ta = QuatPoly(a), ref_trim(a)
+    assert p.coeffs == ta
+    assert p.degree == (len(ta) - 1 if ta else NEG_INF)
+    assert p.is_zero == (not ta) == (not p)
+    assert p.is_monic == (bool(ta) and ta[-1] == 1)
+    assert str(p) == ref4_str(ta)
+    assert p.coeff_csv() == (",".join(map(str, ta)) or "0")
+
+
+@PROPERTY
+@given(quats, quats, st.integers(-9, 9))
+def test_quatpoly_ring_ops_match_reference(a, b, k):
+    p, q = QuatPoly(a), QuatPoly(b)
+    ta, tb = ref_trim(a), ref_trim(b)
+    assert (p + q).coeffs == ref4_add(ta, tb)
+    assert (p - q).coeffs == ref4_add(ta, tb, -1)
+    assert (-p).coeffs == ref4_add((), ta, -1)
+    assert (p * q).coeffs == (q * p).coeffs == ref4_mul(ta, tb)
+    assert (p * k).coeffs == (k * p).coeffs == ref_trim(k * v % 4 for v in ta)
+
+
+@PROPERTY
+@given(quats, unit_led)
+def test_quatpoly_division_matches_reference(a, d):
+    p, dp = QuatPoly(a), QuatPoly(d)
+    quo, rem = ref4_divmod(ref_trim(a), tuple(d))
+    q, r = divmod(p, dp)
+    assert (q.coeffs, r.coeffs) == (quo, rem)
+    assert (p // dp).coeffs == quo
+    assert (p % dp).coeffs == rem
+    assert q * dp + r == p
+
+
+@PROPERTY
+@given(quats, st.integers(1, 90))
+def test_quatpoly_fold_reciprocal_and_binary_images_match_reference(a, n):
+    p, ta = QuatPoly(a), ref_trim(a)
+    assert p.fold(n).coeffs == ref4_fold(ta, n)
+    if ta:
+        assert p.reciprocal().coeffs == ref_trim(reversed(ta))
+    assert p.reduce_mod2().coeffs == ref_trim(v % 2 for v in ta)
+    bits = [v % 2 for v in a]
+    assert z4.lift_binary(BinPoly(bits)).coeffs == ref_trim(bits)
+
+
+@PROPERTY
+@given(quats, quats)
+def test_quatpoly_equality_and_hash(a, b):
+    p, q = QuatPoly(a), QuatPoly(b)
+    assert (p == q) == (ref_trim(a) == ref_trim(b))
+    twin = QuatPoly.parse(p.coeff_csv())
+    assert twin == p and hash(twin) == hash(p)
+    assert (p == BinPoly([v % 2 for v in a])) is False
+
+
+def test_quatpoly_products_around_the_slot_bound():
+    # All-3 operands give the largest coefficient sums, 9 * min(len); one-byte
+    # slots hold them up to 28 coefficients and would carry from 29 on.
+    for n in (1, 28, 29, 30, 81, 300):
+        for m in (n, 29, 300):
+            a, b = (3,) * n, (3,) * (m - 1) + (1,)
+            assert (QuatPoly(a) * QuatPoly(b)).coeffs == ref4_mul(a, b), (n, m)
+
+
+def test_quatpoly_long_product_matches_convolution():
+    # Degree 4096 each, so every slot of the product needs two bytes.
+    rng = np.random.default_rng(2024)
+    a, b = rng.integers(0, 4, 4097), rng.integers(0, 4, 4097)
+    a[-1] = b[-1] = 1
+    want = ref_trim(int(v) for v in np.convolve(a, b) % 4)
+    assert (QuatPoly(a.tolist()) * QuatPoly(b.tolist())).coeffs == want
+
+
 # -- packed-key canonical sort ------------------------------------------------
 
 # (alpha, beta) with 1 <= alpha + 2*beta <= 140 bits: an X block only, a Y
@@ -313,7 +451,7 @@ def ref_span_rows(spec):
             row = np.concatenate([np.roll(row[:a], 1), np.roll(row[a:], 1)])
             widths.append(width)
     mat = np.array(rows, dtype=np.int16) if rows else np.zeros((0, a + beta), dtype=np.int16)
-    return mat, widths
+    return mat, tuple(widths)
 
 
 # Longer blocks too, where shift counts reach alpha or beta - 1.
@@ -330,6 +468,25 @@ def test_span_rows_match_rolled_rows(spec):
     assert rows.dtype == ref_rows.dtype and rows.shape == ref_rows.shape
     assert np.array_equal(rows, ref_rows)
     assert widths == ref_widths
+
+
+def test_span_rows_are_kept_read_only_on_the_spec_instance():
+    text = "alpha=3\nbeta=3\nb=x^3+1\nell=x+1\nf=1\nh=x^2+x+1\n"  # the worked example
+    spec, twin = parse_spec_text(text), parse_spec_text(text)
+    before = (repr(spec), hash(spec))
+    rows, widths = _span_rows(spec)
+    assert _span_rows(spec)[0] is rows and isinstance(widths, tuple)
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1
+    fresh_rows, fresh_widths = _build_span_rows(spec)
+    assert np.array_equal(rows, fresh_rows) and widths == fresh_widths
+    # An equal instance builds its own rows; the memo is not part of ==, hash or repr.
+    assert twin._span is None
+    assert _span_rows(twin)[0] is not rows
+    assert not np.shares_memory(_span_rows(twin)[0], rows)
+    assert spec == twin and (repr(spec), hash(spec)) == before == (repr(twin), hash(twin))
+    assert "_span" not in repr(spec) and "_dual" not in repr(spec)
 
 
 @st.composite
