@@ -16,10 +16,10 @@ taken by one _shift_cols gather, and a code is enumerated from them by
 doubling: each row's multiples are added to all the words built so far,
 into one array.  Membership is decided in the dual module, from the
 dual's spanning rows, without enumerating the code.
-The spanning rows (read-only) and the dual spec that membership uses live
-on the spec instance: each is built on first use and kept in a private
-field that takes no part in ==, hash or repr, so equal instances share
-nothing and no result outlives the instance.
+The spanning rows (read-only) live on the spec instance: they are built
+on first use and kept in a private field that takes no part in ==, hash
+or repr, so equal instances share nothing and no result outlives the
+instance.
 Codeword sets are canonically represented as int16 matrices of unique
 rows (binary block first) in lexicographic row order, which keeps
 brute-force comparisons exact.  That order is found by sorting packed
@@ -111,10 +111,9 @@ class CyclicCodeSpec:
     f: QuatPoly
     h: QuatPoly
     g: QuatPoly = field(init=False)
-    # Memos filled on first use and kept for the life of this instance:
-    # _span_rows's (read-only rows, widths) and dual.contains's dual spec.
+    # _span_rows's (read-only rows, widths), built on first use and kept for
+    # the life of this instance.
     _span: tuple | None = field(init=False, compare=False, repr=False, default=None)
-    _dual: CyclicCodeSpec | None = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         for name in ("alpha", "beta"):
@@ -152,15 +151,6 @@ class CyclicCodeSpec:
         if (self.h.reduce_mod2() * gf2.gcd(self.b, lg)) % self.b:
             raise ArithmeticError("internal error: b does not divide h * gcd(b, ell*g) mod 2")
         object.__setattr__(self, "g", g)
-
-
-def _memo(spec: CyclicCodeSpec, name: str, build):
-    """spec's private memo field `name`, set to build(spec) on first use."""
-    value = getattr(spec, name)
-    if value is None:
-        value = build(spec)
-        object.__setattr__(spec, name, value)
-    return value
 
 
 def validate_spec(alpha: int, beta: int, b: BinPoly, ell: BinPoly, f: QuatPoly, h: QuatPoly) -> CyclicCodeSpec:
@@ -342,7 +332,9 @@ def _span_rows(spec: CyclicCodeSpec) -> tuple[np.ndarray, tuple[int, ...]]:
     blocks, all taken by one gather of the shifts by -i.  Built once per
     spec instance; the matrix is read-only.
     """
-    return _memo(spec, "_span", _build_span_rows)
+    if spec._span is None:
+        object.__setattr__(spec, "_span", _build_span_rows(spec))
+    return spec._span
 
 
 def _build_span_rows(spec: CyclicCodeSpec) -> tuple[np.ndarray, tuple[int, ...]]:

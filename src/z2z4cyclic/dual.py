@@ -35,7 +35,6 @@ from .code import (
     Codeword,
     CyclicCodeSpec,
     _deg,
-    _memo,
     _span_rows,
     _unique_rows,
     cardinality_family,
@@ -162,12 +161,10 @@ def dual_spec(spec: CyclicCodeSpec) -> CyclicCodeSpec:
 def contains(spec: CyclicCodeSpec, w: Codeword) -> bool:
     """Whether w is a codeword, decided as C = (C_dual)^perp without enumerating C:
     w has the code's block lengths and is orthogonal to every spanning row of
-    dual_spec(spec), by one matmul mod 4 in int64 so that long rows cannot overflow.
-    The dual spec is built on the first call and kept on spec, and its spanning
-    rows on it, so further calls on the same instance rebuild neither."""
+    dual_spec(spec), by one matmul mod 4 in int64 so that long rows cannot overflow."""
     if len(w.u) != spec.alpha or len(w.uq) != spec.beta:
         return False
-    rows = _span_rows(_memo(spec, "_dual", dual_spec))[0].astype(np.int64)
+    rows = _span_rows(dual_spec(spec))[0].astype(np.int64)
     rows[:, : spec.alpha] *= 2
     return not (rows @ (w.u + w.uq) % 4).any()
 

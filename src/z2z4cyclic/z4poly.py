@@ -64,12 +64,7 @@ class QuatPoly(DensePoly):
 
     @classmethod
     def _pack(cls, vals) -> int:
-        vals = list(vals)
-        try:
-            raw = bytes(vals)
-        except ValueError:  # negative or above 255
-            raw = bytes([v % 4 for v in vals])
-        return int.from_bytes(raw.translate(_MOD4), "little")
+        return int.from_bytes(bytes([v & 3 for v in vals]), "little")
 
     @property
     def coeffs(self) -> tuple[int, ...]:

@@ -322,19 +322,3 @@ def test_contains_agrees_with_enumeration_on_the_family():
     assert n_specs == 820
     assert non_members > 0
     assert time.perf_counter() - t0 < 5
-
-
-def test_contains_builds_the_dual_once_per_spec_instance(monkeypatch):
-    calls = []
-    monkeypatch.setattr(
-        "z2z4cyclic.dual.dual_generators", lambda spec: calls.append(spec) or dual_generators(spec)
-    )
-    spec = construct_mdss(5, 7)
-    member = Codeword((1, 1, 0, 0, 0), (0,) * 7)
-    outsider = Codeword((1, 0, 0, 0, 0), (0,) * 7)
-    for i in range(1000):
-        assert contains(spec, member if i % 2 else outsider) == bool(i % 2)
-    assert len(calls) == 1
-    # An equal spec built afresh has no dual yet.
-    assert contains(construct_mdss(5, 7), member)
-    assert len(calls) == 2
