@@ -1,7 +1,9 @@
 """Structural analysis: distances, classifications, constructions, search.
 
 code_report computes the minimum distance, the Hamming distance of the
-Gray image (binary weight plus Lee weight), by exhaustive enumeration.
+Gray image (binary weight plus Lee weight), by exhaustive enumeration:
+the words are packed into keys once, and each word's weight is the
+popcount of its key's Gray code.
 Its MDSS, self-dual and separable flags reduce to exact comparisons of
 type parameters and canonical word matrices: no floating point anywhere.
 
@@ -29,9 +31,12 @@ from .code import (
     CyclicCodeSpec,
     _deg,
     _gray_rows,
+    _gray_weights,
     _reduce_blocks,
+    _row_keys,
     _row_word,
     _shift_cols,
+    _sort_keys,
     _span_rows,
     _unique_rows,
     cardinality_family,
@@ -74,10 +79,18 @@ def _mdss_gap(spec: CyclicCodeSpec, d: int, t: CodeType) -> int:
     return (spec.alpha + 2 * spec.beta - t.gamma - 2 * t.delta) - (d - 1)
 
 
-def _cyclic_closed(mat: np.ndarray, alpha: int) -> bool:
-    """Whether the canonical word matrix is closed under the block shift."""
-    shifted = mat[:, _shift_cols(alpha, mat.shape[1] - alpha, 1)]
-    return bool(np.array_equal(shifted[_unique_rows(shifted, alpha)], mat))
+def _cyclic_closed(mat: np.ndarray, keys: np.ndarray, alpha: int) -> bool:
+    """Whether the canonical word matrix, packed as keys, is closed under the block shift."""
+    # The shifted int16 matrix is freed once packed, before the sort.
+    shifted_keys = _row_keys(mat[:, _shift_cols(alpha, mat.shape[1] - alpha, 1)], alpha)
+    return bool(np.array_equal(_sort_keys(shifted_keys)[0], keys))
+
+
+def _min_distance(keys: np.ndarray, alpha: int, n: int) -> int | None:
+    """Least nonzero Gray weight of the packed words; None when the only word is zero."""
+    weights = _gray_weights(keys, alpha, n)
+    nonzero = weights[weights > 0]
+    return int(nonzero.min()) if len(nonzero) else None
 
 
 def code_report(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> CodeReport:
@@ -86,12 +99,9 @@ def code_report(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> CodeReport:
     The trivial code has min_distance None and is never MDSS.
     """
     mat = codeword_matrix(spec, cap)
+    keys = _row_keys(mat, spec.alpha)
     t = code_type(spec)
-    if len(mat) < 2:
-        d = None
-    else:
-        weights = _gray_rows(mat, spec.alpha).sum(axis=1)
-        d = int(weights[weights > 0].min())
+    d = _min_distance(keys, spec.alpha, mat.shape[1])
     self_dual = False
     if 2 * (t.gamma + 2 * t.delta) == spec.alpha + 2 * spec.beta:
         self_dual = np.array_equal(mat, codeword_matrix(dual_spec(spec), cap))
@@ -101,7 +111,7 @@ def code_report(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> CodeReport:
         is_mdss=d is not None and _mdss_gap(spec, d, t) == 0,
         is_self_dual=self_dual,
         is_separable=t.is_separable,
-        is_cyclic_verified=_cyclic_closed(mat, spec.alpha),
+        is_cyclic_verified=_cyclic_closed(mat, keys, spec.alpha),
     )
 
 
@@ -343,7 +353,11 @@ def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> lis
         measured == t,
         f"measured {measured} vs formula {t}",
     )
-    check("cyclic-closure", _cyclic_closed(mat, spec.alpha), "shifted word set equals word set")
+    check(
+        "cyclic-closure",
+        _cyclic_closed(mat, _row_keys(mat, spec.alpha), spec.alpha),
+        "shifted word set equals word set",
+    )
     rows, _ = _span_rows(spec)
     check(
         "spanning-set-size",

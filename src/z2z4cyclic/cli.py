@@ -22,8 +22,8 @@ from . import analysis
 from .code import (
     ENUM_CAP,
     SPEC_KEYS,
+    _format_rows,
     _gray_rows,
-    _row_word,
     cardinality,
     codeword_matrix,
     format_codeword,
@@ -112,7 +112,7 @@ def _run_matrix(spec, cmd: Command) -> tuple[int, str]:
 
 def _run_enumerate(spec, cmd: Command) -> tuple[int, str]:
     mat = codeword_matrix(spec, cmd.cap)
-    rendered = [format_codeword(_row_word(row, spec.alpha)) for row in mat]
+    rendered = _format_rows(mat, spec.alpha)
     data = {"cardinality": len(rendered), "codewords": rendered}
     text = "\n".join([f"|C| = {len(rendered)}"] + rendered)
     return 0, _render(data, text, cmd.output_format == "json")
@@ -120,17 +120,14 @@ def _run_enumerate(spec, cmd: Command) -> tuple[int, str]:
 
 def _run_gray(spec, cmd: Command) -> tuple[int, str]:
     mat = codeword_matrix(spec, cmd.cap)
-    words = [_row_word(row, spec.alpha) for row in mat]
+    rendered = _format_rows(mat, spec.alpha)
     images = _gray_rows(mat, spec.alpha).tolist()
-    data = {
-        "codewords": [format_codeword(w) for w in words],
-        "gray_images": images,
-    }
-    text = "\n".join(
-        f"{format_codeword(w)}  ->  {' '.join(str(bit) for bit in img)}"
-        for w, img in zip(words, images)
+    data = {"codewords": rendered, "gray_images": images}
+    as_json = cmd.output_format == "json"
+    text = "" if as_json else "\n".join(
+        f"{w}  ->  {' '.join(map(str, img))}" for w, img in zip(rendered, images)
     )
-    return 0, _render(data, text, cmd.output_format == "json")
+    return 0, _render(data, text, as_json)
 
 
 def _run_verify(spec, cmd: Command) -> tuple[int, str]:

@@ -11,11 +11,14 @@ Vectors and polynomials correspond by (u_0, ..., u_{n-1}) <-> sum u_i x^i.
 Each word fact has one implementation here: _shift_cols is the column
 gather of the simultaneous block shift, cardinality(spec) is |C| from
 the generator degrees, and _gray_rows is the Gray map (gray_map is its
-one-row view).  The spanning rows are the shifts of three base rows,
-taken by one _shift_cols gather, and a code is enumerated from them by
-doubling: each row's multiples are added to all the words built so far,
-into one array.  Membership is decided in the dual module, from the
-dual's spanning rows, without enumerating the code.
+one-row view; _gray_weights is the weight of its image, read off packed
+keys).  The spanning rows are the shifts of three base rows, taken by
+one _shift_cols gather, and a code is enumerated from them by doubling
+on packed keys: each row's multiples are added to all the keys built so
+far, an order-two row by one XOR and an S2 row lane-wise (_key_add),
+and the sorted keys are decoded once into the int16 matrix.  Membership
+is decided in the dual module, from the dual's spanning rows, without
+enumerating the code.
 The spanning rows (read-only) live on the spec instance: they are built
 on first use and kept in a private field that takes no part in ==, hash
 or repr, so equal instances share nothing and no result outlives the
@@ -27,13 +30,17 @@ integer keys: each row is written MSB-first with 1 bit per Z2 coordinate
 (or Gray bit) and 2 bits per Z4 coordinate, so packed-key order equals
 lexicographic row order.  A row of alpha + 2*beta <= 64 bits is one
 uint64; a wider row takes ceil((alpha + 2*beta) / 64) uint64 limbs, most
-significant limb first, compared limb by limb.
+significant limb first, compared limb by limb.  Where each column sits in
+the limbs depends only on the column count and alpha; _key_layout works
+it out once per shape.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +84,17 @@ def parse_codeword(text: str) -> Codeword:
         raise ParseError(str(e)) from None
 
 
+def _format_blocks(u, uq) -> str:
+    return " ".join(map(str, u)) + " | " + " ".join(map(str, uq))
+
+
 def format_codeword(w: Codeword) -> str:
-    return " ".join(str(v) for v in w.u) + " | " + " ".join(str(v) for v in w.uq)
+    return _format_blocks(w.u, w.uq)
+
+
+def _format_rows(words: np.ndarray, alpha: int) -> list[str]:
+    """format_codeword of each row of a reduced word matrix, with no Codeword built."""
+    return [_format_blocks(row[:alpha], row[alpha:]) for row in words.tolist()]
 
 
 def cyclic_shift(w: Codeword, i: int) -> Codeword:
@@ -370,6 +386,40 @@ def _reduce_blocks(words: np.ndarray, alpha: int) -> np.ndarray:
     return words
 
 
+class _KeyLayout(NamedTuple):
+    """Where _row_keys puts each column of a matrix, for one (column count, alpha)."""
+
+    # Per key limb, most significant first: its contiguous column range.
+    slices: tuple[tuple[int, int], ...]
+    # Per column: 1 << (its lowest bit's position in its limb).
+    weights: np.ndarray
+    # Shape (limbs, 1): each limb's mask of the low bits of its Z4 lanes.
+    low: np.ndarray
+    # Per column: (key limb, shift, 1 or 3), so its entry is (limb >> shift) & mask.
+    cols: tuple[tuple[int, int, int], ...]
+
+
+@functools.lru_cache(maxsize=64)
+def _key_layout(n: int, alpha: int) -> _KeyLayout:
+    widths = np.where(np.arange(n) < alpha, 1, 2)
+    k = max(1, -(-int(widths.sum()) // 64))
+    lsb = np.cumsum(widths[::-1])[::-1] - widths
+    limb = k - 1 - lsb // 64
+    shift = lsb % 64
+    slices = []
+    for i in range(k):
+        cols = np.flatnonzero(limb == i)
+        slices.append((int(cols[0]), int(cols[-1]) + 1) if len(cols) else (0, 0))
+    low = np.zeros((k, 1), dtype=np.uint64)
+    for i, s in zip(limb[alpha:], shift[alpha:]):
+        low[i] |= np.uint64(1) << np.uint64(s)
+    weights = np.uint64(1) << shift.astype(np.uint64)
+    weights.flags.writeable = False
+    low.flags.writeable = False
+    cols = tuple((int(i), int(s), (1 << int(w)) - 1) for i, s, w in zip(limb, shift, widths))
+    return _KeyLayout(tuple(slices), weights, low, cols)
+
+
 def _row_keys(words: np.ndarray, alpha: int) -> np.ndarray:
     """Each row packed MSB-first into uint64 limbs: shape (k, rows), limb 0 most significant.
 
@@ -378,65 +428,99 @@ def _row_keys(words: np.ndarray, alpha: int) -> np.ndarray:
     The bits are right-aligned in the limbs, so the 2-bit columns, which
     come last, never straddle two limbs.
     """
-    n_rows, n = words.shape
-    widths = np.where(np.arange(n) < alpha, 1, 2)
-    k = max(1, -(-int(widths.sum()) // 64))
-    lsb = np.cumsum(widths[::-1])[::-1] - widths
-    limb = lsb // 64
-    weights = np.uint64(1) << (lsb % 64).astype(np.uint64)
-    keys = np.zeros((k, n_rows), dtype=np.uint64)
+    layout = _key_layout(words.shape[1], alpha)
+    keys = np.zeros((len(layout.slices), len(words)), dtype=np.uint64)
     # A limb's columns are one contiguous slice with disjoint bits, so the
     # sum of value << shift over the slice is their OR.  einsum casts the
     # int16 slice in buffered chunks, never as a whole (rows, columns) copy.
-    for i in range(k):
-        cols = np.flatnonzero(limb == k - 1 - i)
-        if len(cols):
-            lo, hi = cols[0], cols[-1] + 1
+    for i, (lo, hi) in enumerate(layout.slices):
+        if hi > lo:
             keys[i] = np.einsum(
-                "ij,j->i", words[:, lo:hi], weights[lo:hi], dtype=np.uint64, casting="unsafe"
+                "ij,j->i", words[:, lo:hi], layout.weights[lo:hi], dtype=np.uint64,
+                casting="unsafe",
             )
     return keys
+
+
+def _decode_keys(keys: np.ndarray, alpha: int, n: int) -> np.ndarray:
+    """The int16 rows of n columns that _row_keys packed into keys, one column at a time."""
+    out = np.empty((keys.shape[1], n), dtype=np.int16)
+    for j, (i, shift, mask) in enumerate(_key_layout(n, alpha).cols):
+        out[:, j] = (keys[i] >> shift) & mask
+    return out
+
+
+def _key_add(a: np.ndarray, b: np.ndarray, low: np.ndarray, out=None) -> np.ndarray:
+    """Packed keys of the sums of reduced rows: XOR in each Z2 bit and each Z4 lane,
+    plus the carry of the Z4 lanes' low bits into their high bits."""
+    out = np.bitwise_and(a, b & low, out=out)
+    out <<= 1
+    out ^= a
+    out ^= b
+    return out
+
+
+def _sort_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct packed rows in lexicographic row order, as (k, m) keys, and the index of
+    each one's first occurrence: one np.unique over plain integers when the keys fit one
+    limb, over rows of limbs otherwise.  (return_index also keeps np.unique of 1-D input
+    on its sort path rather than a slower hash path.)"""
+    uniq, idx = np.unique(keys[0] if len(keys) == 1 else keys.T, axis=0, return_index=True)
+    return uniq.T.reshape(len(keys), -1), idx
 
 
 def _unique_rows(words: np.ndarray, alpha: int) -> np.ndarray:
     """Indices of the first occurrence of each distinct row, in lexicographic row order.
 
     words[_unique_rows(words, alpha)] is np.unique(words, axis=0), found by
-    one sort of the packed keys of _row_keys: plain integers when they fit
-    one limb, rows of limbs otherwise.
+    one sort of the packed keys of _row_keys.
     """
-    keys = _row_keys(words, alpha)
-    _, idx = np.unique(keys[0] if len(keys) == 1 else keys.T, axis=0, return_index=True)
-    return idx
+    return _sort_keys(_row_keys(words, alpha))[1]
+
+
+def _count_text(n: int) -> str:
+    """n in full, or as 2^k for a power of two above 2^64."""
+    return f"2^{n.bit_length() - 1}" if n > 2**64 and not n & (n - 1) else str(n)
 
 
 def codeword_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
     """All codewords as a canonical (sorted, unique) int16 matrix.
 
     Coefficients range over Z2 for order-two rows (S1, S3) and Z4 for S2
-    rows.  The words are enumerated by doubling: after the rows before
-    row j, the first `size` words are all their combinations, and
-    coefficient c of row j fills words c*size .. (c+1)*size - 1.  The
+    rows.  The words are enumerated as packed keys by doubling: after the
+    rows before row j, the first `size` keys are all their combinations,
+    and coefficient c of row j fills keys c*size .. (c+1)*size - 1.  An
+    order-two row has even Z4 entries, so adding it is one XOR; an S2 row
+    is added lane-wise by _key_add, and c = 2, 3 are the c = 0, 1 words
+    XOR the key of twice the row.  The sorted keys are decoded once.  The
     row count of the result is asserted against the cardinality formula
     rather than assumed.
     """
     total = cardinality(spec)
     if total > cap:
-        raise TooLarge(f"code has {total} codewords, above the cap of {cap}")
+        raise TooLarge(f"code has {_count_text(total)} codewords, above the cap of {cap}")
     rows, widths = _span_rows(spec)
-    words = np.zeros((total, spec.alpha + spec.beta), dtype=np.int16)
+    n = spec.alpha + spec.beta
+    low = _key_layout(n, spec.alpha).low
+    row_keys = _row_keys(rows, spec.alpha)
+    if (row_keys[:, np.array(widths, dtype=int) == 1] & low).any():
+        raise ArithmeticError("internal error: an order-two spanning row has an odd Z4 entry")
+    keys = np.zeros((len(low), total), dtype=np.uint64)
     size = 1
-    for row, width in zip(rows, widths):
-        for c in range(1, 1 << width):
-            np.add(words[:size], c * row, out=words[c * size : (c + 1) * size])
+    for j, width in enumerate(widths):
+        row = row_keys[:, j : j + 1]
+        if width == 1:
+            np.bitwise_xor(keys[:, :size], row, out=keys[:, size : 2 * size])
+        else:
+            _key_add(keys[:, :size], row, low, out=keys[:, size : 2 * size])
+            np.bitwise_xor(keys[:, : 2 * size], (row & low) << 1, out=keys[:, 2 * size : 4 * size])
         size <<= width
-    words = _reduce_blocks(words, spec.alpha)
-    words = words[_unique_rows(words, spec.alpha)]
-    if len(words) != total:
+    keys, _ = _sort_keys(keys)
+    if keys.shape[1] != total:
         raise ArithmeticError(
-            f"internal error: enumeration found {len(words)} codewords, formula says {total}"
+            f"internal error: enumeration found {keys.shape[1]} codewords, formula says {total}"
         )
-    return words
+    return _decode_keys(keys, spec.alpha, n)
 
 
 def code_type_from_words(alpha: int, beta: int, words: np.ndarray) -> CodeType:
@@ -485,6 +569,15 @@ def _gray_rows(words: np.ndarray, alpha: int) -> np.ndarray:
     out[:, alpha::2] = q >> 1
     out[:, alpha + 1 :: 2] = (q + 1) >> 1 & 1
     return out
+
+
+def _gray_weights(keys: np.ndarray, alpha: int, n: int) -> np.ndarray:
+    """_gray_rows(words, alpha).sum(1) from the words' packed keys: each Z4 lane's Gray
+    code q ^ (q >> 1) is 0, 1, 3, 2 for q = 0..3, whose popcount is the Lee weight."""
+    gray = keys >> 1
+    gray &= _key_layout(n, alpha).low
+    gray ^= keys
+    return np.bitwise_count(gray).sum(axis=0, dtype=np.intp)
 
 
 def gray_map(w: Codeword) -> tuple[int, ...]:

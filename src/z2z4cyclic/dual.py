@@ -34,6 +34,7 @@ from .code import (
     ENUM_CAP,
     Codeword,
     CyclicCodeSpec,
+    _count_text,
     _deg,
     _span_rows,
     _unique_rows,
@@ -202,7 +203,9 @@ def brute_force_dual_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.nda
     n = a + 2 * beta
     total = 2**n
     if total > AMBIENT_CAP:
-        raise TooLarge(f"ambient space has {total} vectors, above the cap of {AMBIENT_CAP}")
+        raise TooLarge(
+            f"ambient space has {_count_text(total)} vectors, above the cap of {AMBIENT_CAP}"
+        )
     expected = cardinality_family(code_type(spec)).c_dual
     if expected > cap:
         raise TooLarge(f"dual has {expected} codewords, above the cap of {cap}")

@@ -7,8 +7,17 @@ import time
 
 import pytest
 
-from z2z4cyclic import BinPoly, CheckResult, QuatPoly, analysis, spec_fields
+from z2z4cyclic import (
+    BinPoly,
+    CheckResult,
+    QuatPoly,
+    analysis,
+    codeword_matrix,
+    spec_fields,
+    spec_from_fields,
+)
 from z2z4cyclic.cli import Command, _build_parser, main, run
+from z2z4cyclic.code import _gray_rows, _row_word, format_codeword
 from z2z4cyclic.errors import InvalidParameter, ParseError
 
 C1_TEXT = "alpha=3\nbeta=3\nb=x^3+1\nell=x+1\nf=1\nh=x^2+x+1\n"
@@ -175,6 +184,35 @@ def test_gray_json(capsys, c1_file):
     assert data["gray_images"][index] == [0, 0, 0, 1, 1, 1, 1, 1, 1]
 
 
+LISTED_SPECS = {
+    "worked": dict(zip(C1_INLINE[::2], C1_INLINE[1::2])),
+    "mdss-3-5": spec_fields(analysis.construct_mdss(3, 5)),  # |C| = 2^2 * 4^5 = 2^12
+}
+
+
+@pytest.mark.parametrize("name", sorted(LISTED_SPECS))
+def test_listings_match_the_per_codeword_rendering(capsys, name):
+    flags = {k.lstrip("-"): str(v) for k, v in LISTED_SPECS[name].items()}
+    spec = spec_from_fields(flags)
+    mat = codeword_matrix(spec)
+    words = [format_codeword(_row_word(row, spec.alpha)) for row in mat]
+    images = _gray_rows(mat, spec.alpha).tolist()
+    want = {
+        ("enumerate", False): "\n".join([f"|C| = {len(words)}"] + words),
+        ("enumerate", True): json.dumps({"cardinality": len(words), "codewords": words}, indent=2),
+        ("gray", False): "\n".join(
+            f"{w}  ->  {' '.join(str(bit) for bit in img)}" for w, img in zip(words, images)
+        ),
+        ("gray", True): json.dumps({"codewords": words, "gray_images": images}, indent=2),
+    }
+    argv = [arg for k, v in flags.items() for arg in (f"--{k}", v)]
+    for (verb, as_json), text in want.items():
+        status, out, err = run_cli(capsys, verb, *argv, *(["--json"] if as_json else []))
+        assert (status, err) == (0, "")
+        # Compared as lines: pytest's diff of two long strings takes minutes.
+        assert out.endswith("\n") and out[:-1].split("\n") == text.split("\n"), (verb, as_json)
+
+
 def test_verify_text(capsys, c1_file):
     status, out, _ = run_cli(capsys, "verify", "--spec", c1_file)
     assert status == 0
@@ -235,6 +273,20 @@ def test_verify_reports_checks_a_cap_refused(capsys):
     skipped = [c for c in data["checks"] if c["ok"] is None]
     assert [(c["name"], c["detail"]) for c in skipped] == [(name, reason) for name in DUAL_SIDE]
     assert all(c["ok"] is True for c in data["checks"] if c not in skipped)
+
+
+def test_verify_reports_a_huge_refused_count_as_a_power_of_two(capsys):
+    # |C| = 2^5, so |C_dual| = 2^(5 + 2*819 - 5) = 2^1638, about 490 digits in full.
+    status, out, _ = run_cli(
+        capsys, "verify", "--alpha", "5", "--beta", "819", "--b", "1", "--ell", "0",
+        "--f", "x^819+3", "--h", "1",
+    )
+    assert status == 0
+    skips = [line for line in out.splitlines() if line.startswith("skip")]
+    assert skips == [
+        f"skip {name}: code has 2^1638 codewords, above the cap of 4194304" for name in DUAL_SIDE
+    ]
+    assert all(len(line) < 200 for line in skips)
 
 
 def test_verify_skips_only_the_oracle_above_the_ambient_cap():
@@ -407,7 +459,8 @@ def test_verify_with_long_shift_period_below_the_cap_is_quick(capsys):
 # sha256 of run()'s output on two ambients wider than 64 bits (68 and 67),
 # whose packed keys take two limbs, as rendered when codeword sets were
 # sorted as int16 rows.  Both duals are above ENUM_CAP, so the verify
-# digests include the two dual-side checks as skipped.
+# digests include the two dual-side checks as skipped; the 65/1 dual's
+# 2^66 words are reported as 2^66, not in full.
 WIDE_SPECS = {
     "50/9": ("50", "9", "x^50+1", "0", "x^3+3", "1"),  # |C| = 4096
     "65/1": ("65", "1", "x^65+1", "0", "1", "x+3"),  # |C| = 2
@@ -423,8 +476,8 @@ WIDE_DIGESTS = {
     ("65/1", "info", "json"): "aecc8a320550ef73044c13387ef308752ff1feae4b95e600d81844f3bcad2e98",
     ("65/1", "enumerate", "text"): "93e06163c6c4452a12be1231074c595be2e7621535e3f9f82f8b2fa6262eb594",
     ("65/1", "enumerate", "json"): "364738be9c029dea9822ae54ba26e0f15f58c7ccaa9adcf99cca519df4afaf8d",
-    ("65/1", "verify", "text"): "9948ec949402643a2a3eca1a7c86ea41eaec26d057c1bdde38f7fa2da3f0ca0e",
-    ("65/1", "verify", "json"): "b19f83f86d149eeb66d4aced224b8cd001c05a055ceb0f511ff74a562ce5f179",
+    ("65/1", "verify", "text"): "75e44a5bd3fa8185d5a2bd2b64363dd8c1617ccf0f6cb907b03ff79765c24b5b",
+    ("65/1", "verify", "json"): "86ddd01be7454aaf862d9f03b416320339b9e2d8aacd0f1bbeb84ca427a01471",
 }
 
 

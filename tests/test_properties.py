@@ -1,11 +1,14 @@
 """Property tests: the text front end (polynomials, spec text, CLI flags),
 the bit-packed BinPoly arithmetic against a schoolbook Z2 reference, the
-packed-key canonical sort against numpy's row sort, the gathered
+packed-key canonical sort against numpy's row sort, the key kernels (the
+lane-wise Z4 add, the decode, enumeration on two limbs, popcount Gray
+weights) against their int16 and polynomial forms, the gathered
 spanning rows and correlated shift products against their loop forms,
 and the Gray image against a literal per-symbol table."""
 
 import contextlib
 import io
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +32,7 @@ from z2z4cyclic import (
     parse_spec_text,
     spec_fields,
     spec_from_fields,
+    validate_spec,
 )
 from z2z4cyclic import gf2poly as gf2
 from z2z4cyclic import z4poly as z4
@@ -36,9 +40,14 @@ from z2z4cyclic.analysis import _shifted_inner_products
 from z2z4cyclic.cli import main
 from z2z4cyclic.code import (
     _build_span_rows,
+    _decode_keys,
     _deg,
     _gray_rows,
+    _gray_weights,
+    _key_add,
+    _key_layout,
     _pair_row,
+    _reduce_blocks,
     _row_keys,
     _span_rows,
     _unique_rows,
@@ -429,6 +438,55 @@ def test_unique_rows_matches_numpy_row_sort(ambient, gray, distinct, n_rows, den
     idx = _unique_rows(rows, alpha)
     assert len(idx) == len(ref)
     assert np.array_equal(rows[idx], ref)
+
+
+@PROPERTY
+@given(ambients, st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_key_add_is_the_packed_reduced_sum(ambient, n_rows, seed):
+    alpha, beta = ambient
+    rng = np.random.default_rng(seed)
+
+    def rows():
+        return np.concatenate(
+            [rng.integers(0, 2, (n_rows, alpha)), rng.integers(0, 4, (n_rows, beta))], axis=1
+        ).astype(np.int16)
+
+    a, b = rows(), rows()
+    ka, kb = _row_keys(a, alpha), _row_keys(b, alpha)
+    want = _row_keys(_reduce_blocks(a + b, alpha), alpha)
+    assert np.array_equal(_key_add(ka, kb, _key_layout(alpha + beta, alpha).low), want)
+    assert np.array_equal(_decode_keys(ka, alpha, alpha + beta), a)
+
+
+def test_two_limb_enumeration_matches_the_multiples_of_its_generator():
+    g = z4.hensel_lift(BinPoly.parse("x^2+x+1"), 33)
+    f = z4.exact_divide_xn1(g, 33)
+    spec = validate_spec(1, 33, BinPoly.parse("x+1"), BinPoly.zero(), f, QuatPoly.one())
+    assert spec.g == g
+    # 1 + 2*33 = 67 bits: the top limb holds the Z2 coordinate and Z4 coordinate 0.
+    assert _key_layout(34, 1).slices == ((0, 2), (2, 34))
+    # b = x^alpha - 1 and ell = 0, so C is the Z4[x]-multiples of (0 | fh + 2f),
+    # one for each lambda mod g.
+    gen = spec.f * spec.h + 2 * spec.f
+    want = set()
+    for lam in itertools.product(range(4), repeat=2):
+        q = z4.mul_mod(QuatPoly(lam), gen, 33).coeffs
+        want.add((0, *q, *[0] * (33 - len(q))))
+    mat = codeword_matrix(spec)
+    assert len(want) == len(mat) == 16
+    assert {tuple(row) for row in mat.tolist()} == want
+
+
+def test_popcount_gray_weights_match_the_gray_image_on_the_family():
+    family = [s for alpha in range(1, 6) for beta in (1, 3, 5) for s in iter_valid_specs(alpha, beta)]
+    assert len(family) == 820
+    for spec in family:
+        mat = codeword_matrix(spec)
+        got = _gray_weights(_row_keys(mat, spec.alpha), spec.alpha, mat.shape[1])
+        want = _gray_rows(mat, spec.alpha).sum(axis=1)
+        assert np.array_equal(got, want), spec
+        d = code_report(spec).min_distance
+        assert d == (int(want[want > 0].min()) if want.any() else None), spec
 
 
 # -- spanning rows and shifted inner products ---------------------------------
