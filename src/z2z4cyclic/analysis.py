@@ -29,9 +29,9 @@ from .code import (
     ENUM_CAP,
     CodeType,
     CyclicCodeSpec,
+    _count_text,
     _deg,
-    _gray_rows,
-    _gray_weights,
+    _gray_keys,
     _reduce_blocks,
     _row_keys,
     _row_word,
@@ -88,7 +88,7 @@ def _cyclic_closed(mat: np.ndarray, keys: np.ndarray, alpha: int) -> bool:
 
 def _min_distance(keys: np.ndarray, alpha: int, n: int) -> int | None:
     """Least nonzero Gray weight of the packed words; None when the only word is zero."""
-    weights = _gray_weights(keys, alpha, n)
+    weights = np.bitwise_count(_gray_keys(keys, alpha, n)).sum(axis=0, dtype=np.intp)
     nonzero = weights[weights > 0]
     return int(nonzero.min()) if len(nonzero) else None
 
@@ -353,9 +353,10 @@ def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> lis
         measured == t,
         f"measured {measured} vs formula {t}",
     )
+    keys = _row_keys(mat, spec.alpha)
     check(
         "cyclic-closure",
-        _cyclic_closed(mat, _row_keys(mat, spec.alpha), spec.alpha),
+        _cyclic_closed(mat, keys, spec.alpha),
         "shifted word set equals word set",
     )
     rows, _ = _span_rows(spec)
@@ -379,7 +380,7 @@ def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> lis
     )
     check(
         "gray-injectivity",
-        len(_unique_rows(_gray_rows(mat, spec.alpha), spec.alpha + 2 * spec.beta)) == len(mat),
+        len(_sort_keys(_gray_keys(keys, spec.alpha, mat.shape[1]))[1]) == len(mat),
         "Gray images are pairwise distinct",
     )
 
@@ -394,7 +395,7 @@ def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> lis
     check(
         "cardinality-product",
         len(mat) * fam.c_dual == 2 ** (spec.alpha + 2 * spec.beta),
-        f"|C| * |C_dual| = {len(mat) * fam.c_dual} = 2^{spec.alpha + 2 * spec.beta}",
+        f"|C| * |C_dual| = {_count_text(len(mat) * fam.c_dual)} = 2^{spec.alpha + 2 * spec.beta}",
     )
     try:
         dual_mat = codeword_matrix(dspec, cap)

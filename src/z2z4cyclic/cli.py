@@ -22,13 +22,13 @@ from . import analysis
 from .code import (
     ENUM_CAP,
     SPEC_KEYS,
+    _block_sizes,
     _format_rows,
     _gray_rows,
+    _span_rows,
     cardinality,
     codeword_matrix,
-    format_codeword,
     parse_spec_text,
-    spanning_set,
     spec_from_fields,
 )
 from .dual import dual_degrees, dual_generators
@@ -94,20 +94,14 @@ def _run_dual(spec, cmd: Command) -> tuple[int, str]:
 
 
 def _run_matrix(spec, cmd: Command) -> tuple[int, str]:
-    words = spanning_set(spec)
-    labeled: dict[str, list[str]] = {"S1": [], "S2": [], "S3": []}
-    counts = (spec.alpha - spec.b.degree, spec.g.degree, spec.h.degree)
-    names = ("S1", "S2", "S3")
-    i = 0
-    lines = []
-    for name, count in zip(names, counts):
-        for shift in range(int(count)):
-            rendered = format_codeword(words[i])
-            labeled[name].append(rendered)
-            lines.append(f"{name}[{shift}] {rendered}")
-            i += 1
-    return 0, _render(labeled, "\n".join(lines) if lines else "(empty spanning set)",
-                      cmd.output_format == "json")
+    rows = iter(_format_rows(_span_rows(spec)[0], spec.alpha))
+    labeled = {
+        name: [next(rows) for _ in range(count)]
+        for name, count in zip(("S1", "S2", "S3"), _block_sizes(spec))
+    }
+    lines = [f"{name}[{i}] {row}" for name, block in labeled.items() for i, row in enumerate(block)]
+    text = "\n".join(lines) or "(empty spanning set)"
+    return 0, _render(labeled, text, cmd.output_format == "json")
 
 
 def _run_enumerate(spec, cmd: Command) -> tuple[int, str]:

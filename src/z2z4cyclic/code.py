@@ -9,16 +9,18 @@ everything reduced mod x^alpha - 1 and x^beta - 1.
 
 Vectors and polynomials correspond by (u_0, ..., u_{n-1}) <-> sum u_i x^i.
 Each word fact has one implementation here: _shift_cols is the column
-gather of the simultaneous block shift, cardinality(spec) is |C| from
-the generator degrees, and _gray_rows is the Gray map (gray_map is its
-one-row view; _gray_weights is the weight of its image, read off packed
-keys).  The spanning rows are the shifts of three base rows, taken by
-one _shift_cols gather, and a code is enumerated from them by doubling
-on packed keys: each row's multiples are added to all the keys built so
-far, an order-two row by one XOR and an S2 row lane-wise (_key_add),
-and the sorted keys are decoded once into the int16 matrix.  Membership
-is decided in the dual module, from the dual's spanning rows, without
-enumerating the code.
+gather of the simultaneous block shift, _block_sizes gives the spanning
+block sizes |S1|, |S2|, |S3| = (alpha - deg b, deg g, deg h) that the
+spanning rows, cardinality(spec) and code_type read, and _gray_keys is
+the Gray map, on packed keys: a Gray-coded key is the key of the word's
+Gray image in the all-binary layout, so _gray_rows decodes it and its
+popcount is the word's Gray weight.  The spanning rows are the shifts of
+three base rows, taken by one _shift_cols gather, and a code is
+enumerated from them by doubling on packed keys: each row's multiples
+are added to all the keys built so far, an order-two row by one XOR and
+an S2 row lane-wise (_key_add), and the sorted keys are decoded once
+into the int16 matrix.  Membership is decided in the dual module, from
+the dual's spanning rows, without enumerating the code.
 The spanning rows (read-only) live on the spec instance: they are built
 on first use and kept in a private field that takes no part in ==, hash
 or repr, so equal instances share nothing and no result outlives the
@@ -157,14 +159,14 @@ class CyclicCodeSpec:
             raise InvalidSpec(f"f*h = {self.f * self.h} does not divide x^{self.beta}-1 over Z4")
         if not self.ell.is_zero and self.ell.degree >= self.b.degree:
             raise InvalidSpec(f"deg(ell) = {self.ell.degree} must be smaller than deg(b) = {self.b.degree}")
-        ghl = g.reduce_mod2() * self.h.reduce_mod2() * self.ell
+        g2, h2 = g.reduce_mod2(), self.h.reduce_mod2()
+        ghl = g2 * h2 * self.ell
         if ghl % self.b:
             raise InvalidSpec(f"b = {self.b} does not divide ell*(x^{self.beta}-1)/f mod 2 = {ghl}")
         # Consequences of the defining conditions; failure here means a bug above.
-        if (g.reduce_mod2() * self.h.reduce_mod2() * gf2.gcd(self.b, self.ell)) % self.b:
+        if (g2 * h2 * gf2.gcd(self.b, self.ell)) % self.b:
             raise ArithmeticError("internal error: b does not divide (x^beta-1)/f * gcd(b, ell) mod 2")
-        lg = self.ell * g.reduce_mod2()
-        if (self.h.reduce_mod2() * gf2.gcd(self.b, lg)) % self.b:
+        if (h2 * gf2.gcd(self.b, self.ell * g2)) % self.b:
             raise ArithmeticError("internal error: b does not divide h * gcd(b, ell*g) mod 2")
         object.__setattr__(self, "g", g)
 
@@ -274,32 +276,35 @@ def _deg(p) -> int:
     return int(p.degree)
 
 
+def _block_sizes(spec: CyclicCodeSpec) -> tuple[int, int, int]:
+    """|S1|, |S2|, |S3|: how many shifts of each base row span the code."""
+    return spec.alpha - _deg(spec.b), _deg(spec.g), _deg(spec.h)
+
+
 def code_type(spec: CyclicCodeSpec) -> CodeType:
-    """Type parameters from the generator degrees (gcd(b, 0) = b by convention)."""
-    db = _deg(spec.b)
+    """Type parameters from the block sizes and two gcd degrees (gcd(b, 0) = b by convention)."""
+    s1, s2, s3 = _block_sizes(spec)
     d_gcd_l = _deg(gf2.gcd(spec.b, spec.ell))
     d_gcd_lg = _deg(gf2.gcd(spec.b, spec.ell * spec.g.reduce_mod2()))
-    gamma = spec.alpha - db + _deg(spec.h)
-    delta = _deg(spec.g)
     kappa = spec.alpha - d_gcd_lg
-    kappa1 = spec.alpha - db
     delta1 = d_gcd_lg - d_gcd_l
     return CodeType(
         alpha=spec.alpha,
         beta=spec.beta,
-        gamma=gamma,
-        delta=delta,
+        gamma=s1 + s3,
+        delta=s2,
         kappa=kappa,
-        kappa1=kappa1,
-        kappa2=kappa - kappa1,
+        kappa1=s1,
+        kappa2=kappa - s1,
         delta1=delta1,
-        delta2=delta - delta1,
+        delta2=s2 - delta1,
     )
 
 
 def cardinality(spec: CyclicCodeSpec) -> int:
-    """|C| = 2^(alpha - deg b) * 4^(deg g) * 2^(deg h)."""
-    return 2 ** (spec.alpha - _deg(spec.b)) * 4 ** _deg(spec.g) * 2 ** _deg(spec.h)
+    """|C| = 2^|S1| * 4^|S2| * 2^|S3|: each S2 row has order four, the others order two."""
+    s1, s2, s3 = _block_sizes(spec)
+    return 2 ** (s1 + s3) * 4**s2
 
 
 @dataclass(frozen=True)
@@ -355,7 +360,7 @@ def _span_rows(spec: CyclicCodeSpec) -> tuple[np.ndarray, tuple[int, ...]]:
 
 def _build_span_rows(spec: CyclicCodeSpec) -> tuple[np.ndarray, tuple[int, ...]]:
     a, beta = spec.alpha, spec.beta
-    counts = (a - _deg(spec.b), _deg(spec.g), _deg(spec.h))
+    counts = _block_sizes(spec)
     bases = np.stack([
         _pair_row(spec.b, QuatPoly.zero(), a, beta),
         _pair_row(spec.ell, spec.f * spec.h + 2 * spec.f, a, beta),
@@ -559,25 +564,22 @@ def _exact_log2(n: int) -> int:
 # -- Gray map and inner products -----------------------------------------
 
 
-def _gray_rows(words: np.ndarray, alpha: int) -> np.ndarray:
-    """Gray images of a word matrix's rows, filled into one array: the binary block,
-    then (q >> 1, (q + 1) >> 1 & 1) per Z4 symbol q, so 0, 1, 2, 3 map to 00, 01,
-    11, 10 and a row's sum is its binary plus Lee weight."""
-    q = words[:, alpha:]
-    out = np.empty((len(words), alpha + 2 * q.shape[1]), dtype=words.dtype)
-    out[:, :alpha] = words[:, :alpha]
-    out[:, alpha::2] = q >> 1
-    out[:, alpha + 1 :: 2] = (q + 1) >> 1 & 1
-    return out
-
-
-def _gray_weights(keys: np.ndarray, alpha: int, n: int) -> np.ndarray:
-    """_gray_rows(words, alpha).sum(1) from the words' packed keys: each Z4 lane's Gray
-    code q ^ (q >> 1) is 0, 1, 3, 2 for q = 0..3, whose popcount is the Lee weight."""
+def _gray_keys(keys: np.ndarray, alpha: int, n: int) -> np.ndarray:
+    """Gray images of packed words, as keys: each Z4 lane q becomes q ^ (q >> 1), so
+    0, 1, 2, 3 map to 00, 01, 11, 10 and the Z2 bits stay.  With m = alpha + 2*(n -
+    alpha), this is the key of the image under _key_layout(m, m): both layouts are
+    right-aligned over the same m bits.  A key's popcount is its word's Gray weight."""
     gray = keys >> 1
     gray &= _key_layout(n, alpha).low
     gray ^= keys
-    return np.bitwise_count(gray).sum(axis=0, dtype=np.intp)
+    return gray
+
+
+def _gray_rows(words: np.ndarray, alpha: int) -> np.ndarray:
+    """Gray images of a reduced word matrix's rows, as an int16 matrix."""
+    n = words.shape[1]
+    m = 2 * n - alpha
+    return _decode_keys(_gray_keys(_row_keys(words, alpha), alpha, n), m, m)
 
 
 def gray_map(w: Codeword) -> tuple[int, ...]:

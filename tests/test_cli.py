@@ -17,7 +17,7 @@ from z2z4cyclic import (
     spec_from_fields,
 )
 from z2z4cyclic.cli import Command, _build_parser, main, run
-from z2z4cyclic.code import _gray_rows, _row_word, format_codeword
+from z2z4cyclic.code import _gray_rows, _row_word, format_codeword, spanning_set
 from z2z4cyclic.errors import InvalidParameter, ParseError
 
 C1_TEXT = "alpha=3\nbeta=3\nb=x^3+1\nell=x+1\nf=1\nh=x^2+x+1\n"
@@ -213,6 +213,34 @@ def test_listings_match_the_per_codeword_rendering(capsys, name):
         assert out.endswith("\n") and out[:-1].split("\n") == text.split("\n"), (verb, as_json)
 
 
+MATRIX_SPECS = {
+    "worked": LISTED_SPECS["worked"],
+    # |S1| = 3 - deg b = 2, |S2| = deg g = 1, |S3| = deg h = 2.
+    "all-blocks": {"alpha": 3, "beta": 3, "b": "x+1", "ell": "1", "f": "1", "h": "x^2+x+1"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_SPECS))
+def test_matrix_matches_the_per_codeword_rendering(capsys, name):
+    flags = {k.lstrip("-"): str(v) for k, v in MATRIX_SPECS[name].items()}
+    spec = spec_from_fields(flags)
+    words = iter(spanning_set(spec))
+    labeled = {
+        block: [format_codeword(next(words)) for _ in range(int(count))]
+        for block, count in zip(
+            ("S1", "S2", "S3"), (spec.alpha - spec.b.degree, spec.g.degree, spec.h.degree)
+        )
+    }
+    assert next(words, None) is None
+    if name == "all-blocks":
+        assert all(labeled.values())
+    lines = [f"{block}[{i}] {w}" for block, rows in labeled.items() for i, w in enumerate(rows)]
+    argv = [arg for k, v in flags.items() for arg in (f"--{k}", v)]
+    for as_json, text in ((False, "\n".join(lines)), (True, json.dumps(labeled, indent=2))):
+        status, out, err = run_cli(capsys, "matrix", *argv, *(["--json"] if as_json else []))
+        assert (status, err, out) == (0, "", text + "\n"), as_json
+
+
 def test_verify_text(capsys, c1_file):
     status, out, _ = run_cli(capsys, "verify", "--spec", c1_file)
     assert status == 0
@@ -276,17 +304,20 @@ def test_verify_reports_checks_a_cap_refused(capsys):
 
 
 def test_verify_reports_a_huge_refused_count_as_a_power_of_two(capsys):
-    # |C| = 2^5, so |C_dual| = 2^(5 + 2*819 - 5) = 2^1638, about 490 digits in full.
+    # |C| = 2^5, so |C_dual| = 2^(5 + 2*819 - 5) = 2^1638, about 490 digits in full,
+    # and |C| * |C_dual| = 2^1643.
     status, out, _ = run_cli(
         capsys, "verify", "--alpha", "5", "--beta", "819", "--b", "1", "--ell", "0",
         "--f", "x^819+3", "--h", "1",
     )
     assert status == 0
-    skips = [line for line in out.splitlines() if line.startswith("skip")]
+    lines = out.splitlines()
+    skips = [line for line in lines if line.startswith("skip")]
     assert skips == [
         f"skip {name}: code has 2^1638 codewords, above the cap of 4194304" for name in DUAL_SIDE
     ]
-    assert all(len(line) < 200 for line in skips)
+    assert "ok   cardinality-product: |C| * |C_dual| = 2^1643 = 2^1643" in lines
+    assert all(len(line) < 200 for line in lines)
 
 
 def test_verify_skips_only_the_oracle_above_the_ambient_cap():
@@ -458,9 +489,10 @@ def test_verify_with_long_shift_period_below_the_cap_is_quick(capsys):
 
 # sha256 of run()'s output on two ambients wider than 64 bits (68 and 67),
 # whose packed keys take two limbs, as rendered when codeword sets were
-# sorted as int16 rows.  Both duals are above ENUM_CAP, so the verify
-# digests include the two dual-side checks as skipped; the 65/1 dual's
-# 2^66 words are reported as 2^66, not in full.
+# sorted as int16 rows and Gray images built as int16 rows.  Both duals
+# are above ENUM_CAP, so the verify digests include the two dual-side
+# checks as skipped; the 65/1 dual's 2^66 words are reported as 2^66, and
+# |C| * |C_dual| (2^68 and 2^67) as a power of two too, not in full.
 WIDE_SPECS = {
     "50/9": ("50", "9", "x^50+1", "0", "x^3+3", "1"),  # |C| = 4096
     "65/1": ("65", "1", "x^65+1", "0", "1", "x+3"),  # |C| = 2
@@ -470,14 +502,18 @@ WIDE_DIGESTS = {
     ("50/9", "info", "json"): "3e7ac7fea10bdbbe7bbf3c4d0a6cefb2b088e7c255e8bfbb7f459112396ad0d6",
     ("50/9", "enumerate", "text"): "fe59d047cb6048276db5bafb678e4b051c7ffafe70f9fdde618a658425c70492",
     ("50/9", "enumerate", "json"): "3465f8781d59fa6d95c751156552daf708a417b0e97bd4dd351fe9007036550a",
-    ("50/9", "verify", "text"): "28cd6fdbefdace247592f30f36b85e3aff521c2b9dd5cd18a2452433e9dd4c43",
-    ("50/9", "verify", "json"): "d93bcfc09095cbf3de198abb21d076df25df7e79e4e5f00896c4b0e92e06b2f9",
+    ("50/9", "gray", "text"): "ba9a1aeb03a087ed5e32ea99636493c18269d89f9293569ccd2a0f02871e88b2",
+    ("50/9", "gray", "json"): "5bda98123a12c3ca9fdbcaa6921334b850cd0c687950280d3f352cedee5940d8",
+    ("50/9", "verify", "text"): "377c99df0dc994a36682596afa74549c0032c90342eaf1145ce7835c190700c3",
+    ("50/9", "verify", "json"): "4fbb25fa927cc5e19a4e8d3ec4d6cc1f93b11b8e6365cb63a475b4e8e2da96dd",
     ("65/1", "info", "text"): "2774f57d11096d8cec3fd3b0fdb78c894186bf3bb4d562200f9c4ad5499d560d",
     ("65/1", "info", "json"): "aecc8a320550ef73044c13387ef308752ff1feae4b95e600d81844f3bcad2e98",
     ("65/1", "enumerate", "text"): "93e06163c6c4452a12be1231074c595be2e7621535e3f9f82f8b2fa6262eb594",
     ("65/1", "enumerate", "json"): "364738be9c029dea9822ae54ba26e0f15f58c7ccaa9adcf99cca519df4afaf8d",
-    ("65/1", "verify", "text"): "75e44a5bd3fa8185d5a2bd2b64363dd8c1617ccf0f6cb907b03ff79765c24b5b",
-    ("65/1", "verify", "json"): "86ddd01be7454aaf862d9f03b416320339b9e2d8aacd0f1bbeb84ca427a01471",
+    ("65/1", "gray", "text"): "083efe2cb73c489ba91a4002b3c6d724cef6ef3224d851a473be1ccbebb8b03d",
+    ("65/1", "gray", "json"): "51d12e929ed3994db9b12b9d6796d98544825f87d826cd72bfe83f7a192c88f7",
+    ("65/1", "verify", "text"): "1ae4bb6f7b61bea0eff73665e82fc81c49389af5d67f2ea9d1432f91ea3929fb",
+    ("65/1", "verify", "json"): "cd211070579ff9df3a26a4c468ee943bb1499df7c9f47e7dcef6cce41ad1f266",
 }
 
 

@@ -1,10 +1,11 @@
 """Property tests: the text front end (polynomials, spec text, CLI flags),
 the bit-packed BinPoly arithmetic against a schoolbook Z2 reference, the
 packed-key canonical sort against numpy's row sort, the key kernels (the
-lane-wise Z4 add, the decode, enumeration on two limbs, popcount Gray
-weights) against their int16 and polynomial forms, the gathered
-spanning rows and correlated shift products against their loop forms,
-and the Gray image against a literal per-symbol table."""
+lane-wise Z4 add, the decode, enumeration on two limbs) against their
+int16 and polynomial forms, the gathered spanning rows and correlated
+shift products against their loop forms, and the Gray map on keys, its
+decoded image and its popcount weights against a literal per-symbol
+table."""
 
 import contextlib
 import io
@@ -42,8 +43,8 @@ from z2z4cyclic.code import (
     _build_span_rows,
     _decode_keys,
     _deg,
+    _gray_keys,
     _gray_rows,
-    _gray_weights,
     _key_add,
     _key_layout,
     _pair_row,
@@ -477,18 +478,6 @@ def test_two_limb_enumeration_matches_the_multiples_of_its_generator():
     assert {tuple(row) for row in mat.tolist()} == want
 
 
-def test_popcount_gray_weights_match_the_gray_image_on_the_family():
-    family = [s for alpha in range(1, 6) for beta in (1, 3, 5) for s in iter_valid_specs(alpha, beta)]
-    assert len(family) == 820
-    for spec in family:
-        mat = codeword_matrix(spec)
-        got = _gray_weights(_row_keys(mat, spec.alpha), spec.alpha, mat.shape[1])
-        want = _gray_rows(mat, spec.alpha).sum(axis=1)
-        assert np.array_equal(got, want), spec
-        d = code_report(spec).min_distance
-        assert d == (int(want[want > 0].min()) if want.any() else None), spec
-
-
 # -- spanning rows and shifted inner products ---------------------------------
 
 
@@ -579,13 +568,16 @@ def ref_gray_row(row, alpha):
 
 @st.composite
 def word_matrices(draw):
-    """(matrix, alpha): rows of alpha bits then beta Z4 symbols, either block possibly empty."""
-    alpha, beta, n_rows = draw(st.integers(0, 8)), draw(st.integers(0, 8)), draw(st.integers(0, 6))
-    rows = [
-        draw(st.lists(st.integers(0, 1), min_size=alpha, max_size=alpha))
-        + draw(st.lists(st.integers(0, 3), min_size=beta, max_size=beta))
-        for _ in range(n_rows)
-    ]
+    """(matrix, alpha): rows of alpha bits then beta Z4 symbols, either block possibly empty.
+
+    Rows reach 150 bits, so their keys take one to three limbs.  Each
+    block is drawn as one integer and read off digit by digit.
+    """
+    alpha, beta, n_rows = draw(st.integers(0, 70)), draw(st.integers(0, 40)), draw(st.integers(0, 6))
+    rows = []
+    for _ in range(n_rows):
+        u, q = draw(st.integers(0, 2**alpha - 1)), draw(st.integers(0, 4**beta - 1))
+        rows.append([u >> i & 1 for i in range(alpha)] + [q >> 2 * i & 3 for i in range(beta)])
     return np.array(rows, dtype=np.int16).reshape(n_rows, alpha + beta), alpha
 
 
@@ -601,6 +593,20 @@ def test_gray_rows_match_the_symbol_table(case):
         assert gray_map(Codeword(tuple(row[:alpha]), tuple(row[alpha:]))) == tuple(image)
     lee = [sum(row[:alpha]) + sum(LEE_WEIGHT[q] for q in row[alpha:]) for row in mat.tolist()]
     assert got.sum(axis=1).tolist() == lee
+    popcounts = np.bitwise_count(_gray_keys(_row_keys(mat, alpha), alpha, mat.shape[1]))
+    assert popcounts.sum(axis=0).tolist() == lee
+
+
+def test_popcount_gray_weights_match_the_gray_image_on_the_family():
+    family = [s for alpha in range(1, 6) for beta in (1, 3, 5) for s in iter_valid_specs(alpha, beta)]
+    assert len(family) == 820
+    for spec in family:
+        mat = codeword_matrix(spec)
+        got = np.bitwise_count(_gray_keys(_row_keys(mat, spec.alpha), spec.alpha, mat.shape[1]))
+        want = [sum(ref_gray_row(row, spec.alpha)) for row in mat.tolist()]
+        assert got.sum(axis=0).tolist() == want, spec
+        nonzero = [w for w in want if w]
+        assert code_report(spec).min_distance == (min(nonzero) if nonzero else None), spec
 
 
 def test_min_distance_is_the_least_nonzero_table_weight():
