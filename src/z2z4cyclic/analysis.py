@@ -3,7 +3,8 @@
 code_report computes the minimum distance, the Hamming distance of the
 Gray image (binary weight plus Lee weight), by exhaustive enumeration:
 the words are packed into keys once, and each word's weight is the
-popcount of its key's Gray code.
+popcount of its key's Gray code.  Cyclic closure is tested on the same
+keys: their block shift (_rotate_keys), sorted, must equal them.
 Its MDSS, self-dual and separable flags reduce to exact comparisons of
 type parameters and canonical word matrices: no floating point anywhere.
 
@@ -33,9 +34,9 @@ from .code import (
     _deg,
     _gray_keys,
     _reduce_blocks,
+    _rotate_keys,
     _row_keys,
     _row_word,
-    _shift_cols,
     _sort_keys,
     _span_rows,
     _unique_rows,
@@ -79,11 +80,9 @@ def _mdss_gap(spec: CyclicCodeSpec, d: int, t: CodeType) -> int:
     return (spec.alpha + 2 * spec.beta - t.gamma - 2 * t.delta) - (d - 1)
 
 
-def _cyclic_closed(mat: np.ndarray, keys: np.ndarray, alpha: int) -> bool:
-    """Whether the canonical word matrix, packed as keys, is closed under the block shift."""
-    # The shifted int16 matrix is freed once packed, before the sort.
-    shifted_keys = _row_keys(mat[:, _shift_cols(alpha, mat.shape[1] - alpha, 1)], alpha)
-    return bool(np.array_equal(_sort_keys(shifted_keys)[0], keys))
+def _cyclic_closed(keys: np.ndarray, alpha: int, n: int) -> bool:
+    """Whether the sorted distinct packed words of n columns are closed under the block shift."""
+    return bool(np.array_equal(_sort_keys(_rotate_keys(keys, alpha, n)), keys))
 
 
 def _min_distance(keys: np.ndarray, alpha: int, n: int) -> int | None:
@@ -111,7 +110,7 @@ def code_report(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> CodeReport:
         is_mdss=d is not None and _mdss_gap(spec, d, t) == 0,
         is_self_dual=self_dual,
         is_separable=t.is_separable,
-        is_cyclic_verified=_cyclic_closed(mat, keys, spec.alpha),
+        is_cyclic_verified=_cyclic_closed(keys, spec.alpha, mat.shape[1]),
     )
 
 
@@ -356,7 +355,7 @@ def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> lis
     keys = _row_keys(mat, spec.alpha)
     check(
         "cyclic-closure",
-        _cyclic_closed(mat, keys, spec.alpha),
+        _cyclic_closed(keys, spec.alpha, mat.shape[1]),
         "shifted word set equals word set",
     )
     rows, _ = _span_rows(spec)
@@ -380,7 +379,7 @@ def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> lis
     )
     check(
         "gray-injectivity",
-        len(_sort_keys(_gray_keys(keys, spec.alpha, mat.shape[1]))[1]) == len(mat),
+        _sort_keys(_gray_keys(keys, spec.alpha, mat.shape[1])).shape[1] == len(mat),
         "Gray images are pairwise distinct",
     )
 

@@ -7,13 +7,16 @@ format of parse_spec_text) or from the six inline flags --alpha --beta
 --json, carrying the same data either way.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or data error,
-3 enumeration above the configured cap.
+3 enumeration above the configured cap, 141 (128 + SIGPIPE) output cut
+short because the reader closed standard output early, as in
+`z2z4cyclic enumerate ... | head -1`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -272,7 +275,14 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if output:
-        print(output)
+        try:
+            print(output)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # Send what is still buffered to devnull, so the interpreter's own
+            # flush at exit does not fail on the closed pipe too.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
     return status
 
 

@@ -8,19 +8,21 @@ the mixing action lambda * (p | q) = (lambda*p mod 2 | lambda*q), with
 everything reduced mod x^alpha - 1 and x^beta - 1.
 
 Vectors and polynomials correspond by (u_0, ..., u_{n-1}) <-> sum u_i x^i.
-Each word fact has one implementation here: _shift_cols is the column
-gather of the simultaneous block shift, _block_sizes gives the spanning
-block sizes |S1|, |S2|, |S3| = (alpha - deg b, deg g, deg h) that the
-spanning rows, cardinality(spec) and code_type read, and _gray_keys is
-the Gray map, on packed keys: a Gray-coded key is the key of the word's
-Gray image in the all-binary layout, so _gray_rows decodes it and its
-popcount is the word's Gray weight.  The spanning rows are the shifts of
-three base rows, taken by one _shift_cols gather, and a code is
-enumerated from them by doubling on packed keys: each row's multiples
-are added to all the keys built so far, an order-two row by one XOR and
-an S2 row lane-wise (_key_add), and the sorted keys are decoded once
-into the int16 matrix.  Membership is decided in the dual module, from
-the dual's spanning rows, without enumerating the code.
+Each word fact has one implementation here: the simultaneous block shift
+is _shift_cols, a column gather, on int16 rows and _rotate_keys, which
+moves the X and Y bit fields, on packed keys; _block_sizes gives the
+spanning block sizes |S1|, |S2|, |S3| = (alpha - deg b, deg g, deg h)
+that the spanning rows, cardinality(spec) and code_type read, and
+_gray_keys is the Gray map, on packed keys: a Gray-coded key is the key
+of the word's Gray image in the all-binary layout, so _gray_rows decodes
+it and its popcount is the word's Gray weight.  The spanning rows are
+the shifts of three base rows, taken by one _shift_cols gather, and a
+code is enumerated from them by doubling on packed keys: each row's
+multiples are added to all the keys built so far, an order-two row by
+one XOR and an S2 row lane-wise (_key_add), and the sorted keys are
+decoded once, column-major, into the int16 matrix.  Membership is
+decided in the dual module, from the dual's spanning rows, without
+enumerating the code.
 The spanning rows (read-only) live on the spec instance: they are built
 on first use and kept in a private field that takes no part in ==, hash
 or repr, so equal instances share nothing and no result outlives the
@@ -28,7 +30,8 @@ instance.
 Codeword sets are canonically represented as int16 matrices of unique
 rows (binary block first) in lexicographic row order, which keeps
 brute-force comparisons exact.  That order is found by sorting packed
-integer keys: each row is written MSB-first with 1 bit per Z2 coordinate
+integer keys (_sort_keys, which sorts one-limb keys in place before its
+np.unique): each row is written MSB-first with 1 bit per Z2 coordinate
 (or Gray bit) and 2 bits per Z4 coordinate, so packed-key order equals
 lexicographic row order.  A row of alpha + 2*beta <= 64 bits is one
 uint64; a wider row takes ceil((alpha + 2*beta) / 64) uint64 limbs, most
@@ -381,7 +384,8 @@ def spanning_set(spec: CyclicCodeSpec) -> list[Codeword]:
 
 
 def _row_word(row: np.ndarray, alpha: int) -> Codeword:
-    return Codeword(tuple(int(v) for v in row[:alpha]), tuple(int(v) for v in row[alpha:]))
+    values = row.tolist()
+    return Codeword(tuple(values[:alpha]), tuple(values[alpha:]))
 
 
 def _reduce_blocks(words: np.ndarray, alpha: int) -> np.ndarray:
@@ -400,8 +404,13 @@ class _KeyLayout(NamedTuple):
     weights: np.ndarray
     # Shape (limbs, 1): each limb's mask of the low bits of its Z4 lanes.
     low: np.ndarray
-    # Per column: (key limb, shift, 1 or 3), so its entry is (limb >> shift) & mask.
-    cols: tuple[tuple[int, int, int], ...]
+    # Shape (columns, 1): each column's shift and mask (1 or 3) in its limb, so its
+    # entry is (limb >> shift) & mask.
+    shifts: np.ndarray
+    masks: np.ndarray
+    # The simultaneous block shift by one step, as (s, mask) terms: the shifted key
+    # is the OR over the terms of (key << s, or >> -s when s < 0) & mask.
+    rotate: tuple[tuple[int, np.ndarray], ...]
 
 
 @functools.lru_cache(maxsize=64)
@@ -415,14 +424,30 @@ def _key_layout(n: int, alpha: int) -> _KeyLayout:
     for i in range(k):
         cols = np.flatnonzero(limb == i)
         slices.append((int(cols[0]), int(cols[-1]) + 1) if len(cols) else (0, 0))
-    low = np.zeros((k, 1), dtype=np.uint64)
-    for i, s in zip(limb[alpha:], shift[alpha:]):
-        low[i] |= np.uint64(1) << np.uint64(s)
-    weights = np.uint64(1) << shift.astype(np.uint64)
-    weights.flags.writeable = False
-    low.flags.writeable = False
-    cols = tuple((int(i), int(s), (1 << int(w)) - 1) for i, s, w in zip(limb, shift, widths))
-    return _KeyLayout(tuple(slices), weights, low, cols)
+    # The Z4 lanes fill the low y_bits bits; their low bits are the even ones.
+    y_bits = 2 * (n - alpha)
+    low = _int_limbs(((1 << y_bits) - 1) // 3, k)
+    shifts = shift.astype(np.uint64)[:, None]
+    masks = ((1 << widths) - 1).astype(np.uint64)[:, None]
+    weights = np.uint64(1) << shifts[:, 0]
+    for a in (shifts, masks, weights):
+        a.flags.writeable = False
+    # Column j reads column j + 1, so the X field (above the 2*beta bits of the Y
+    # field) rotates up by one bit and the Y field by one 2-bit lane: the field
+    # moves up a lane, and its top lane wraps to its bottom.
+    rotate = []
+    for lo, bits, lane in ((y_bits, alpha, 1), (0, y_bits, 2)):
+        for s, mask in ((lane, (1 << bits) - (1 << lane)), (lane - bits, (1 << lane) - 1)):
+            if bits and mask:
+                rotate.append((s, _int_limbs(mask << lo, k)))
+    return _KeyLayout(tuple(slices), weights, low, shifts, masks, tuple(rotate))
+
+
+def _int_limbs(value: int, k: int) -> np.ndarray:
+    """A nonnegative int below 2^(64k) as a read-only (k, 1) column of uint64 limbs."""
+    out = np.array([[(value >> 64 * (k - 1 - i)) & (2**64 - 1)] for i in range(k)], dtype=np.uint64)
+    out.flags.writeable = False
+    return out
 
 
 def _row_keys(words: np.ndarray, alpha: int) -> np.ndarray:
@@ -447,11 +472,31 @@ def _row_keys(words: np.ndarray, alpha: int) -> np.ndarray:
     return keys
 
 
+# Entries per (columns, rows) block of _decode_keys: its uint64 buffer is 1 MB.
+_DECODE_CELLS = 1 << 17
+
+
 def _decode_keys(keys: np.ndarray, alpha: int, n: int) -> np.ndarray:
-    """The int16 rows of n columns that _row_keys packed into keys, one column at a time."""
-    out = np.empty((keys.shape[1], n), dtype=np.int16)
-    for j, (i, shift, mask) in enumerate(_key_layout(n, alpha).cols):
-        out[:, j] = (keys[i] >> shift) & mask
+    """The int16 rows of n columns that _row_keys packed into keys.
+
+    Decoded column-major, a block of about _DECODE_CELLS / n rows at a
+    time: each limb's columns are written to contiguous rows of an
+    (n, block) buffer, which is then transposed into the block's rows, so
+    the temporaries stay one block in size.
+    """
+    layout = _key_layout(n, alpha)
+    rows = keys.shape[1]
+    out = np.empty((rows, n), dtype=np.int16)
+    block = max(1, min(rows, _DECODE_CELLS // max(n, 1)))
+    wide = np.empty((n, block), dtype=np.uint64)
+    buf = np.empty((n, block), dtype=np.int16)
+    for lo in range(0, rows, block):
+        size = min(block, rows - lo)
+        for i, (c0, c1) in enumerate(layout.slices):
+            part = wide[c0:c1, :size]
+            np.right_shift(keys[i, lo : lo + size], layout.shifts[c0:c1], out=part)
+            np.bitwise_and(part, layout.masks[c0:c1], out=buf[c0:c1, :size], casting="unsafe")
+        out[lo : lo + size] = buf[:, :size].T
     return out
 
 
@@ -465,13 +510,56 @@ def _key_add(a: np.ndarray, b: np.ndarray, low: np.ndarray, out=None) -> np.ndar
     return out
 
 
-def _sort_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct packed rows in lexicographic row order, as (k, m) keys, and the index of
-    each one's first occurrence: one np.unique over plain integers when the keys fit one
-    limb, over rows of limbs otherwise.  (return_index also keeps np.unique of 1-D input
-    on its sort path rather than a slower hash path.)"""
-    uniq, idx = np.unique(keys[0] if len(keys) == 1 else keys.T, axis=0, return_index=True)
-    return uniq.T.reshape(len(keys), -1), idx
+def _shift_keys(keys: np.ndarray, s: int) -> np.ndarray:
+    """Each column of keys, read as one integer of k limbs (limb 0 most significant),
+    shifted up by s bits (down by -s when s < 0) and cut to k limbs."""
+    k, m = keys.shape
+    q, r = divmod(abs(s), 64)
+    if s >= 0:
+        out = keys[q:] << r
+        if r and k - q > 1:
+            out[:-1] |= keys[q + 1 :] >> (64 - r)
+    else:
+        out = keys[: k - q] >> r
+        if r and k - q > 1:
+            out[1:] |= keys[: k - q - 1] << (64 - r)
+    if not q:
+        return out
+    pad = np.zeros((q, m), dtype=keys.dtype)
+    return np.concatenate([out, pad] if s >= 0 else [pad, out])
+
+
+def _rotate_keys(keys: np.ndarray, alpha: int, n: int) -> np.ndarray:
+    """Packed keys of the rows shifted one step in both blocks: new[j] = old[j + 1].
+
+    The key of row w[:, _shift_cols(alpha, n - alpha, 1)], found from the
+    key of w by moving bit fields, so no row is decoded or re-packed.
+    """
+    out = np.zeros_like(keys)
+    for s, mask in _key_layout(n, alpha).rotate:
+        term = _shift_keys(keys, s)
+        term &= mask
+        out |= term
+    return out
+
+
+def _unique_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique over packed keys: plain integers when they fit one limb, rows of limbs
+    otherwise.  (return_index also keeps np.unique of 1-D input on its sort path
+    rather than a slower hash path.)"""
+    return np.unique(keys[0] if len(keys) == 1 else keys.T, axis=0, return_index=True)
+
+
+def _sort_keys(keys: np.ndarray) -> np.ndarray:
+    """Distinct packed rows in lexicographic row order, as (k, m) keys.
+
+    One-limb keys are sorted in place first, by numpy's SIMD sort, so that
+    np.unique's stable sort runs over sorted input: the argument is
+    reordered, and callers pass only arrays they own.
+    """
+    if len(keys) == 1:
+        keys[0].sort()
+    return _unique_keys(keys)[0].T.reshape(len(keys), -1)
 
 
 def _unique_rows(words: np.ndarray, alpha: int) -> np.ndarray:
@@ -480,7 +568,7 @@ def _unique_rows(words: np.ndarray, alpha: int) -> np.ndarray:
     words[_unique_rows(words, alpha)] is np.unique(words, axis=0), found by
     one sort of the packed keys of _row_keys.
     """
-    return _sort_keys(_row_keys(words, alpha))[1]
+    return _unique_keys(_row_keys(words, alpha))[1]
 
 
 def _count_text(n: int) -> str:
@@ -520,7 +608,7 @@ def codeword_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
             _key_add(keys[:, :size], row, low, out=keys[:, size : 2 * size])
             np.bitwise_xor(keys[:, : 2 * size], (row & low) << 1, out=keys[:, 2 * size : 4 * size])
         size <<= width
-    keys, _ = _sort_keys(keys)
+    keys = _sort_keys(keys)
     if keys.shape[1] != total:
         raise ArithmeticError(
             f"internal error: enumeration found {keys.shape[1]} codewords, formula says {total}"

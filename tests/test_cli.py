@@ -3,7 +3,11 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -563,6 +567,26 @@ def test_cap_overflow_exits_three(capsys, c1_file):
     status, _, err = run_cli(capsys, "enumerate", "--spec", c1_file, "--cap", "8")
     assert status == 3
     assert "above the cap" in err
+
+
+def test_reader_closing_the_pipe_early_exits_141_without_a_traceback():
+    # 16384 codewords, about 320 kB of text: far more than the pipe buffer, so
+    # the writer is still writing when the reader stops after one line.
+    argv = ["enumerate", "--alpha", "4", "--beta", "5", "--b", "1", "--ell", "0", "--f", "1", "--h", "1"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "z2z4cyclic.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"|C| = 16384\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_unknown_verb_exits_two(capsys):

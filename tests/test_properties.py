@@ -1,8 +1,9 @@
 """Property tests: the text front end (polynomials, spec text, CLI flags),
 the bit-packed BinPoly arithmetic against a schoolbook Z2 reference, the
 packed-key canonical sort against numpy's row sort, the key kernels (the
-lane-wise Z4 add, the decode, enumeration on two limbs) against their
-int16 and polynomial forms, the gathered spanning rows and correlated
+lane-wise Z4 add, the block-shift rotation, the decode, enumeration on two
+limbs) against their int16 and polynomial forms, cyclic closure against a
+set of shifted Codewords, the gathered spanning rows and correlated
 shift products against their loop forms, and the Gray map on keys, its
 decoded image and its popcount weights against a literal per-symbol
 table."""
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from z2z4cyclic import (
@@ -37,9 +38,10 @@ from z2z4cyclic import (
 )
 from z2z4cyclic import gf2poly as gf2
 from z2z4cyclic import z4poly as z4
-from z2z4cyclic.analysis import _shifted_inner_products
+from z2z4cyclic.analysis import _cyclic_closed, _shifted_inner_products
 from z2z4cyclic.cli import main
 from z2z4cyclic.code import (
+    _DECODE_CELLS,
     _build_span_rows,
     _decode_keys,
     _deg,
@@ -49,7 +51,11 @@ from z2z4cyclic.code import (
     _key_layout,
     _pair_row,
     _reduce_blocks,
+    _rotate_keys,
     _row_keys,
+    _row_word,
+    _shift_cols,
+    _sort_keys,
     _span_rows,
     _unique_rows,
 )
@@ -439,6 +445,11 @@ def test_unique_rows_matches_numpy_row_sort(ambient, gray, distinct, n_rows, den
     idx = _unique_rows(rows, alpha)
     assert len(idx) == len(ref)
     assert np.array_equal(rows[idx], ref)
+    keys = _row_keys(rows, alpha)
+    assert np.array_equal(_sort_keys(keys), _row_keys(ref, alpha))
+    if len(keys) == 1:
+        # One-limb keys are sorted in place.
+        assert np.array_equal(keys[0], np.sort(_row_keys(rows, alpha)[0]))
 
 
 @PROPERTY
@@ -459,11 +470,119 @@ def test_key_add_is_the_packed_reduced_sum(ambient, n_rows, seed):
     assert np.array_equal(_decode_keys(ka, alpha, alpha + beta), a)
 
 
-def test_two_limb_enumeration_matches_the_multiples_of_its_generator():
+def random_rows(rng, n_rows, alpha, beta):
+    return np.concatenate(
+        [rng.integers(0, 2, (n_rows, alpha)), rng.integers(0, 4, (n_rows, beta))], axis=1
+    ).astype(np.int16)
+
+
+@PROPERTY
+@given(ambients, st.integers(0, 40), st.integers(0, 2**32 - 1))
+@example((1, 1), 5, 0)
+@example((1, 69), 5, 0)
+@example((138, 1), 5, 0)
+@example((63, 1), 5, 0)
+@example((33, 17), 5, 0)
+def test_rotated_keys_are_the_keys_of_the_shifted_rows(ambient, n_rows, seed):
+    alpha, beta = ambient
+    rows = random_rows(np.random.default_rng(seed), n_rows, alpha, beta)
+    keys = _row_keys(rows, alpha)
+    want = _row_keys(rows[:, _shift_cols(alpha, beta, 1)], alpha)
+    got = _rotate_keys(keys, alpha, alpha + beta)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(keys, _row_keys(rows, alpha))
+
+
+@pytest.mark.parametrize("alpha, beta", [(4, 7), (1, 69), (70, 35)])
+@pytest.mark.parametrize("blocks, extra", [(0, 0), (1, -1), (1, 0), (1, 1), (2, 3)])
+def test_decode_keys_round_trips_across_decode_blocks(alpha, beta, blocks, extra):
+    n_rows = blocks * (_DECODE_CELLS // (alpha + beta)) + extra
+    rows = random_rows(np.random.default_rng(n_rows), n_rows, alpha, beta)
+    got = _decode_keys(_row_keys(rows, alpha), alpha, alpha + beta)
+    assert got.dtype == np.int16 and got.shape == rows.shape
+    assert np.array_equal(got, rows)
+
+
+def shift_closed(words) -> bool:
+    """The set oracle: every word's one-step shift is in the set."""
+    return all(cyclic_shift(w, 1) in words for w in words)
+
+
+def canonical_keys(words, alpha):
+    mat = np.array([w.u + w.uq for w in words], dtype=np.int16).reshape(len(words), -1)
+    return _sort_keys(_row_keys(mat, alpha))
+
+
+# Ambients of one, two and three key limbs, with X fields inside one limb and
+# across a limb boundary, and blocks of length 1.
+CLOSURE_AMBIENTS = [
+    (1, 1), (3, 3), (4, 7), (1, 31), (62, 1), (1, 33), (65, 1), (20, 25),
+    (33, 17), (64, 32), (10, 60), (100, 17), (138, 1), (2, 69),
+]
+
+
+@PROPERTY
+@given(
+    st.sampled_from(CLOSURE_AMBIENTS),
+    st.integers(1, 4),
+    st.booleans(),
+    st.integers(0, 2),
+    st.integers(0, 2**32 - 1),
+)
+def test_cyclic_closure_matches_the_shifted_word_set(ambient, n_words, orbits, drop, seed):
+    alpha, beta = ambient
+    rng = np.random.default_rng(seed)
+    # About one word in five is zero, a word the shift fixes.
+    rows = random_rows(rng, n_words, alpha, beta) * (rng.random((n_words, 1)) < 0.8)
+    words = {_row_word(row, alpha) for row in rows}
+    if orbits:
+        for w in list(words):
+            shifted = cyclic_shift(w, 1)
+            while shifted != w:
+                words.add(shifted)
+                shifted = cyclic_shift(shifted, 1)
+    for w in sorted(words, key=lambda w: (w.u, w.uq))[:drop]:
+        if len(words) > 1:
+            words.discard(w)
+    assert _cyclic_closed(canonical_keys(words, alpha), alpha, alpha + beta) == shift_closed(words)
+
+
+def two_limb_spec():
+    """(1 | 33) with g the lift of x^2+x+1: 67 key bits, the Z2 coordinate in the top limb."""
     g = z4.hensel_lift(BinPoly.parse("x^2+x+1"), 33)
     f = z4.exact_divide_xn1(g, 33)
-    spec = validate_spec(1, 33, BinPoly.parse("x+1"), BinPoly.zero(), f, QuatPoly.one())
-    assert spec.g == g
+    return validate_spec(1, 33, BinPoly.parse("x+1"), BinPoly.zero(), f, QuatPoly.one())
+
+
+CLOSED_CODES = [
+    parse_spec_text("alpha=3\nbeta=3\nb=x^3+1\nell=x+1\nf=1\nh=x^2+x+1\n"),
+    parse_spec_text("alpha=4\nbeta=7\nb=x+1\nell=1\nf=1\nh=1\n"),
+    # Two limbs, the X field across the limb boundary.
+    parse_spec_text(
+        "alpha=33\nbeta=17\nb=x^30+x^27+x^24+x^21+x^18+x^15+x^12+x^9+x^6+x^3+1\n"
+        "ell=0\nf=x^17+3\nh=1\n"
+    ),
+    two_limb_spec(),
+]
+
+
+@pytest.mark.parametrize("spec", CLOSED_CODES, ids=lambda s: f"{s.alpha}-{s.beta}")
+def test_cyclic_closure_fails_without_one_moving_word(spec):
+    n = spec.alpha + spec.beta
+    mat = codeword_matrix(spec)
+    keys = _row_keys(mat, spec.alpha)
+    assert _cyclic_closed(keys, spec.alpha, n)
+    words = [_row_word(row, spec.alpha) for row in mat]
+    moving = next(i for i, w in enumerate(words) if cyclic_shift(w, 1) != w)
+    rest = words[:moving] + words[moving + 1 :]
+    assert not shift_closed(set(rest))
+    assert not _cyclic_closed(np.delete(keys, moving, axis=1), spec.alpha, n)
+
+
+def test_two_limb_enumeration_matches_the_multiples_of_its_generator():
+    spec = two_limb_spec()
+    assert spec.g == z4.hensel_lift(BinPoly.parse("x^2+x+1"), 33)
     # 1 + 2*33 = 67 bits: the top limb holds the Z2 coordinate and Z4 coordinate 0.
     assert _key_layout(34, 1).slices == ((0, 2), (2, 34))
     # b = x^alpha - 1 and ell = 0, so C is the Z4[x]-multiples of (0 | fh + 2f),
