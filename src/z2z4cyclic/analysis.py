@@ -40,7 +40,7 @@ from .code import (
     _sort_keys,
     _span_rows,
     _unique_rows,
-    cardinality_family,
+    cardinality,
     code_type,
     code_type_from_words,
     codeword_matrix,
@@ -325,7 +325,6 @@ def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> lis
         out.append(CheckResult(name, None, str(refusal)))
 
     t = code_type(spec)
-    fam = cardinality_family(t)
     g2h2 = gf2.exact_div(gf2.xn1(spec.beta), spec.f.reduce_mod2())
     check(
         "defining-conditions",
@@ -368,7 +367,7 @@ def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> lis
     n_y = len(_unique_rows(mat[:, spec.alpha :], 0))
     check(
         "projection-sizes",
-        n_x == fam.c_x and n_y == fam.c_y,
+        n_x == 2 ** (t.kappa + t.delta1) and n_y == 2 ** (t.gamma - t.kappa1) * 4**t.delta,
         f"|C_X| = {n_x}, |C_Y| = {n_y}",
     )
     check(
@@ -391,10 +390,11 @@ def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> lis
         (td.gamma, td.delta, td.kappa) == (dd.gamma_bar, dd.delta_bar, dd.kappa_bar),
         f"dual type {td} vs predicted ({dd.gamma_bar},{dd.delta_bar},{dd.kappa_bar})",
     )
+    product = len(mat) * cardinality(dspec)
     check(
         "cardinality-product",
-        len(mat) * fam.c_dual == 2 ** (spec.alpha + 2 * spec.beta),
-        f"|C| * |C_dual| = {_count_text(len(mat) * fam.c_dual)} = 2^{spec.alpha + 2 * spec.beta}",
+        product == 2 ** (spec.alpha + 2 * spec.beta),
+        f"|C| * |C_dual| = {_count_text(product)} = 2^{spec.alpha + 2 * spec.beta}",
     )
     try:
         dual_mat = codeword_matrix(dspec, cap)

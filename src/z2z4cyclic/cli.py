@@ -26,6 +26,8 @@ from .code import (
     ENUM_CAP,
     SPEC_KEYS,
     _block_sizes,
+    _codeword_keys,
+    _decode_keys,
     _format_rows,
     _gray_rows,
     _span_rows,
@@ -116,9 +118,10 @@ def _run_enumerate(spec, cmd: Command) -> tuple[int, str]:
 
 
 def _run_gray(spec, cmd: Command) -> tuple[int, str]:
-    mat = codeword_matrix(spec, cmd.cap)
-    rendered = _format_rows(mat, spec.alpha)
-    images = _gray_rows(mat, spec.alpha).tolist()
+    keys = _codeword_keys(spec, cmd.cap)
+    n = spec.alpha + spec.beta
+    rendered = _format_rows(_decode_keys(keys, spec.alpha, n), spec.alpha)
+    images = _gray_rows(keys, spec.alpha, n).tolist()
     data = {"codewords": rendered, "gray_images": images}
     as_json = cmd.output_format == "json"
     text = "" if as_json else "\n".join(

@@ -12,17 +12,20 @@ Each word fact has one implementation here: the simultaneous block shift
 is _shift_cols, a column gather, on int16 rows and _rotate_keys, which
 moves the X and Y bit fields, on packed keys; _block_sizes gives the
 spanning block sizes |S1|, |S2|, |S3| = (alpha - deg b, deg g, deg h)
-that the spanning rows, cardinality(spec) and code_type read, and
-_gray_keys is the Gray map, on packed keys: a Gray-coded key is the key
-of the word's Gray image in the all-binary layout, so _gray_rows decodes
-it and its popcount is the word's Gray weight.  The spanning rows are
-the shifts of three base rows, taken by one _shift_cols gather, and a
-code is enumerated from them by doubling on packed keys: each row's
-multiples are added to all the keys built so far, an order-two row by
-one XOR and an S2 row lane-wise (_key_add), and the sorted keys are
-decoded once, column-major, into the int16 matrix.  Membership is
-decided in the dual module, from the dual's spanning rows, without
-enumerating the code.
+that the spanning rows, cardinality(spec) (the one size formula) and
+code_type read; _base_pairs gives the base pairs (b | 0), (ell | fh +
+2f), (ell*g | 2fg) that the spanning rows, subcode_order_two and
+project_xy read; and _gray_keys is the Gray map, on packed keys: a
+Gray-coded key is the key of the word's Gray image in the all-binary
+layout, so _gray_rows decodes it and its popcount is the word's Gray
+weight.  The spanning rows are the shifts of the base rows, taken by one
+_shift_cols gather, and _codeword_keys enumerates a code from them by
+doubling on packed keys: each row's multiples are added to all the keys
+built so far, an order-two row by one XOR and an S2 row lane-wise
+(_key_add), and the keys are sorted once; codeword_matrix decodes them
+once, column-major, into the int16 matrix.  Membership is decided in
+the dual module, from the dual's spanning rows, without enumerating the
+code.
 The spanning rows (read-only) live on the spec instance: they are built
 on first use and kept in a private field that takes no part in ==, hash
 or repr, so equal instances share nothing and no result outlives the
@@ -30,14 +33,15 @@ instance.
 Codeword sets are canonically represented as int16 matrices of unique
 rows (binary block first) in lexicographic row order, which keeps
 brute-force comparisons exact.  That order is found by sorting packed
-integer keys (_sort_keys, which sorts one-limb keys in place before its
-np.unique): each row is written MSB-first with 1 bit per Z2 coordinate
-(or Gray bit) and 2 bits per Z4 coordinate, so packed-key order equals
-lexicographic row order.  A row of alpha + 2*beta <= 64 bits is one
-uint64; a wider row takes ceil((alpha + 2*beta) / 64) uint64 limbs, most
-significant limb first, compared limb by limb.  Where each column sits in
-the limbs depends only on the column count and alpha; _key_layout works
-it out once per shape.
+integer keys (_sort_keys, one np.unique that leaves its argument as it
+was; only _codeword_keys presorts its own one-limb keys, in place): each
+row is written MSB-first with 1 bit per Z2 coordinate (or Gray bit) and
+2 bits per Z4 coordinate, so packed-key order equals lexicographic row
+order.  A row of alpha + 2*beta <= 64 bits is one uint64; a wider row
+takes ceil((alpha + 2*beta) / 64) uint64 limbs, most significant limb
+first, compared limb by limb.  Where each column sits in the limbs
+depends only on the column count and alpha; _key_layout works it out
+once per shape.
 """
 
 from __future__ import annotations
@@ -284,6 +288,15 @@ def _block_sizes(spec: CyclicCodeSpec) -> tuple[int, int, int]:
     return spec.alpha - _deg(spec.b), _deg(spec.g), _deg(spec.h)
 
 
+def _base_pairs(spec: CyclicCodeSpec) -> tuple[tuple[BinPoly, QuatPoly], ...]:
+    """(b | 0), (ell | fh + 2f), (ell*g | 2fg), unreduced: S1, S2, S3 are their shifts."""
+    return (
+        (spec.b, QuatPoly.zero()),
+        (spec.ell, spec.f * spec.h + 2 * spec.f),
+        (spec.ell * spec.g.reduce_mod2(), 2 * spec.f * spec.g),
+    )
+
+
 def code_type(spec: CyclicCodeSpec) -> CodeType:
     """Type parameters from the block sizes and two gcd degrees (gcd(b, 0) = b by convention)."""
     s1, s2, s3 = _block_sizes(spec)
@@ -308,23 +321,6 @@ def cardinality(spec: CyclicCodeSpec) -> int:
     """|C| = 2^|S1| * 4^|S2| * 2^|S3|: each S2 row has order four, the others order two."""
     s1, s2, s3 = _block_sizes(spec)
     return 2 ** (s1 + s3) * 4**s2
-
-
-@dataclass(frozen=True)
-class CardinalityFamily:
-    """Sizes of the dual and of the X/Y projections; |C| itself is cardinality(spec)."""
-
-    c_dual: int
-    c_x: int
-    c_y: int
-
-
-def cardinality_family(t: CodeType) -> CardinalityFamily:
-    return CardinalityFamily(
-        c_dual=2 ** (t.alpha + t.gamma - 2 * t.kappa) * 4 ** (t.beta - t.gamma - t.delta + t.kappa),
-        c_x=2 ** (t.kappa + t.delta1),
-        c_y=2 ** (t.gamma - t.kappa1) * 4**t.delta,
-    )
 
 
 # -- spanning sets and enumeration ---------------------------------------
@@ -364,11 +360,7 @@ def _span_rows(spec: CyclicCodeSpec) -> tuple[np.ndarray, tuple[int, ...]]:
 def _build_span_rows(spec: CyclicCodeSpec) -> tuple[np.ndarray, tuple[int, ...]]:
     a, beta = spec.alpha, spec.beta
     counts = _block_sizes(spec)
-    bases = np.stack([
-        _pair_row(spec.b, QuatPoly.zero(), a, beta),
-        _pair_row(spec.ell, spec.f * spec.h + 2 * spec.f, a, beta),
-        _pair_row(spec.ell * spec.g.reduce_mod2(), 2 * spec.f * spec.g, a, beta),
-    ])
+    bases = np.stack([_pair_row(p, q, a, beta) for p, q in _base_pairs(spec)])
     which = np.repeat(np.arange(3), counts)
     back = (np.cumsum(counts) - counts)[which] - np.arange(len(which))
     widths = tuple(w for count, w in zip(counts, (1, 2, 1)) for _ in range(count))
@@ -551,14 +543,7 @@ def _unique_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sort_keys(keys: np.ndarray) -> np.ndarray:
-    """Distinct packed rows in lexicographic row order, as (k, m) keys.
-
-    One-limb keys are sorted in place first, by numpy's SIMD sort, so that
-    np.unique's stable sort runs over sorted input: the argument is
-    reordered, and callers pass only arrays they own.
-    """
-    if len(keys) == 1:
-        keys[0].sort()
+    """Distinct packed rows in lexicographic row order, as (k, m) keys; keys is not changed."""
     return _unique_keys(keys)[0].T.reshape(len(keys), -1)
 
 
@@ -576,8 +561,8 @@ def _count_text(n: int) -> str:
     return f"2^{n.bit_length() - 1}" if n > 2**64 and not n & (n - 1) else str(n)
 
 
-def codeword_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
-    """All codewords as a canonical (sorted, unique) int16 matrix.
+def _codeword_keys(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
+    """All codewords as sorted distinct packed keys, shape (k, |C|).
 
     Coefficients range over Z2 for order-two rows (S1, S3) and Z4 for S2
     rows.  The words are enumerated as packed keys by doubling: after the
@@ -585,9 +570,10 @@ def codeword_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
     and coefficient c of row j fills keys c*size .. (c+1)*size - 1.  An
     order-two row has even Z4 entries, so adding it is one XOR; an S2 row
     is added lane-wise by _key_add, and c = 2, 3 are the c = 0, 1 words
-    XOR the key of twice the row.  The sorted keys are decoded once.  The
-    row count of the result is asserted against the cardinality formula
-    rather than assumed.
+    XOR the key of twice the row.  One-limb keys are then sorted in place
+    by numpy's SIMD sort, so that np.unique's stable sort runs over sorted
+    input.  The key count of the result is asserted against the
+    cardinality formula rather than assumed.
     """
     total = cardinality(spec)
     if total > cap:
@@ -608,12 +594,19 @@ def codeword_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
             _key_add(keys[:, :size], row, low, out=keys[:, size : 2 * size])
             np.bitwise_xor(keys[:, : 2 * size], (row & low) << 1, out=keys[:, 2 * size : 4 * size])
         size <<= width
+    if len(keys) == 1:
+        keys[0].sort()
     keys = _sort_keys(keys)
     if keys.shape[1] != total:
         raise ArithmeticError(
             f"internal error: enumeration found {keys.shape[1]} codewords, formula says {total}"
         )
-    return _decode_keys(keys, spec.alpha, n)
+    return keys
+
+
+def codeword_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
+    """All codewords as a canonical (sorted, unique) int16 matrix: _codeword_keys, decoded once."""
+    return _decode_keys(_codeword_keys(spec, cap), spec.alpha, spec.alpha + spec.beta)
 
 
 def code_type_from_words(alpha: int, beta: int, words: np.ndarray) -> CodeType:
@@ -663,16 +656,16 @@ def _gray_keys(keys: np.ndarray, alpha: int, n: int) -> np.ndarray:
     return gray
 
 
-def _gray_rows(words: np.ndarray, alpha: int) -> np.ndarray:
-    """Gray images of a reduced word matrix's rows, as an int16 matrix."""
-    n = words.shape[1]
+def _gray_rows(keys: np.ndarray, alpha: int, n: int) -> np.ndarray:
+    """Gray images of packed words of n columns, as an int16 matrix."""
     m = 2 * n - alpha
-    return _decode_keys(_gray_keys(_row_keys(words, alpha), alpha, n), m, m)
+    return _decode_keys(_gray_keys(keys, alpha, n), m, m)
 
 
 def gray_map(w: Codeword) -> tuple[int, ...]:
     """Binary image of length alpha + 2*beta: identity on u, phi(q) per symbol."""
-    return tuple(_gray_rows(np.array([w.u + w.uq], dtype=np.int16), len(w.u))[0].tolist())
+    keys = _row_keys(np.array([w.u + w.uq], dtype=np.int16), len(w.u))
+    return tuple(_gray_rows(keys, len(w.u), len(w.u) + len(w.uq))[0].tolist())
 
 
 def _check_ambient(w1: Codeword, w2: Codeword) -> None:
@@ -724,16 +717,17 @@ def circ_product(w1: Codeword, w2: Codeword) -> QuatPoly:
 
 
 def subcode_order_two(spec: CyclicCodeSpec) -> list[tuple[BinPoly, QuatPoly]]:
-    """Generators (b | 0), (ell*g | 2fg), (0 | 2fh) of the order-two subcode, reduced."""
+    """Generators (b | 0), (ell*g | 2fg), (0 | 2fh) of the order-two subcode, reduced:
+    the first and third base pairs, and twice the second, 2(fh + 2f) = 2fh."""
     a, beta = spec.alpha, spec.beta
-    g2 = spec.g.reduce_mod2()
+    (b, _), (_, y2), (x3, y3) = _base_pairs(spec)
     return [
-        (spec.b.fold(a), QuatPoly.zero()),
-        ((spec.ell * g2).fold(a), (2 * spec.f * spec.g).fold(beta)),
-        (BinPoly.zero(), (2 * spec.f * spec.h).fold(beta)),
+        (b.fold(a), QuatPoly.zero()),
+        (x3.fold(a), y3.fold(beta)),
+        (BinPoly.zero(), (2 * y2).fold(beta)),
     ]
 
 
 def project_xy(spec: CyclicCodeSpec) -> tuple[BinPoly, QuatPoly]:
     """Generators of the block projections: C_X = <gcd(b, ell)>, C_Y = <fh + 2f>."""
-    return gf2.gcd(spec.b, spec.ell), (spec.f * spec.h + 2 * spec.f).fold(spec.beta)
+    return gf2.gcd(spec.b, spec.ell), _base_pairs(spec)[1][1].fold(spec.beta)

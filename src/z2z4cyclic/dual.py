@@ -37,8 +37,7 @@ from .code import (
     _count_text,
     _deg,
     _span_rows,
-    _unique_rows,
-    cardinality_family,
+    cardinality,
     code_type,
     validate_spec,
 )
@@ -186,15 +185,17 @@ def _residue_keys(coef: np.ndarray) -> np.ndarray:
 def brute_force_dual_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
     """All ambient vectors orthogonal to the code, as a canonical matrix.
 
-    Ambient index i holds Z2 coordinate j in bit j and Z4 coordinate j in
-    bits alpha + 2j and alpha + 2j + 1.  The inner product with a
-    spanning row is a sum of per-bit contributions mod 4, so i = lo +
-    (hi << n//2) is orthogonal to every spanning row (and, by
-    additivity, to the code) exactly when lo's residues are minus hi's.
-    Both halves' residue vectors are tabulated and packed into integer
-    keys, the keys are matched by one sort, and only the matching
-    indices are decoded.  The survivor count is asserted against the
-    dual cardinality formula.
+    Ambient index i is the vector written MSB-first in row order: with n =
+    alpha + 2*beta, Z2 coordinate j is bit n - 1 - j, and Z4 coordinate j
+    is bits 2(beta - 1 - j) + 1 (high) and 2(beta - 1 - j) (low), so
+    sorting indices sorts rows.  The inner product with a spanning row is
+    a sum of per-bit contributions mod 4, so i = lo + (hi << n//2) is
+    orthogonal to every spanning row (and, by additivity, to the code)
+    exactly when lo's residues are minus hi's.  Both halves' residue
+    vectors are tabulated and packed into integer keys, the keys are
+    matched by one sort, and the matching indices are sorted and decoded.
+    The survivor count is asserted against the product law |C| * |C_dual|
+    = 2^n.
 
     An ambient space above AMBIENT_CAP vectors, or a dual of more than
     cap words, raises TooLarge before any table is built.
@@ -206,18 +207,19 @@ def brute_force_dual_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.nda
         raise TooLarge(
             f"ambient space has {_count_text(total)} vectors, above the cap of {AMBIENT_CAP}"
         )
-    expected = cardinality_family(code_type(spec)).c_dual
+    expected = total // cardinality(spec)
     if expected > cap:
         raise TooLarge(f"dual has {expected} codewords, above the cap of {cap}")
     rows, _ = _span_rows(spec)
     rows = rows.astype(np.int64)
-    # Contribution of each index bit: 2u for a Z2 bit, q and 2q for the
-    # low and high bits of a Z4 coordinate.
+    # Contribution of each index bit, most significant first: 2u for a Z2
+    # bit, 2q and q for the high and low bits of a Z4 coordinate.  Reversed,
+    # coef[k] is bit k's.
     coef = np.empty((n, len(rows)), dtype=np.int64)
     coef[:a] = 2 * rows[:, :a].T
-    coef[a::2] = rows[:, a:].T
-    coef[a + 1 :: 2] = 2 * rows[:, a:].T
-    coef %= 4
+    coef[a::2] = 2 * rows[:, a:].T
+    coef[a + 1 :: 2] = rows[:, a:].T
+    coef = coef[::-1] % 4
     half = n // 2
     lo_keys = _residue_keys(coef[:half])
     hi_keys = _residue_keys((-coef[half:]) % 4)
@@ -228,13 +230,15 @@ def brute_force_dual_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.nda
     starts = np.cumsum(counts) - counts
     pos = np.arange(counts.sum()) - np.repeat(starts - left, counts)
     idx = order[pos] + (np.repeat(np.arange(len(hi_keys), dtype=np.int64), counts) << half)
+    # The indices are distinct, so this only sorts them; return_index keeps
+    # np.unique of 1-D input on its sort path rather than a slower hash path.
+    idx = np.unique(idx, axis=0, return_index=True)[0]
     # Decoded one column at a time, so no temporary is wider than idx.
     words = np.empty((len(idx), a + beta), dtype=np.int16)
     for j in range(a):
-        words[:, j] = (idx >> j) & 1
+        words[:, j] = (idx >> (n - 1 - j)) & 1
     for j in range(beta):
-        words[:, a + j] = (idx >> (a + 2 * j)) & 3
-    words = words[_unique_rows(words, a)]
+        words[:, a + j] = (idx >> (2 * (beta - 1 - j))) & 3
     if len(words) != expected:
         raise ArithmeticError(
             f"internal error: ambient scan found {len(words)} dual words, formula says {expected}"

@@ -17,11 +17,12 @@ from z2z4cyclic import (
     QuatPoly,
     analysis,
     codeword_matrix,
+    gray_map,
     spec_fields,
     spec_from_fields,
 )
 from z2z4cyclic.cli import Command, _build_parser, main, run
-from z2z4cyclic.code import _gray_rows, _row_word, format_codeword, spanning_set
+from z2z4cyclic.code import _row_word, format_codeword, spanning_set
 from z2z4cyclic.errors import InvalidParameter, ParseError
 
 C1_TEXT = "alpha=3\nbeta=3\nb=x^3+1\nell=x+1\nf=1\nh=x^2+x+1\n"
@@ -191,6 +192,15 @@ def test_gray_json(capsys, c1_file):
 LISTED_SPECS = {
     "worked": dict(zip(C1_INLINE[::2], C1_INLINE[1::2])),
     "mdss-3-5": spec_fields(analysis.construct_mdss(3, 5)),  # |C| = 2^2 * 4^5 = 2^12
+    # |C| = 2^(33 - 30) = 8; 33 + 2*17 = 67 bits, so two key limbs.
+    "two-limb-33-17": {
+        "alpha": 33,
+        "beta": 17,
+        "b": "x^30+x^27+x^24+x^21+x^18+x^15+x^12+x^9+x^6+x^3+1",
+        "ell": "0",
+        "f": "x^17+3",
+        "h": "1",
+    },
 }
 
 
@@ -200,7 +210,7 @@ def test_listings_match_the_per_codeword_rendering(capsys, name):
     spec = spec_from_fields(flags)
     mat = codeword_matrix(spec)
     words = [format_codeword(_row_word(row, spec.alpha)) for row in mat]
-    images = _gray_rows(mat, spec.alpha).tolist()
+    images = [list(gray_map(_row_word(row, spec.alpha))) for row in mat]
     want = {
         ("enumerate", False): "\n".join([f"|C| = {len(words)}"] + words),
         ("enumerate", True): json.dumps({"cardinality": len(words), "codewords": words}, indent=2),
