@@ -3,8 +3,8 @@
 code_report computes the minimum distance, the Hamming distance of the
 Gray image (binary weight plus Lee weight), by exhaustive enumeration:
 the words are packed into keys once, and each word's weight is the
-popcount of its key's Gray code.  Cyclic closure is tested on the same
-keys: their block shift (_rotate_keys), sorted, must equal them.
+popcount of its key's Gray code.  Cyclic closure compares those keys
+with the span of the shifted spanning rows (_span_keys).
 Its MDSS, self-dual and separable flags reduce to exact comparisons of
 type parameters and canonical word matrices: no floating point anywhere.
 
@@ -33,13 +33,15 @@ from .code import (
     _count_text,
     _deg,
     _gray_keys,
+    _projection_sizes,
     _reduce_blocks,
-    _rotate_keys,
     _row_keys,
     _row_word,
+    _shift_cols,
     _sort_keys,
+    _span_keys,
     _span_rows,
-    _unique_rows,
+    _span_widths,
     cardinality,
     code_type,
     code_type_from_words,
@@ -80,9 +82,12 @@ def _mdss_gap(spec: CyclicCodeSpec, d: int, t: CodeType) -> int:
     return (spec.alpha + 2 * spec.beta - t.gamma - 2 * t.delta) - (d - 1)
 
 
-def _cyclic_closed(keys: np.ndarray, alpha: int, n: int) -> bool:
-    """Whether the sorted distinct packed words of n columns are closed under the block shift."""
-    return bool(np.array_equal(_sort_keys(_rotate_keys(keys, alpha, n)), keys))
+def _cyclic_closed(rows: np.ndarray, widths: np.ndarray, alpha: int, keys: np.ndarray) -> bool:
+    """Whether the span of the rows, whose sorted distinct packed keys are keys, is closed
+    under the block shift.  The shift is multiplication by x, so the shifted span is the
+    span of the shifted rows, and it must equal keys."""
+    shifted = rows[:, _shift_cols(alpha, rows.shape[1] - alpha, 1)]
+    return bool(np.array_equal(_span_keys(shifted, widths, alpha), keys))
 
 
 def _min_distance(keys: np.ndarray, alpha: int, n: int) -> int | None:
@@ -110,7 +115,7 @@ def code_report(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> CodeReport:
         is_mdss=d is not None and _mdss_gap(spec, d, t) == 0,
         is_self_dual=self_dual,
         is_separable=t.is_separable,
-        is_cyclic_verified=_cyclic_closed(keys, spec.alpha, mat.shape[1]),
+        is_cyclic_verified=_cyclic_closed(_span_rows(spec), _span_widths(spec), spec.alpha, keys),
     )
 
 
@@ -156,6 +161,7 @@ def iter_valid_specs(alpha: int, beta: int):
     below deg b, which is precisely the divisibility condition.  More
     than SEARCH_CAP tuples raise TooLarge before the first is built.
     """
+    z4.check_beta(beta)
     factors = gf2.factor_xn1(beta)
     divisors = gf2.divisors_xn1(alpha)
     count = _tuple_count(divisors, factors)
@@ -274,11 +280,9 @@ class CheckResult:
 
 def _sample_rows(spec: CyclicCodeSpec, rng: np.random.Generator, count: int) -> np.ndarray:
     """Uniform random codewords from the spanning-set decomposition."""
-    rows, widths = _span_rows(spec)
-    if not len(rows):
-        return np.zeros((count, spec.alpha + spec.beta), dtype=np.int16)
-    coeff = rng.integers(0, 1 << np.array(widths), size=(count, len(widths)), dtype=np.int16)
-    return _reduce_blocks(coeff @ rows, spec.alpha)
+    widths = _span_widths(spec)
+    coeff = rng.integers(0, 1 << widths, size=(count, len(widths)), dtype=np.int16)
+    return _reduce_blocks(coeff @ _span_rows(spec), spec.alpha)
 
 
 def _cyclic_correlation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -352,19 +356,18 @@ def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> lis
         f"measured {measured} vs formula {t}",
     )
     keys = _row_keys(mat, spec.alpha)
+    rows = _span_rows(spec)
     check(
         "cyclic-closure",
-        _cyclic_closed(keys, spec.alpha, mat.shape[1]),
+        _cyclic_closed(rows, _span_widths(spec), spec.alpha, keys),
         "shifted word set equals word set",
     )
-    rows, _ = _span_rows(spec)
     check(
         "spanning-set-size",
         len(rows) == t.gamma + t.delta,
         f"{len(rows)} spanning rows for gamma + delta = {t.gamma + t.delta}",
     )
-    n_x = len(_unique_rows(mat[:, : spec.alpha], spec.alpha))
-    n_y = len(_unique_rows(mat[:, spec.alpha :], 0))
+    n_x, n_y = _projection_sizes(keys, spec.alpha, mat.shape[1])
     check(
         "projection-sizes",
         n_x == 2 ** (t.kappa + t.delta1) and n_y == 2 ** (t.gamma - t.kappa1) * 4**t.delta,

@@ -99,7 +99,7 @@ def _run_dual(spec, cmd: Command) -> tuple[int, str]:
 
 
 def _run_matrix(spec, cmd: Command) -> tuple[int, str]:
-    rows = iter(_format_rows(_span_rows(spec)[0], spec.alpha))
+    rows = iter(_format_rows(_span_rows(spec), spec.alpha))
     labeled = {
         name: [next(rows) for _ in range(count)]
         for name, count in zip(("S1", "S2", "S3"), _block_sizes(spec))

@@ -8,40 +8,42 @@ the mixing action lambda * (p | q) = (lambda*p mod 2 | lambda*q), with
 everything reduced mod x^alpha - 1 and x^beta - 1.
 
 Vectors and polynomials correspond by (u_0, ..., u_{n-1}) <-> sum u_i x^i.
-Each word fact has one implementation here: the simultaneous block shift
-is _shift_cols, a column gather, on int16 rows and _rotate_keys, which
-moves the X and Y bit fields, on packed keys; _block_sizes gives the
-spanning block sizes |S1|, |S2|, |S3| = (alpha - deg b, deg g, deg h)
-that the spanning rows, cardinality(spec) (the one size formula) and
-code_type read; _base_pairs gives the base pairs (b | 0), (ell | fh +
-2f), (ell*g | 2fg) that the spanning rows, subcode_order_two and
-project_xy read; and _gray_keys is the Gray map, on packed keys: a
+Each word fact has one implementation here: _shift_cols, a column gather
+on int16 rows, is the one simultaneous block shift, and packed keys are
+never shifted (cyclic_shift is the same shift on one Codeword, for the
+public API); shifting both blocks is multiplication by x, so the shift
+of a span is the span of the shifted rows.  _block_sizes gives the spanning block sizes |S1|, |S2|,
+|S3| = (alpha - deg b, deg g, deg h) that the spanning rows, their
+coefficient widths (_span_widths), cardinality(spec) (the one size
+formula) and code_type read; _base_pairs gives the base pairs (b | 0),
+(ell | fh + 2f), (ell*g | 2fg) that the spanning rows, subcode_order_two
+and project_xy read; and _gray_keys is the Gray map, on packed keys: a
 Gray-coded key is the key of the word's Gray image in the all-binary
 layout, so _gray_rows decodes it and its popcount is the word's Gray
 weight.  The spanning rows are the shifts of the base rows, taken by one
-_shift_cols gather, and _codeword_keys enumerates a code from them by
+_shift_cols gather.  _span_keys enumerates the span of any rows by
 doubling on packed keys: each row's multiples are added to all the keys
 built so far, an order-two row by one XOR and an S2 row lane-wise
-(_key_add), and the keys are sorted once; codeword_matrix decodes them
-once, column-major, into the int16 matrix.  Membership is decided in
-the dual module, from the dual's spanning rows, without enumerating the
-code.
+(_key_add), and the keys are sorted once.  _codeword_keys is the span of
+the spanning rows, and codeword_matrix decodes it once, column-major,
+into the int16 matrix.  Membership is decided in the dual module, from
+the dual's spanning rows, without enumerating the code.
 The spanning rows (read-only) live on the spec instance: they are built
 on first use and kept in a private field that takes no part in ==, hash
 or repr, so equal instances share nothing and no result outlives the
 instance.
-Codeword sets are canonically represented as int16 matrices of unique
-rows (binary block first) in lexicographic row order, which keeps
-brute-force comparisons exact.  That order is found by sorting packed
-integer keys (_sort_keys, one np.unique that leaves its argument as it
-was; only _codeword_keys presorts its own one-limb keys, in place): each
-row is written MSB-first with 1 bit per Z2 coordinate (or Gray bit) and
-2 bits per Z4 coordinate, so packed-key order equals lexicographic row
-order.  A row of alpha + 2*beta <= 64 bits is one uint64; a wider row
-takes ceil((alpha + 2*beta) / 64) uint64 limbs, most significant limb
-first, compared limb by limb.  Where each column sits in the limbs
-depends only on the column count and alpha; _key_layout works it out
-once per shape.
+Inside the package a codeword set is its sorted distinct packed keys;
+the public form is their decode, an int16 matrix of unique rows (binary
+block first) in lexicographic row order, which keeps brute-force
+comparisons exact.  _sort_keys is the one np.unique here, and it leaves
+its argument as it was; only _span_keys presorts its own one-limb keys,
+in place.  Each row is written MSB-first with 1 bit per Z2 coordinate
+(or Gray bit) and 2 bits per Z4 coordinate, so packed-key order equals
+lexicographic row order.  A row of alpha + 2*beta <= 64 bits is one
+uint64; a wider row takes ceil((alpha + 2*beta) / 64) uint64 limbs, most
+significant limb first, compared limb by limb.  Where each column sits
+in the limbs depends only on the column count and alpha; _key_layout
+works it out once per shape.
 """
 
 from __future__ import annotations
@@ -136,9 +138,9 @@ class CyclicCodeSpec:
     f: QuatPoly
     h: QuatPoly
     g: QuatPoly = field(init=False)
-    # _span_rows's (read-only rows, widths), built on first use and kept for
-    # the life of this instance.
-    _span: tuple | None = field(init=False, compare=False, repr=False, default=None)
+    # _span_rows's read-only rows, built on first use and kept for the life of
+    # this instance.
+    _span: np.ndarray | None = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         for name in ("alpha", "beta"):
@@ -327,9 +329,9 @@ def cardinality(spec: CyclicCodeSpec) -> int:
 
 
 def _poly_vec(p, n: int) -> np.ndarray:
+    coeffs = p.fold(n).coeffs
     out = np.zeros(n, dtype=np.int16)
-    for i, v in enumerate(p.coeffs):
-        out[i % n] = (out[i % n] + v) % p.MOD
+    out[: len(coeffs)] = coeffs
     return out
 
 
@@ -345,8 +347,8 @@ def _shift_cols(alpha: int, beta: int, k) -> np.ndarray:
     )
 
 
-def _span_rows(spec: CyclicCodeSpec) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Spanning rows S1|S2|S3 as one matrix plus each row's coefficient width in bits.
+def _span_rows(spec: CyclicCodeSpec) -> np.ndarray:
+    """Spanning rows S1|S2|S3 as one matrix.
 
     Row i of each block is the block's base row shifted i steps in both
     blocks, all taken by one gather of the shifts by -i.  Built once per
@@ -357,22 +359,25 @@ def _span_rows(spec: CyclicCodeSpec) -> tuple[np.ndarray, tuple[int, ...]]:
     return spec._span
 
 
-def _build_span_rows(spec: CyclicCodeSpec) -> tuple[np.ndarray, tuple[int, ...]]:
+def _span_widths(spec: CyclicCodeSpec) -> np.ndarray:
+    """Each spanning row's coefficient width in bits: 1 for S1 and S3, 2 for S2."""
+    return np.repeat((1, 2, 1), _block_sizes(spec))
+
+
+def _build_span_rows(spec: CyclicCodeSpec) -> np.ndarray:
     a, beta = spec.alpha, spec.beta
     counts = _block_sizes(spec)
     bases = np.stack([_pair_row(p, q, a, beta) for p, q in _base_pairs(spec)])
     which = np.repeat(np.arange(3), counts)
     back = (np.cumsum(counts) - counts)[which] - np.arange(len(which))
-    widths = tuple(w for count, w in zip(counts, (1, 2, 1)) for _ in range(count))
     rows = bases[which[:, None], _shift_cols(a, beta, back[:, None])]
     rows.flags.writeable = False
-    return rows, widths
+    return rows
 
 
 def spanning_set(spec: CyclicCodeSpec) -> list[Codeword]:
     """Shifted generators whose Z4-combinations cover the code exactly once."""
-    mat, _ = _span_rows(spec)
-    return [_row_word(row, spec.alpha) for row in mat]
+    return [_row_word(row, spec.alpha) for row in _span_rows(spec)]
 
 
 def _row_word(row: np.ndarray, alpha: int) -> Codeword:
@@ -400,9 +405,6 @@ class _KeyLayout(NamedTuple):
     # entry is (limb >> shift) & mask.
     shifts: np.ndarray
     masks: np.ndarray
-    # The simultaneous block shift by one step, as (s, mask) terms: the shifted key
-    # is the OR over the terms of (key << s, or >> -s when s < 0) & mask.
-    rotate: tuple[tuple[int, np.ndarray], ...]
 
 
 @functools.lru_cache(maxsize=64)
@@ -424,15 +426,7 @@ def _key_layout(n: int, alpha: int) -> _KeyLayout:
     weights = np.uint64(1) << shifts[:, 0]
     for a in (shifts, masks, weights):
         a.flags.writeable = False
-    # Column j reads column j + 1, so the X field (above the 2*beta bits of the Y
-    # field) rotates up by one bit and the Y field by one 2-bit lane: the field
-    # moves up a lane, and its top lane wraps to its bottom.
-    rotate = []
-    for lo, bits, lane in ((y_bits, alpha, 1), (0, y_bits, 2)):
-        for s, mask in ((lane, (1 << bits) - (1 << lane)), (lane - bits, (1 << lane) - 1)):
-            if bits and mask:
-                rotate.append((s, _int_limbs(mask << lo, k)))
-    return _KeyLayout(tuple(slices), weights, low, shifts, masks, tuple(rotate))
+    return _KeyLayout(tuple(slices), weights, low, shifts, masks)
 
 
 def _int_limbs(value: int, k: int) -> np.ndarray:
@@ -502,58 +496,23 @@ def _key_add(a: np.ndarray, b: np.ndarray, low: np.ndarray, out=None) -> np.ndar
     return out
 
 
-def _shift_keys(keys: np.ndarray, s: int) -> np.ndarray:
-    """Each column of keys, read as one integer of k limbs (limb 0 most significant),
-    shifted up by s bits (down by -s when s < 0) and cut to k limbs."""
-    k, m = keys.shape
-    q, r = divmod(abs(s), 64)
-    if s >= 0:
-        out = keys[q:] << r
-        if r and k - q > 1:
-            out[:-1] |= keys[q + 1 :] >> (64 - r)
-    else:
-        out = keys[: k - q] >> r
-        if r and k - q > 1:
-            out[1:] |= keys[: k - q - 1] << (64 - r)
-    if not q:
-        return out
-    pad = np.zeros((q, m), dtype=keys.dtype)
-    return np.concatenate([out, pad] if s >= 0 else [pad, out])
-
-
-def _rotate_keys(keys: np.ndarray, alpha: int, n: int) -> np.ndarray:
-    """Packed keys of the rows shifted one step in both blocks: new[j] = old[j + 1].
-
-    The key of row w[:, _shift_cols(alpha, n - alpha, 1)], found from the
-    key of w by moving bit fields, so no row is decoded or re-packed.
-    """
-    out = np.zeros_like(keys)
-    for s, mask in _key_layout(n, alpha).rotate:
-        term = _shift_keys(keys, s)
-        term &= mask
-        out |= term
-    return out
-
-
-def _unique_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique over packed keys: plain integers when they fit one limb, rows of limbs
-    otherwise.  (return_index also keeps np.unique of 1-D input on its sort path
-    rather than a slower hash path.)"""
-    return np.unique(keys[0] if len(keys) == 1 else keys.T, axis=0, return_index=True)
-
-
 def _sort_keys(keys: np.ndarray) -> np.ndarray:
-    """Distinct packed rows in lexicographic row order, as (k, m) keys; keys is not changed."""
-    return _unique_keys(keys)[0].T.reshape(len(keys), -1)
+    """Distinct packed rows in lexicographic row order, as (k, m) keys; keys is not changed.
 
-
-def _unique_rows(words: np.ndarray, alpha: int) -> np.ndarray:
-    """Indices of the first occurrence of each distinct row, in lexicographic row order.
-
-    words[_unique_rows(words, alpha)] is np.unique(words, axis=0), found by
-    one sort of the packed keys of _row_keys.
+    One np.unique: over plain integers when the keys fit one limb, over rows
+    of limbs otherwise.  (return_index keeps np.unique of 1-D input on its
+    sort path rather than a slower hash path.)
     """
-    return _unique_keys(_row_keys(words, alpha))[1]
+    flat = np.unique(keys[0] if len(keys) == 1 else keys.T, axis=0, return_index=True)[0]
+    return flat.T.reshape(len(keys), -1)
+
+
+def _projection_sizes(keys: np.ndarray, alpha: int, n: int) -> tuple[int, int]:
+    """How many distinct X blocks and distinct Y blocks packed words of n columns have,
+    each counted by sorting the keys with the other block's bit field masked off."""
+    low = _key_layout(n, alpha).low
+    y_field = low | low << 1
+    return _sort_keys(keys & ~y_field).shape[1], _sort_keys(keys & y_field).shape[1]
 
 
 def _count_text(n: int) -> str:
@@ -561,32 +520,26 @@ def _count_text(n: int) -> str:
     return f"2^{n.bit_length() - 1}" if n > 2**64 and not n & (n - 1) else str(n)
 
 
-def _codeword_keys(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
-    """All codewords as sorted distinct packed keys, shape (k, |C|).
+def _span_keys(rows: np.ndarray, widths: np.ndarray, alpha: int) -> np.ndarray:
+    """The additive span of reduced rows, as sorted distinct packed keys of shape (k, m).
 
-    Coefficients range over Z2 for order-two rows (S1, S3) and Z4 for S2
-    rows.  The words are enumerated as packed keys by doubling: after the
-    rows before row j, the first `size` keys are all their combinations,
-    and coefficient c of row j fills keys c*size .. (c+1)*size - 1.  An
-    order-two row has even Z4 entries, so adding it is one XOR; an S2 row
-    is added lane-wise by _key_add, and c = 2, 3 are the c = 0, 1 words
-    XOR the key of twice the row.  One-limb keys are then sorted in place
-    by numpy's SIMD sort, so that np.unique's stable sort runs over sorted
-    input.  The key count of the result is asserted against the
-    cardinality formula rather than assumed.
+    widths[j] is 1 for an order-two row, whose multiples are 0 and the row,
+    and 2 for a row whose multiples range over Z4.  The combinations are
+    enumerated as packed keys by doubling: after the rows before row j,
+    the first `size` keys are all their combinations, and coefficient c of
+    row j fills keys c*size .. (c+1)*size - 1.  An order-two row has even
+    Z4 entries, so adding it is one XOR; a width-2 row is added lane-wise
+    by _key_add, and c = 2, 3 are the c = 0, 1 words XOR the key of twice
+    the row.  One-limb keys are then sorted in place by numpy's SIMD sort,
+    so that np.unique's stable sort runs over sorted input.
     """
-    total = cardinality(spec)
-    if total > cap:
-        raise TooLarge(f"code has {_count_text(total)} codewords, above the cap of {cap}")
-    rows, widths = _span_rows(spec)
-    n = spec.alpha + spec.beta
-    low = _key_layout(n, spec.alpha).low
-    row_keys = _row_keys(rows, spec.alpha)
-    if (row_keys[:, np.array(widths, dtype=int) == 1] & low).any():
+    low = _key_layout(rows.shape[1], alpha).low
+    row_keys = _row_keys(rows, alpha)
+    if (row_keys[:, widths == 1] & low).any():
         raise ArithmeticError("internal error: an order-two spanning row has an odd Z4 entry")
-    keys = np.zeros((len(low), total), dtype=np.uint64)
+    keys = np.zeros((len(low), 1 << int(widths.sum())), dtype=np.uint64)
     size = 1
-    for j, width in enumerate(widths):
+    for j, width in enumerate(widths.tolist()):
         row = row_keys[:, j : j + 1]
         if width == 1:
             np.bitwise_xor(keys[:, :size], row, out=keys[:, size : 2 * size])
@@ -596,7 +549,18 @@ def _codeword_keys(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
         size <<= width
     if len(keys) == 1:
         keys[0].sort()
-    keys = _sort_keys(keys)
+    return _sort_keys(keys)
+
+
+def _codeword_keys(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
+    """All codewords as sorted distinct packed keys, shape (k, |C|): the span of the
+    spanning rows, with coefficients over Z2 for S1 and S3 rows and over Z4 for S2
+    rows.  The key count is asserted against the cardinality formula rather than
+    assumed."""
+    total = cardinality(spec)
+    if total > cap:
+        raise TooLarge(f"code has {_count_text(total)} codewords, above the cap of {cap}")
+    keys = _span_keys(_span_rows(spec), _span_widths(spec), spec.alpha)
     if keys.shape[1] != total:
         raise ArithmeticError(
             f"internal error: enumeration found {keys.shape[1]} codewords, formula says {total}"
@@ -617,7 +581,7 @@ def code_type_from_words(alpha: int, beta: int, words: np.ndarray) -> CodeType:
     n2 = int(order2.sum())
     delta = _exact_log2(n) - _exact_log2(n2)
     gamma = _exact_log2(n2) - delta
-    kappa = _exact_log2(len(_unique_rows(ub[order2], alpha)))
+    kappa = _exact_log2(_sort_keys(_row_keys(ub[order2], alpha)).shape[1])
     kappa1 = _exact_log2(int(np.all(qb == 0, axis=1).sum()))
     zero_x = np.all(ub == 0, axis=1)
     d_tot = int(zero_x.sum())

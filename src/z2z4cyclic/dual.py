@@ -164,7 +164,7 @@ def contains(spec: CyclicCodeSpec, w: Codeword) -> bool:
     dual_spec(spec), by one matmul mod 4 in int64 so that long rows cannot overflow."""
     if len(w.u) != spec.alpha or len(w.uq) != spec.beta:
         return False
-    rows = _span_rows(dual_spec(spec))[0].astype(np.int64)
+    rows = _span_rows(dual_spec(spec)).astype(np.int64)
     rows[:, : spec.alpha] *= 2
     return not (rows @ (w.u + w.uq) % 4).any()
 
@@ -210,8 +210,7 @@ def brute_force_dual_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.nda
     expected = total // cardinality(spec)
     if expected > cap:
         raise TooLarge(f"dual has {expected} codewords, above the cap of {cap}")
-    rows, _ = _span_rows(spec)
-    rows = rows.astype(np.int64)
+    rows = _span_rows(spec).astype(np.int64)
     # Contribution of each index bit, most significant first: 2u for a Z2
     # bit, 2q and q for the high and low bits of a Z4 coordinate.  Reversed,
     # coef[k] is bit k's.

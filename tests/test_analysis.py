@@ -297,6 +297,10 @@ def test_verify_code_passes_on_varied_specs():
         construct_mdss(2, 3),
         construct_self_dual_family(4, 3),
         validate_spec(4, 3, bp("x^2+1"), bp("x+1"), qp("x^2+x+1"), qp("x+3")),
+        # The trivial code, with no spanning rows, whose dual is the ambient.
+        validate_spec(1, 1, bp("x+1"), BinPoly.zero(), qp("x+3"), qp("1")),
+        # The whole ambient, whose dual has no spanning rows.
+        validate_spec(3, 3, bp("1"), BinPoly.zero(), qp("1"), qp("1")),
     ]
     for spec in specs:
         assert all(r.ok for r in verify_code(spec))

@@ -646,6 +646,18 @@ def test_bad_beta_set_exits_two(capsys):
     assert "comma-separated" in err
 
 
+@pytest.mark.parametrize("beta, message", [
+    ("0", "error: beta must be a positive integer"),
+    ("2", "error: beta = 2 is even; quaternary lengths must be odd"),
+], ids=("zero", "even"))
+def test_refused_beta_in_beta_set_is_named(capsys, beta, message):
+    status, _, err = run_cli(
+        capsys, "search", "--alpha-max", "2", "--beta-set", beta, "--predicate", "mdss",
+    )
+    assert status == 2
+    assert err.strip() == message
+
+
 # -- polynomial argument parsing --------------------------------------------------
 
 

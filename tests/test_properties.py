@@ -1,12 +1,12 @@
 """Property tests: the text front end (polynomials, spec text, CLI flags),
 the bit-packed BinPoly arithmetic against a schoolbook Z2 reference, the
-packed-key canonical sort against numpy's row sort, the key kernels (the
-lane-wise Z4 add, the block-shift rotation, the decode, enumeration on two
-limbs) against their int16 and polynomial forms, cyclic closure against a
-set of shifted Codewords, the gathered spanning rows and correlated
-shift products against their loop forms, and the Gray map on keys, its
-decoded image and its popcount weights against a literal per-symbol
-table."""
+packed-key canonical sort and the block projection counts against numpy's
+row sort, the key kernels (the lane-wise Z4 add, the decode, enumeration on
+two limbs) against their int16 and polynomial forms, the span of shifted
+rows and cyclic closure against a set of shifted Codewords, the gathered
+spanning rows and correlated shift products against their loop forms, and
+the Gray map on keys, its decoded image and its popcount weights against a
+literal per-symbol table."""
 
 import contextlib
 import io
@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from z2z4cyclic import (
@@ -42,6 +42,7 @@ from z2z4cyclic.analysis import _cyclic_closed, _shifted_inner_products
 from z2z4cyclic.cli import main
 from z2z4cyclic.code import (
     _DECODE_CELLS,
+    _block_sizes,
     _build_span_rows,
     _decode_keys,
     _deg,
@@ -50,14 +51,15 @@ from z2z4cyclic.code import (
     _key_add,
     _key_layout,
     _pair_row,
+    _projection_sizes,
     _reduce_blocks,
-    _rotate_keys,
     _row_keys,
     _row_word,
     _shift_cols,
     _sort_keys,
+    _span_keys,
     _span_rows,
-    _unique_rows,
+    _span_widths,
 )
 from z2z4cyclic.poly import NEG_INF
 
@@ -426,7 +428,7 @@ ambients = st.one_of(
     st.sampled_from((0.02, 0.2, 1.0)),
     st.integers(0, 2**32 - 1),
 )
-def test_unique_rows_matches_numpy_row_sort(ambient, gray, distinct, n_rows, density, seed):
+def test_sort_keys_matches_numpy_row_sort(ambient, gray, distinct, n_rows, density, seed):
     alpha, beta = ambient
     rng = np.random.default_rng(seed)
     base = np.concatenate(
@@ -442,13 +444,14 @@ def test_unique_rows_matches_numpy_row_sort(ambient, gray, distinct, n_rows, den
     bits = alpha + 2 * (rows.shape[1] - alpha)
     assert _row_keys(rows, alpha).shape == (max(1, -(-bits // 64)), n_rows)
     ref = np.unique(rows, axis=0)
-    idx = _unique_rows(rows, alpha)
-    assert len(idx) == len(ref)
-    assert np.array_equal(rows[idx], ref)
     keys = _row_keys(rows, alpha)
     assert np.array_equal(_sort_keys(keys), _row_keys(ref, alpha))
     # The argument is left as it was.
     assert np.array_equal(keys, _row_keys(rows, alpha))
+    assert _projection_sizes(keys, alpha, rows.shape[1]) == (
+        len(np.unique(rows[:, :alpha], axis=0)),
+        len(np.unique(rows[:, alpha:], axis=0)),
+    )
 
 
 @PROPERTY
@@ -473,24 +476,6 @@ def random_rows(rng, n_rows, alpha, beta):
     return np.concatenate(
         [rng.integers(0, 2, (n_rows, alpha)), rng.integers(0, 4, (n_rows, beta))], axis=1
     ).astype(np.int16)
-
-
-@PROPERTY
-@given(ambients, st.integers(0, 40), st.integers(0, 2**32 - 1))
-@example((1, 1), 5, 0)
-@example((1, 69), 5, 0)
-@example((138, 1), 5, 0)
-@example((63, 1), 5, 0)
-@example((33, 17), 5, 0)
-def test_rotated_keys_are_the_keys_of_the_shifted_rows(ambient, n_rows, seed):
-    alpha, beta = ambient
-    rows = random_rows(np.random.default_rng(seed), n_rows, alpha, beta)
-    keys = _row_keys(rows, alpha)
-    want = _row_keys(rows[:, _shift_cols(alpha, beta, 1)], alpha)
-    got = _rotate_keys(keys, alpha, alpha + beta)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert np.array_equal(keys, _row_keys(rows, alpha))
 
 
 @pytest.mark.parametrize("alpha, beta", [(4, 7), (1, 69), (70, 35)])
@@ -521,30 +506,54 @@ CLOSURE_AMBIENTS = [
 ]
 
 
+@st.composite
+def generator_sets(draw):
+    """(rows, widths, alpha): generators on a CLOSURE_AMBIENTS ambient, of at most 8 width bits.
+
+    A width-1 row has order two, so its Z4 entries are even.  About one row
+    in five is zero.  With orbits, the first row is made periodic, with
+    period 1 or 2 in X and 1 or 3 in Y, and is replaced by its whole shift
+    orbit, so the span can be closed; the width cut may still split it.
+    """
+    alpha, beta = draw(st.sampled_from(CLOSURE_AMBIENTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = random_rows(rng, 4, alpha, beta) * (rng.random((4, 1)) < 0.8)
+    widths = rng.integers(1, 3, 4)
+    if draw(st.booleans()):
+        px = 2 if alpha % 2 == 0 else 1
+        py = 3 if beta % 3 == 0 else 1
+        first = rows[0, np.concatenate([np.arange(alpha) % px, alpha + np.arange(beta) % py])]
+        orbit = first[_shift_cols(alpha, beta, np.arange(math.lcm(px, py))[:, None])]
+        rows = np.concatenate([orbit, rows[1:]])
+        widths = np.concatenate([np.full(len(orbit), widths[0]), widths[1:]])
+    rows[widths == 1, alpha:] &= 2
+    keep = np.cumsum(widths) <= draw(st.integers(1, 8))
+    return rows[keep], widths[keep], alpha
+
+
+def span_words(rows, widths, alpha):
+    """The span as a set of Codewords, by adding each generator's multiples one at a time."""
+    words = {tuple([0] * rows.shape[1])}
+    for row, width in zip(rows.tolist(), widths.tolist()):
+        words = {
+            tuple((a + c * b) % (2 if j < alpha else 4) for j, (a, b) in enumerate(zip(w, row)))
+            for w in words
+            for c in range(1 << width)
+        }
+    return {Codeword(w[:alpha], w[alpha:]) for w in words}
+
+
 @PROPERTY
-@given(
-    st.sampled_from(CLOSURE_AMBIENTS),
-    st.integers(1, 4),
-    st.booleans(),
-    st.integers(0, 2),
-    st.integers(0, 2**32 - 1),
-)
-def test_cyclic_closure_matches_the_shifted_word_set(ambient, n_words, orbits, drop, seed):
-    alpha, beta = ambient
-    rng = np.random.default_rng(seed)
-    # About one word in five is zero, a word the shift fixes.
-    rows = random_rows(rng, n_words, alpha, beta) * (rng.random((n_words, 1)) < 0.8)
-    words = {_row_word(row, alpha) for row in rows}
-    if orbits:
-        for w in list(words):
-            shifted = cyclic_shift(w, 1)
-            while shifted != w:
-                words.add(shifted)
-                shifted = cyclic_shift(shifted, 1)
-    for w in sorted(words, key=lambda w: (w.u, w.uq))[:drop]:
-        if len(words) > 1:
-            words.discard(w)
-    assert _cyclic_closed(canonical_keys(words, alpha), alpha, alpha + beta) == shift_closed(words)
+@given(generator_sets())
+def test_cyclic_closure_matches_the_shifted_word_set(gens):
+    rows, widths, alpha = gens
+    beta = rows.shape[1] - alpha
+    words = span_words(rows, widths, alpha)
+    keys = _span_keys(rows, widths, alpha)
+    assert np.array_equal(keys, canonical_keys(words, alpha))
+    shifted = _span_keys(rows[:, _shift_cols(alpha, beta, 1)], widths, alpha)
+    assert np.array_equal(shifted, canonical_keys({cyclic_shift(w, 1) for w in words}, alpha))
+    assert _cyclic_closed(rows, widths, alpha, keys) == shift_closed(words)
 
 
 def two_limb_spec():
@@ -568,15 +577,20 @@ CLOSED_CODES = [
 
 @pytest.mark.parametrize("spec", CLOSED_CODES, ids=lambda s: f"{s.alpha}-{s.beta}")
 def test_cyclic_closure_fails_without_one_moving_word(spec):
-    n = spec.alpha + spec.beta
-    mat = codeword_matrix(spec)
-    keys = _row_keys(mat, spec.alpha)
-    assert _cyclic_closed(keys, spec.alpha, n)
-    words = [_row_word(row, spec.alpha) for row in mat]
-    moving = next(i for i, w in enumerate(words) if cyclic_shift(w, 1) != w)
-    rest = words[:moving] + words[moving + 1 :]
-    assert not shift_closed(set(rest))
-    assert not _cyclic_closed(np.delete(keys, moving, axis=1), spec.alpha, n)
+    rows, widths = _span_rows(spec), _span_widths(spec)
+    assert _cyclic_closed(rows, widths, spec.alpha, _row_keys(codeword_matrix(spec), spec.alpha))
+    # Row j after the first of its block is the shift of row j - 1.  The spanning
+    # combinations are distinct, so without row j the shift of row j - 1 leaves the span.
+    sizes = _block_sizes(spec)
+    firsts = set((np.cumsum(sizes) - sizes).tolist())
+    moved = [j for j in range(len(rows)) if j not in firsts]
+    assert moved
+    for j in moved:
+        word = _row_word(rows[j], spec.alpha)
+        assert cyclic_shift(word, 1) != word
+        rest, rest_widths = np.delete(rows, j, axis=0), np.delete(widths, j)
+        keys = _span_keys(rest, rest_widths, spec.alpha)
+        assert not _cyclic_closed(rest, rest_widths, spec.alpha, keys)
 
 
 def test_two_limb_enumeration_matches_the_multiples_of_its_generator():
@@ -628,28 +642,27 @@ VALID_SPECS = SMALL_SPECS + [
 @PROPERTY
 @given(st.sampled_from(VALID_SPECS))
 def test_span_rows_match_rolled_rows(spec):
-    rows, widths = _span_rows(spec)
+    rows = _span_rows(spec)
     ref_rows, ref_widths = ref_span_rows(spec)
     assert rows.dtype == ref_rows.dtype and rows.shape == ref_rows.shape
     assert np.array_equal(rows, ref_rows)
-    assert widths == ref_widths
+    assert tuple(_span_widths(spec).tolist()) == ref_widths
 
 
 def test_span_rows_are_kept_read_only_on_the_spec_instance():
     text = "alpha=3\nbeta=3\nb=x^3+1\nell=x+1\nf=1\nh=x^2+x+1\n"  # the worked example
     spec, twin = parse_spec_text(text), parse_spec_text(text)
     before = (repr(spec), hash(spec))
-    rows, widths = _span_rows(spec)
-    assert _span_rows(spec)[0] is rows and isinstance(widths, tuple)
+    rows = _span_rows(spec)
+    assert _span_rows(spec) is rows
     assert not rows.flags.writeable
     with pytest.raises(ValueError):
         rows[0, 0] = 1
-    fresh_rows, fresh_widths = _build_span_rows(spec)
-    assert np.array_equal(rows, fresh_rows) and widths == fresh_widths
+    assert np.array_equal(rows, _build_span_rows(spec))
     # An equal instance builds its own rows; the memo is not part of ==, hash or repr.
     assert twin._span is None
-    assert _span_rows(twin)[0] is not rows
-    assert not np.shares_memory(_span_rows(twin)[0], rows)
+    assert _span_rows(twin) is not rows
+    assert not np.shares_memory(_span_rows(twin), rows)
     assert spec == twin and (repr(spec), hash(spec)) == before == (repr(twin), hash(twin))
     assert "_span" not in repr(spec)
 
