@@ -3,13 +3,18 @@
 One verb per invocation: info, dual, matrix, enumerate, gray, verify,
 search.  Codes come either from a spec file (--spec, in the key=value
 format of parse_spec_text) or from the six inline flags --alpha --beta
---b --ell --f --h.  Every verb renders text by default and JSON with
---json, carrying the same data either way.
+--b --ell --f --h; search reads no code, and takes --alpha-max,
+--beta-set and --predicate instead.  Every verb renders text by default
+and JSON with --json, carrying the same data either way.  info,
+enumerate, gray, verify and search take --cap, the enumeration cap;
+only verify takes --seed, for its sampled checks.  _VERB_TABLE names the
+flag groups each verb reads, and its subparser offers only those.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or data error,
-3 enumeration above the configured cap, 141 (128 + SIGPIPE) output cut
-short because the reader closed standard output early, as in
-`z2z4cyclic enumerate ... | head -1`.
+Exit codes: 0 success, 1 verification failure, 2 usage or data error
+(a flag the verb does not take, such as --seed on info or --cap on dual,
+and a --cap below 1 included), 3 enumeration above the configured cap,
+141 (128 + SIGPIPE) output cut short because the reader closed standard
+output early, as in `z2z4cyclic enumerate ... | head -1`.
 """
 
 from __future__ import annotations
@@ -151,7 +156,7 @@ def _run_verify(spec, cmd: Command) -> tuple[int, str]:
     return (1 if failed else 0), _render(data, "\n".join(lines), cmd.output_format == "json")
 
 
-def _run_search(cmd: Command) -> tuple[int, str]:
+def _run_search(_spec, cmd: Command) -> tuple[int, str]:
     found = analysis.search_codes(cmd.alpha_max, cmd.beta_set, cmd.predicate, cmd.cap)
     lines = [analysis.report_line(s, r) for s, r in found]
     lines.append(f"{len(found)} codes matched {cmd.predicate}")
@@ -162,16 +167,45 @@ def _run_search(cmd: Command) -> tuple[int, str]:
     return 0, _render(data, "\n".join(lines), cmd.output_format == "json")
 
 
-# Every verb, once: its handler and its help text, in the parser's order.
-# A handler takes (spec, cmd), except search's, which reads no spec.
+# Every verb, once, in the parser's order: its handler, its help text and
+# the flag groups of _FLAG_GROUPS it reads; every verb also takes "json".
+# A handler takes (spec, cmd); spec is None for a verb without "spec".
 _VERB_TABLE = {
-    "info": (_run_info, "type, cardinality, distance, and classification flags"),
-    "dual": (_run_dual, "closed-form dual generator tuple and dual type"),
-    "matrix": (_run_matrix, "spanning-set rows labeled S1/S2/S3 with shift indices"),
-    "enumerate": (_run_enumerate, "list every codeword"),
-    "gray": (_run_gray, "list codewords with their Gray images"),
-    "verify": (_run_verify, "run the oracle and invariant suite; nonzero exit on failure"),
-    "search": (_run_search, "scan all small codes for a predicate"),
+    "info": (_run_info, "type, cardinality, distance, and classification flags", ("spec", "cap")),
+    "dual": (_run_dual, "closed-form dual generator tuple and dual type", ("spec",)),
+    "matrix": (_run_matrix, "spanning-set rows labeled S1/S2/S3 with shift indices", ("spec",)),
+    "enumerate": (_run_enumerate, "list every codeword", ("spec", "cap")),
+    "gray": (_run_gray, "list codewords with their Gray images", ("spec", "cap")),
+    "verify": (
+        _run_verify,
+        "run the oracle and invariant suite; nonzero exit on failure",
+        ("spec", "cap", "seed"),
+    ),
+    "search": (_run_search, "scan all small codes for a predicate", ("search", "cap")),
+}
+
+# Each group's flags as (flag, add_argument options), in the parser's order.
+_FLAG_GROUPS = {
+    "spec": [
+        ("--spec", {"metavar": "FILE", "help": "spec file in key=value form"}),
+        ("--alpha", {"help": "inline spec: binary block length"}),
+        ("--beta", {"help": "inline spec: quaternary block length (odd)"}),
+        ("--b", {"help": "inline spec: binary generator b"}),
+        ("--ell", {"help": "inline spec: binary generator ell"}),
+        ("--f", {"help": "inline spec: quaternary generator f"}),
+        ("--h", {"help": "inline spec: quaternary generator h"}),
+    ],
+    "search": [
+        ("--alpha-max", {"type": int, "required": True, "help": "largest alpha"}),
+        ("--beta-set", {"required": True, "help": "comma-separated odd beta values"}),
+        (
+            "--predicate",
+            {"required": True, "choices": analysis._PREDICATES, "help": "classification filter"},
+        ),
+    ],
+    "json": [("--json", {"action": "store_true", "help": "emit JSON instead of text"})],
+    "cap": [("--cap", {"type": int, "default": ENUM_CAP, "help": "enumeration cap"})],
+    "seed": [("--seed", {"type": int, "default": 0, "help": "seed for sampled checks"})],
 }
 
 
@@ -179,40 +213,8 @@ def run(cmd: Command) -> tuple[int, str]:
     """Execute one command; returns (exit status, rendered output)."""
     if cmd.verb not in _VERB_TABLE:
         raise InvalidParameter(f"unknown verb {cmd.verb!r}")
-    handler, _ = _VERB_TABLE[cmd.verb]
-    if handler is _run_search:
-        return handler(cmd)
-    return handler(_load_spec(cmd.spec_source), cmd)
-
-
-def _add_spec_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--spec", metavar="FILE", help="spec file in key=value form")
-    for key, desc in (
-        ("alpha", "binary block length"),
-        ("beta", "quaternary block length (odd)"),
-        ("b", "binary generator b"),
-        ("ell", "binary generator ell"),
-        ("f", "quaternary generator f"),
-        ("h", "quaternary generator h"),
-    ):
-        sub.add_argument(f"--{key}", help=f"inline spec: {desc}")
-
-
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    sub.add_argument("--cap", type=int, default=ENUM_CAP, help="enumeration cap")
-    sub.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-
-
-def _add_search_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--alpha-max", type=int, required=True, help="largest alpha")
-    sub.add_argument("--beta-set", required=True, help="comma-separated odd beta values")
-    sub.add_argument(
-        "--predicate",
-        required=True,
-        choices=analysis._PREDICATES,
-        help="classification filter",
-    )
+    handler, _, groups = _VERB_TABLE[cmd.verb]
+    return handler(_load_spec(cmd.spec_source) if "spec" in groups else None, cmd)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -221,45 +223,44 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Construct, analyze, and dualize additive cyclic codes on Z2^a x Z4^b.",
     )
     subs = parser.add_subparsers(dest="verb", required=True)
-    for verb, (handler, desc) in _VERB_TABLE.items():
+    for verb, (_, desc, groups) in _VERB_TABLE.items():
         sub = subs.add_parser(verb, help=desc)
-        if handler is _run_search:
-            _add_search_flags(sub)
-        else:
-            _add_spec_flags(sub)
-        _add_common_flags(sub)
+        for group, flags in _FLAG_GROUPS.items():
+            if group == "json" or group in groups:
+                for flag, options in flags:
+                    sub.add_argument(flag, **options)
     return parser
 
 
 def _command_from_args(args: argparse.Namespace) -> Command:
-    common = {
+    groups = _VERB_TABLE[args.verb][2]
+    fields = {
         "verb": args.verb,
         "output_format": "json" if args.json else "text",
-        "cap": args.cap,
-        "seed": args.seed,
+        **{group: getattr(args, group) for group in ("cap", "seed") if group in groups},
     }
-    if _VERB_TABLE[args.verb][0] is _run_search:
+    if fields.get("cap", 1) < 1:
+        raise ParseError(f"--cap must be at least 1, not {args.cap}")
+    if "search" in groups:
         try:
             beta_set = tuple(int(tok) for tok in args.beta_set.split(",") if tok.strip())
         except ValueError:
             raise ParseError("--beta-set must be comma-separated integers") from None
         if not beta_set:
             raise ParseError("--beta-set must name at least one value")
-        return Command(
-            spec_source=None,
-            alpha_max=args.alpha_max,
-            beta_set=beta_set,
-            predicate=args.predicate,
-            **common,
+        fields.update(
+            spec_source=None, alpha_max=args.alpha_max, beta_set=beta_set, predicate=args.predicate
         )
-    inline = {k: getattr(args, k) for k in SPEC_KEYS if getattr(args, k) is not None}
-    if args.spec and inline:
-        raise ParseError("give either --spec or the inline flags, not both")
-    if inline and len(inline) < len(SPEC_KEYS):
-        missing = sorted(set(SPEC_KEYS) - set(inline))
-        raise ParseError(f"inline spec is missing: {', '.join(missing)}")
-    # With neither, _load_spec reports the missing spec.
-    return Command(spec_source=args.spec or inline or None, **common)
+    else:
+        inline = {k: getattr(args, k) for k in SPEC_KEYS if getattr(args, k) is not None}
+        if args.spec and inline:
+            raise ParseError("give either --spec or the inline flags, not both")
+        if inline and len(inline) < len(SPEC_KEYS):
+            missing = sorted(set(SPEC_KEYS) - set(inline))
+            raise ParseError(f"inline spec is missing: {', '.join(missing)}")
+        # With neither, _load_spec reports the missing spec.
+        fields["spec_source"] = args.spec or inline or None
+    return Command(**fields)
 
 
 def main(argv=None) -> int:

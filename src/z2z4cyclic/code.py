@@ -12,22 +12,23 @@ Each word fact has one implementation here: _shift_cols, a column gather
 on int16 rows, is the one simultaneous block shift, and packed keys are
 never shifted (cyclic_shift is the same shift on one Codeword, for the
 public API); shifting both blocks is multiplication by x, so the shift
-of a span is the span of the shifted rows.  _block_sizes gives the spanning block sizes |S1|, |S2|,
-|S3| = (alpha - deg b, deg g, deg h) that the spanning rows, their
-coefficient widths (_span_widths), cardinality(spec) (the one size
-formula) and code_type read; _base_pairs gives the base pairs (b | 0),
-(ell | fh + 2f), (ell*g | 2fg) that the spanning rows, subcode_order_two
-and project_xy read; and _gray_keys is the Gray map, on packed keys: a
-Gray-coded key is the key of the word's Gray image in the all-binary
-layout, so _gray_rows decodes it and its popcount is the word's Gray
-weight.  The spanning rows are the shifts of the base rows, taken by one
-_shift_cols gather.  _span_keys enumerates the span of any rows by
-doubling on packed keys: each row's multiples are added to all the keys
-built so far, an order-two row by one XOR and an S2 row lane-wise
-(_key_add), and the keys are sorted once.  _codeword_keys is the span of
-the spanning rows, and codeword_matrix decodes it once, column-major,
-into the int16 matrix.  Membership is decided in the dual module, from
-the dual's spanning rows, without enumerating the code.
+of a span is the span of the shifted rows.  _block_sizes gives the
+spanning block sizes |S1|, |S2|, |S3| = (alpha - deg b, deg g, deg h)
+that the spanning rows, their coefficient widths (_span_widths),
+cardinality(spec) (the one size formula) and code_type read; _base_pairs
+gives the base pairs (b | 0), (ell | fh + 2f), (ell*g | 2fg) that the
+spanning rows, subcode_order_two and project_xy read; and _gray_keys is
+the Gray map, on packed keys: a Gray-coded key is the key of the word's
+Gray image in the all-binary layout, so _gray_rows decodes it and its
+popcount is the word's Gray weight.  The spanning rows are the shifts of
+the base rows, taken by one _shift_cols gather.  _span_keys enumerates
+the span of any rows by doubling on packed keys: each row's multiples
+are added to all the keys built so far, an order-two row by one XOR and
+an S2 row lane-wise (_key_add), and the keys are sorted once.
+_codeword_keys is the span of the spanning rows, and codeword_matrix
+decodes it once, column-major, into the int16 matrix.  Membership is
+decided in the dual module, from the dual's spanning rows, without
+enumerating the code.
 The spanning rows (read-only) live on the spec instance: they are built
 on first use and kept in a private field that takes no part in ==, hash
 or repr, so equal instances share nothing and no result outlives the
@@ -650,14 +651,16 @@ def inner_product(w1: Codeword, w2: Codeword) -> int:
 def circ_product(w1: Codeword, w2: Codeword) -> QuatPoly:
     """Polynomial pairing whose coefficients are the shifted inner products.
 
-    With m = lcm(alpha, beta), the result collects inner_product(w1,
-    shift(w2, i)) as the coefficient of x^(m-1-i); it vanishes exactly
-    when w1 is orthogonal to every shift of w2.  An addend whose block
-    of w2 is zero is taken to be zero.  m above DEGREE_CAP raises TooLarge.
+    With m the lcm of the nonempty block lengths (1 when both are empty),
+    the result collects inner_product(w1, shift(w2, i)) as the coefficient
+    of x^(m-1-i); it vanishes exactly when w1 is orthogonal to every shift
+    of w2.  An addend whose block of w2 is zero (or empty) is taken to be
+    zero, so words with both blocks empty pair to zero.  m above
+    DEGREE_CAP raises TooLarge.
     """
     _check_ambient(w1, w2)
     a, beta = len(w1.u), len(w1.uq)
-    m = math.lcm(a, beta)
+    m = math.lcm(*(k for k in (a, beta) if k))
     if m > DEGREE_CAP:
         raise TooLarge(f"lcm(alpha, beta) = {m} is above the length cap of {DEGREE_CAP}")
     total = QuatPoly.zero()

@@ -81,10 +81,6 @@ class BinPoly(DensePoly):
         """Degree of the polynomial; NEG_INF for zero."""
         return self._rep.bit_length() - 1 if self._rep else NEG_INF
 
-    @property
-    def is_monic(self) -> bool:
-        return bool(self._rep)
-
     def _add(self, other: int):
         return self._wrap(self._rep ^ other)
 

@@ -8,11 +8,10 @@ with the operands spread to wider slots when one-byte coefficient sums
 could carry; division is long division, one shifted multiply-add of the
 divisor per step; the coefficient tuple, the reciprocal and the images
 to and from Z2 go through to_bytes, from_bytes and bytes.translate.  This
-module adds reduction to Z2, multiplication mod x^beta - 1, exact
-division of x^beta - 1, and the Hensel lift taking a binary divisor of
-x^beta + 1 to the unique monic quaternary divisor of x^beta - 1 above it
-(computed by the Graeffe square-root trick).  Quaternary block lengths
-must be odd.
+module adds reduction to Z2, multiplication mod x^beta - 1 and the
+Hensel lift taking a binary divisor of x^beta + 1 to the unique monic
+quaternary divisor of x^beta - 1 above it (computed by the Graeffe
+square-root trick).  Quaternary block lengths must be odd.
 """
 
 from __future__ import annotations
@@ -175,17 +174,6 @@ def mul_mod(a: QuatPoly, b: QuatPoly, beta: int) -> QuatPoly:
     """Product in Z4[x]/(x^beta - 1)."""
     check_beta(beta)
     return (a * b).fold(beta)
-
-
-def exact_divide_xn1(d: QuatPoly, beta: int) -> QuatPoly:
-    """(x^beta - 1) / d for a monic divisor d; NotADivisor otherwise."""
-    check_beta(beta)
-    if not d.is_monic:
-        raise NotMonic(f"({d}) is not monic")
-    q, r = divmod(xn1(beta), d)
-    if r:
-        raise NotADivisor(f"({d}) does not divide x^{beta}-1 over Z4")
-    return q
 
 
 def hensel_lift(d: BinPoly, beta: int) -> QuatPoly:

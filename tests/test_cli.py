@@ -21,7 +21,7 @@ from z2z4cyclic import (
     spec_fields,
     spec_from_fields,
 )
-from z2z4cyclic.cli import Command, _build_parser, main, run
+from z2z4cyclic.cli import _FLAG_GROUPS, _VERB_TABLE, Command, _build_parser, main, run
 from z2z4cyclic.code import _row_word, format_codeword, spanning_set
 from z2z4cyclic.errors import InvalidParameter, ParseError
 
@@ -579,6 +579,21 @@ def test_cap_overflow_exits_three(capsys, c1_file):
     assert "above the cap" in err
 
 
+def input_flags(verb, spec_file):
+    """Flags that give the verb its input: a spec file, or search's three."""
+    if verb == "search":
+        return ["--alpha-max", "2", "--beta-set", "1", "--predicate", "mdss"]
+    return ["--spec", spec_file]
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("verb", ["enumerate", "search"])
+def test_cap_below_one_exits_two(capsys, c1_file, verb, cap):
+    status, out, err = run_cli(capsys, verb, *input_flags(verb, c1_file), "--cap", cap)
+    assert (status, out) == (2, "")
+    assert err == f"error: --cap must be at least 1, not {cap}\n"
+
+
 def test_reader_closing_the_pipe_early_exits_141_without_a_traceback():
     # 16384 codewords, about 320 kB of text: far more than the pipe buffer, so
     # the writer is still writing when the reader stops after one line.
@@ -621,6 +636,44 @@ def test_every_verb_the_parser_offers_dispatches_through_run():
         assert status == 0 and out, verb
     with pytest.raises(InvalidParameter, match="unknown verb"):
         run(Command(verb="frobnicate", spec_source=fields))
+
+
+SPEC_FLAGS = {"--spec", "--alpha", "--beta", "--b", "--ell", "--f", "--h"}
+SEARCH_FLAGS = {"--alpha-max", "--beta-set", "--predicate"}
+VERB_FLAGS = {
+    "info": SPEC_FLAGS | {"--cap"},
+    "dual": SPEC_FLAGS,
+    "matrix": SPEC_FLAGS,
+    "enumerate": SPEC_FLAGS | {"--cap"},
+    "gray": SPEC_FLAGS | {"--cap"},
+    "verify": SPEC_FLAGS | {"--cap", "--seed"},
+    "search": SEARCH_FLAGS | {"--cap"},
+}
+
+
+def test_each_verb_offers_json_and_the_flags_of_its_table_row():
+    parsers = _verb_parsers()
+    assert list(parsers) == list(_VERB_TABLE)
+    for verb, (_, _, groups) in _VERB_TABLE.items():
+        offered = {flag for a in parsers[verb]._actions for flag in a.option_strings}
+        from_table = {flag for group in ("json", *groups) for flag, _ in _FLAG_GROUPS[group]}
+        assert offered - {"-h", "--help"} == from_table == VERB_FLAGS[verb] | {"--json"}, verb
+
+
+@pytest.mark.parametrize("verb, flag", [
+    ("info", "--seed"),
+    ("dual", "--seed"),
+    ("dual", "--cap"),
+    ("matrix", "--seed"),
+    ("matrix", "--cap"),
+    ("enumerate", "--seed"),
+    ("gray", "--seed"),
+    ("search", "--seed"),
+])
+def test_a_flag_the_verb_does_not_read_exits_two(capsys, c1_file, verb, flag):
+    status, out, err = run_cli(capsys, verb, *input_flags(verb, c1_file), flag, "1")
+    assert (status, out) == (2, "")
+    assert err.endswith(f"error: unrecognized arguments: {flag} 1\n")
 
 
 def test_predicate_choices_are_the_names_search_codes_accepts():

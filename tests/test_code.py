@@ -429,9 +429,11 @@ def test_circ_product_collects_shifted_inner_products():
         (word("1 0 | 1 2 3"), word("0 1 | 3 0 1")),
         (word("1 1 1 | 2"), word("1 0 1 | 3")),
         (word("1 0 0 1 | 0 1 2"), word("1 1 0 0 | 2 0 1")),
+        (word("| 1 0 3"), word("| 2 1 1")),  # alpha = 0
+        (word("1 1 0 1 |"), word("0 1 1 1 |")),  # beta = 0
     ]
     for w1, w2 in pairs:
-        m = math.lcm(len(w1.u), len(w1.uq))
+        m = math.lcm(*(k for k in (len(w1.u), len(w1.uq)) if k))
         p = circ_product(w1, w2)
         coeffs = list(p.coeffs) + [0] * (m - len(p.coeffs))
         for i in range(m):

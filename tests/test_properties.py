@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from z2z4cyclic import (
@@ -356,6 +356,51 @@ def test_quatpoly_ring_ops_match_reference(a, b, k):
     assert (p * k).coeffs == (k * p).coeffs == ref_trim(k * v % 4 for v in ta)
 
 
+def wide_quat(length, entries, top):
+    """length coefficients, nonzero at the top and at a few sampled places."""
+    vals = [0] * length
+    for i, v in entries:
+        vals[i % length] = v
+    vals[-1] = top
+    return vals
+
+
+# Longer than z4._MASK_BYTES = 16384 coefficients, so _reduce builds a wider
+# mask; the other operand may be short.
+wide_quats = st.builds(
+    wide_quat,
+    st.integers(z4._MASK_BYTES + 1, z4._MASK_BYTES + 4000),
+    st.lists(st.tuples(st.integers(0, 20000), st.integers(0, 3)), max_size=12),
+    st.integers(1, 3),
+)
+
+
+def first_difference(got, want):
+    """The first index where two coefficient tuples differ, or None."""
+    pairs = enumerate(itertools.zip_longest(got, want))
+    return next((i for i, (u, v) in pairs if u != v), None)
+
+
+# Each example builds tuples of 16k entries, so a failure is reported as
+# found, unshrunk: shrinking one takes minutes.
+@settings(deadline=None, max_examples=40, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(wide_quats, wide_quats | quats, st.integers(-9, 9))
+def test_wide_quatpoly_sums_match_reference(a, b, k):
+    p, q = QuatPoly(a), QuatPoly(b)
+    assert p._rep.bit_length() > 8 * z4._MASK_BYTES
+    ta, tb = ref_trim(a), ref_trim(b)
+    scaled = ref_trim(k * v % 4 for v in ta)
+    for name, got, want in (
+        ("p + q", p + q, ref4_add(ta, tb)),
+        ("q + p", q + p, ref4_add(ta, tb)),
+        ("p - q", p - q, ref4_add(ta, tb, -1)),
+        ("-p", -p, ref4_add((), ta, -1)),
+        ("p * k", p * k, scaled),
+        ("k * p", k * p, scaled),
+    ):
+        assert first_difference(got.coeffs, want) is None, name
+
+
 @PROPERTY
 @given(quats, unit_led)
 def test_quatpoly_division_matches_reference(a, d):
@@ -559,7 +604,7 @@ def test_cyclic_closure_matches_the_shifted_word_set(gens):
 def two_limb_spec():
     """(1 | 33) with g the lift of x^2+x+1: 67 key bits, the Z2 coordinate in the top limb."""
     g = z4.hensel_lift(BinPoly.parse("x^2+x+1"), 33)
-    f = z4.exact_divide_xn1(g, 33)
+    f = divmod(z4.xn1(33), g)[0]
     return validate_spec(1, 33, BinPoly.parse("x+1"), BinPoly.zero(), f, QuatPoly.one())
 
 

@@ -115,30 +115,6 @@ def test_make_monic_preserves_unit_scaling():
         z4.make_monic(QuatPoly.zero())
 
 
-# -- exact division of x^beta - 1 ----------------------------------------------------
-
-
-def test_exact_divide_xn1_known_values():
-    assert z4.exact_divide_xn1(qp("x^2+x+1"), 3) == qp("x+3")
-    assert z4.exact_divide_xn1(qp("x^3+3"), 3) == qp("1")
-    assert z4.exact_divide_xn1(qp("x^5+3"), 5) == qp("1")
-
-
-def test_exact_divide_xn1_rejects_non_divisor():
-    with pytest.raises(NotADivisor):
-        z4.exact_divide_xn1(qp("x+1"), 3)
-
-
-def test_exact_divide_xn1_rejects_non_monic():
-    with pytest.raises(NotMonic):
-        z4.exact_divide_xn1(qp("3x+1"), 3)
-
-
-def test_exact_divide_round_trip():
-    for d in (qp("x+3"), qp("x^2+x+1"), qp("1"), qp("x^3+3")):
-        assert z4.exact_divide_xn1(d, 3) * d == z4.xn1(3)
-
-
 # -- Hensel lift ------------------------------------------------------------------------
 
 
