@@ -281,9 +281,10 @@ class CodeType:
 
 
 def _deg(p) -> int:
-    if p.is_zero:
+    d = p.degree
+    if d < 0:
         raise InvalidParameter("degree of the zero polynomial consumed in a formula")
-    return int(p.degree)
+    return d
 
 
 def _block_sizes(spec: CyclicCodeSpec) -> tuple[int, int, int]:
@@ -553,11 +554,18 @@ def _span_keys(rows: np.ndarray, widths: np.ndarray, alpha: int) -> np.ndarray:
     return _sort_keys(keys)
 
 
+def _check_cap(cap: int) -> None:
+    """A word-count cap must admit at least one word; anything less is a usage error."""
+    if cap < 1:
+        raise InvalidParameter(f"cap must be at least 1, not {cap}")
+
+
 def _codeword_keys(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
     """All codewords as sorted distinct packed keys, shape (k, |C|): the span of the
     spanning rows, with coefficients over Z2 for S1 and S3 rows and over Z4 for S2
     rows.  The key count is asserted against the cardinality formula rather than
     assumed."""
+    _check_cap(cap)
     total = cardinality(spec)
     if total > cap:
         raise TooLarge(f"code has {_count_text(total)} codewords, above the cap of {cap}")

@@ -34,6 +34,7 @@ from .code import (
     ENUM_CAP,
     Codeword,
     CyclicCodeSpec,
+    _check_cap,
     _count_text,
     _deg,
     _span_rows,
@@ -200,6 +201,7 @@ def brute_force_dual_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.nda
     An ambient space above AMBIENT_CAP vectors, or a dual of more than
     cap words, raises TooLarge before any table is built.
     """
+    _check_cap(cap)
     a, beta = spec.alpha, spec.beta
     n = a + 2 * beta
     total = 2**n

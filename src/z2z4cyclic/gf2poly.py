@@ -4,9 +4,12 @@ BinPoly stores a polynomial as one int whose bit i is the coefficient
 of x^i: addition is XOR, multiplication shift-and-XOR, division
 leading-bit reduction, folding mask-and-XOR and the reciprocal a bit
 reversal.  This module adds the number-theoretic helpers the code
-constructions need: monic gcd, modular inverse, the all-ones polynomial
-theta, factorization of x^n - 1 for odd n (split by its cyclotomic
-cosets), and divisor enumeration for arbitrary n.
+constructions need: monic gcd, exact division, modular inverse, the
+all-ones polynomial theta, factorization of x^n - 1 for odd n (split by
+its cyclotomic cosets), and divisor enumeration for arbitrary n.  gcd,
+exact_div and modinv check their arguments once and then run on the
+packed ints through the kernels _mod_bits, _divmod_bits and _clmul,
+wrapping only the result.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import (
+    DivisorZero,
     EvenLengthUnsupported,
     GcdUndefined,
     InvalidParameter,
@@ -61,6 +65,7 @@ class BinPoly(DensePoly):
     """Z2[x]; the stored int has bit i set when x^i has coefficient 1."""
 
     MOD = 2
+    _SLOT = 1
     __slots__ = ()
 
     @classmethod
@@ -125,11 +130,17 @@ def poly_key(p: DensePoly) -> tuple:
     return (len(p.coeffs), p.coeffs)
 
 
-def gcd(a: BinPoly, b: BinPoly) -> BinPoly:
-    """Monic greatest common divisor; gcd(a, 0) = a."""
-    for p in (a, b):
+def _check_binary(*polys) -> None:
+    """The type check of gcd, exact_div and modinv; an exact BinPoly skips the call."""
+    for p in polys:
         if not isinstance(p, BinPoly):
             raise TypeError(f"expected a polynomial over Z2, got {p!r}")
+
+
+def gcd(a: BinPoly, b: BinPoly) -> BinPoly:
+    """Monic greatest common divisor; gcd(a, 0) = a."""
+    if a.__class__ is not BinPoly or b.__class__ is not BinPoly:
+        _check_binary(a, b)
     x, y = a._rep, b._rep
     if not x and not y:
         raise GcdUndefined("gcd(0, 0) is undefined")
@@ -140,25 +151,33 @@ def gcd(a: BinPoly, b: BinPoly) -> BinPoly:
 
 def exact_div(a: BinPoly, b: BinPoly) -> BinPoly:
     """Quotient a/b when the division is exact; a nonzero remainder is a bug here."""
-    q, r = divmod(a, b)
+    if a.__class__ is not BinPoly or b.__class__ is not BinPoly:
+        _check_binary(a, b)
+    if not b._rep:
+        raise DivisorZero("polynomial division by zero")
+    q, r = _divmod_bits(a._rep, b._rep)
     if r:
         raise ArithmeticError(f"internal error: ({a}) is not divisible by ({b}) over Z2")
-    return q
+    return BinPoly._wrap(q)
 
 
 def modinv(p: BinPoly, m: BinPoly) -> BinPoly:
-    """Inverse of p modulo m (deg m >= 1), via the extended Euclidean algorithm."""
-    if m.is_zero or m.degree < 1:
+    """Inverse of p modulo m (deg m >= 1), via the extended Euclidean algorithm
+    on the packed ints: s1 * p = r1 (mod m) holds at every step."""
+    if p.__class__ is not BinPoly or m.__class__ is not BinPoly:
+        _check_binary(p, m)
+    mod = m._rep
+    if mod < 2:
         raise InvalidParameter("modulus must have degree at least 1")
-    r0, r1 = m, p % m
-    s0, s1 = BinPoly.zero(), BinPoly.one()
+    r0, r1 = mod, _mod_bits(p._rep, mod)
+    s0, s1 = 0, 1
     while r1:
-        q, r = divmod(r0, r1)
+        q, r = _divmod_bits(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, s0 + q * s1
-    if r0 != BinPoly.one():
+        s0, s1 = s1, s0 ^ _clmul(q, s1)
+    if r0 != 1:
         raise NotInvertible(f"({p}) is not invertible modulo ({m})")
-    return s0 % m
+    return BinPoly._wrap(_mod_bits(s0, mod))
 
 
 def theta(m: int, n: int) -> BinPoly:

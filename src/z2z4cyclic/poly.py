@@ -9,6 +9,11 @@ ascending coefficient tuple with no trailing zeros, the zero polynomial
 is the empty tuple with the sentinel degree NEG_INF, and instances are
 immutable and hashable.
 
+Each binary entry point hands an operand of its own class straight to
+the subclass kernel; any other operand first goes through the generic
+ring check, so a wrong ring, a bool, a float or None raises the same
+TypeError either way.
+
 Two text forms are accepted by parse(): a human form such as
 "x^3+2x+1" (terms in any order, '-' allowed and folded mod m) and an
 ascending comma-separated coefficient list such as "1,2,0,1".  Numerals
@@ -57,11 +62,15 @@ class DensePoly:
     Each arithmetic method here checks its arguments (same ring, nonzero
     divisor, int scalars) and then calls a private kernel of the subclass
     on the stored representation: _pack, _add, _sub, _neg, _scale, _mul,
-    _divmod, _mod, _reciprocal, _fold.  Subclasses supply kernels and
+    _divmod, _mod, _reciprocal, _fold.  An operand of the caller's own
+    class is in the ring by construction, so it goes to the kernel at
+    once; only other operands get the generic _check_ring.  Subclasses
+    supply kernels and the slot width _SLOT (bits per coefficient), and
     never override an entry point.
     """
 
     MOD = 0  # set by subclasses
+    _SLOT = 0  # bits per stored coefficient, set by subclasses
     __slots__ = ("_rep",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
@@ -96,7 +105,7 @@ class DensePoly:
         """The monomial coefficient * x**exponent."""
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
-        return cls._make([0] * exponent + [coefficient])
+        return cls._wrap(cls._pack((coefficient,)) << cls._SLOT * exponent)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -117,20 +126,23 @@ class DensePoly:
         return hash((self.MOD, self._rep))
 
     def __add__(self, other):
-        self._check_ring(other)
+        if other.__class__ is not self.__class__:
+            self._check_ring(other)
         return self._add(other._rep)
 
     def __sub__(self, other):
-        self._check_ring(other)
+        if other.__class__ is not self.__class__:
+            self._check_ring(other)
         return self._sub(other._rep)
 
     def __neg__(self):
         return self._neg()
 
     def __mul__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self._scale(other)
-        self._check_ring(other)
+        if other.__class__ is not self.__class__:
+            if isinstance(other, int) and not isinstance(other, bool):
+                return self._scale(other)
+            self._check_ring(other)
         return self._mul(other._rep)
 
     __rmul__ = __mul__
@@ -144,25 +156,25 @@ class DensePoly:
         return result
 
     def __divmod__(self, divisor):
-        self._check_divisor(divisor)
-        return self._divmod(divisor._rep)
+        return self._divmod(self._divisor_rep(divisor))
 
     def __floordiv__(self, divisor):
-        self._check_divisor(divisor)
-        return self._divmod(divisor._rep)[0]
+        return self._divmod(self._divisor_rep(divisor))[0]
 
     def __mod__(self, divisor):
-        self._check_divisor(divisor)
-        return self._mod(divisor._rep)
+        return self._mod(self._divisor_rep(divisor))
 
     def _check_ring(self, other):
         if not isinstance(other, DensePoly) or other.MOD != self.MOD:
             raise TypeError(f"expected a polynomial over Z{self.MOD}, got {other!r}")
 
-    def _check_divisor(self, divisor):
-        self._check_ring(divisor)
+    def _divisor_rep(self, divisor):
+        """The representation of a divisor in this ring; zero raises DivisorZero."""
+        if divisor.__class__ is not self.__class__:
+            self._check_ring(divisor)
         if not divisor._rep:
             raise DivisorZero("polynomial division by zero")
+        return divisor._rep
 
     def reciprocal(self):
         """Coefficient reversal x^deg * p(1/x); raises on the zero polynomial."""

@@ -11,7 +11,9 @@ to and from Z2 go through to_bytes, from_bytes and bytes.translate.  This
 module adds reduction to Z2, multiplication mod x^beta - 1 and the
 Hensel lift taking a binary divisor of x^beta + 1 to the unique monic
 quaternary divisor of x^beta - 1 above it (computed by the Graeffe
-square-root trick).  Quaternary block lengths must be odd.
+square-root trick on the packed int: the odd bytes tripled for D(-x),
+one product kernel call, one mask test for odd powers and the even
+bytes as the lift).  Quaternary block lengths must be odd.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from .poly import DEGREE_CAP, NEG_INF, DensePoly
 # builds a wider mask for a longer value.
 _MASK_BYTES = 4 * DEGREE_CAP
 _THREES = int.from_bytes(b"\x03" * _MASK_BYTES, "little")
+# Every odd-numbered byte: the coefficients of the odd powers of x.
+_ODD_BYTES = int.from_bytes(b"\x00\xff" * (_MASK_BYTES // 2), "little")
 # bytes.translate tables: a byte mod 4, a byte's low bit as an ASCII digit,
 # and an ASCII binary digit as a byte.
 _MOD4 = bytes(v & 3 for v in range(256))
@@ -41,6 +45,13 @@ def _reduce(x: int) -> int:
     if x.bit_length() <= 8 * _MASK_BYTES:
         return x & _THREES
     return x & int.from_bytes(b"\x03" * _nbytes(x), "little")
+
+
+def _odd_bytes(x: int) -> int:
+    """The bytes of a nonnegative x at odd positions, the others zeroed."""
+    if x.bit_length() <= 8 * _MASK_BYTES:
+        return x & _ODD_BYTES
+    return x & int.from_bytes(b"\x00\xff" * (_nbytes(x) // 2 + 1), "little")
 
 
 def _nbytes(x: int) -> int:
@@ -59,6 +70,7 @@ class QuatPoly(DensePoly):
     """Z4[x]; the stored int holds the coefficient of x^i in byte i."""
 
     MOD = 4
+    _SLOT = 8
     __slots__ = ()
 
     @classmethod
@@ -165,9 +177,9 @@ def lift_binary(p: BinPoly) -> QuatPoly:
 
 def make_monic(p: QuatPoly) -> QuatPoly:
     """Scale by the leading unit so the result is monic."""
-    if p.is_zero or p.coeffs[-1] == 2:
+    if not p or (lead := p.coeffs[-1]) == 2:
         raise NotMonic(f"({p}) cannot be normalised to a monic polynomial")
-    return p if p.coeffs[-1] == 1 else 3 * p
+    return p if lead == 1 else 3 * p
 
 
 def mul_mod(a: QuatPoly, b: QuatPoly, beta: int) -> QuatPoly:
@@ -181,14 +193,16 @@ def hensel_lift(d: BinPoly, beta: int) -> QuatPoly:
 
     Uses the Graeffe trick: for D a 0/1 lift of d, D(x)*D(-x) has only
     even powers and equals +-P(x^2); the sign making P monic gives the lift.
+    All of it runs on the byte-packed int: D(-x) triples D's odd bytes (a
+    0/1 coefficient v becomes 3v = -v mod 4), the odd-power test is one
+    mask test, and P's coefficients are the product's even bytes.
     """
     check_beta(beta)
     if d.is_zero or gf2poly.xn1(beta) % d:
         raise NotADivisor(f"({d}) does not divide x^{beta}-1 over Z2")
     big = lift_binary(d)
-    neg = QuatPoly._make(-v if i % 2 else v for i, v in enumerate(big.coeffs))
-    prod = big * neg
-    if any(prod.coeffs[i] for i in range(1, len(prod.coeffs), 2)):
+    prod = big._mul(big._rep + 2 * _odd_bytes(big._rep))._rep
+    if _odd_bytes(prod):
         raise ArithmeticError("internal error: Graeffe product has odd-degree terms")
-    lifted = QuatPoly._make(prod.coeffs[::2])
-    return make_monic(lifted)
+    even = prod.to_bytes(_nbytes(prod), "little")[::2]
+    return make_monic(QuatPoly._wrap(int.from_bytes(even, "little")))

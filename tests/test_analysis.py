@@ -181,6 +181,12 @@ def test_search_caps_tuple_count_before_building_specs(monkeypatch):
         next(iter_valid_specs(1, 63))
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_search_refuses_a_cap_below_one(cap):
+    with pytest.raises(InvalidParameter, match=f"^cap must be at least 1, not {cap}$"):
+        search_codes(1, {1}, "mdss", cap=cap)
+
+
 def test_divisor_count_is_capped_before_any_divisor_is_built():
     # x^255 - 1 has 35 irreducible factors, so 2^35 divisors; no tuple
     # count can be smaller than the divisor count.

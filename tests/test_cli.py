@@ -594,6 +594,19 @@ def test_cap_below_one_exits_two(capsys, c1_file, verb, cap):
     assert err == f"error: --cap must be at least 1, not {cap}\n"
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+@pytest.mark.parametrize("verb", ["info", "enumerate", "gray", "verify", "search"])
+def test_run_refuses_a_cap_below_one_as_a_usage_error(c1_file, verb, cap):
+    # Through run, with no argument parser: the enumeration refuses the cap
+    # itself, as a usage error (exit 2), not as a code above the cap (exit 3).
+    if verb == "search":
+        cmd = Command(verb=verb, spec_source=None, alpha_max=1, beta_set=(1,), predicate="mdss", cap=cap)
+    else:
+        cmd = Command(verb=verb, spec_source=c1_file, cap=cap)
+    with pytest.raises(InvalidParameter, match=f"^cap must be at least 1, not {cap}$"):
+        run(cmd)
+
+
 def test_reader_closing_the_pipe_early_exits_141_without_a_traceback():
     # 16384 codewords, about 320 kB of text: far more than the pipe buffer, so
     # the writer is still writing when the reader stops after one line.

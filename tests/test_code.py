@@ -249,6 +249,12 @@ def test_enumerate_respects_cap(example_spec):
         codeword_matrix(example_spec, cap=8)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_enumerate_refuses_a_cap_below_one(example_spec, cap):
+    with pytest.raises(InvalidParameter, match=f"^cap must be at least 1, not {cap}$"):
+        codeword_matrix(example_spec, cap=cap)
+
+
 def test_contains_examples(example_spec):
     assert contains(example_spec, word("1 0 1 | 0 0 2"))
     assert not contains(example_spec, word("1 0 0 | 0 0 0"))

@@ -27,7 +27,7 @@ from z2z4cyclic import (
 )
 from z2z4cyclic import z4poly as z4
 from z2z4cyclic.dual import brute_force_dual_matrix
-from z2z4cyclic.errors import NotADivisor, TooLarge
+from z2z4cyclic.errors import InvalidParameter, NotADivisor, TooLarge
 
 from conftest import bp, qp, word, word_set
 
@@ -180,6 +180,12 @@ def test_brute_force_dual_matches_full_scan_exhaustive():
 def test_brute_force_dual_respects_cap(example_spec):
     with pytest.raises(TooLarge):
         brute_force_dual_matrix(example_spec, cap=16)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_brute_force_dual_refuses_a_cap_below_one(example_spec, cap):
+    with pytest.raises(InvalidParameter, match=f"^cap must be at least 1, not {cap}$"):
+        brute_force_dual_matrix(example_spec, cap=cap)
 
 
 def test_brute_force_dual_above_the_enum_cap_raises_quickly():

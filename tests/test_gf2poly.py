@@ -59,8 +59,39 @@ def test_binpoly_and_quatpoly_never_compare_equal():
 def test_monomial_builder():
     assert BinPoly.x() == bp("x")
     assert BinPoly.x(4) == bp("x^4")
-    with pytest.raises(ValueError):
-        BinPoly.x(-1)
+    assert QuatPoly.x(4, 3) == QuatPoly.parse("3x^4")
+    # The coefficient is reduced mod m, so c = 0 and c = MOD give zero.
+    for cls in (BinPoly, QuatPoly):
+        for e in [*range(70), *range(70, DEGREE_CAP, 263), DEGREE_CAP]:
+            for c in range(6):
+                assert cls.x(e, c) == cls._make([0] * e + [c]), (cls, e, c)
+        with pytest.raises(ValueError, match="exponent must be nonnegative"):
+            cls.x(-1)
+
+
+# -- the shared entry points, both rings --------------------------------------
+
+BINARY_OPS = {
+    "+": lambda p, o: p + o,
+    "-": lambda p, o: p - o,
+    "*": lambda p, o: p * o,
+    "rmul": lambda p, o: p.__rmul__(o),
+    "divmod": divmod,
+    "//": lambda p, o: p // o,
+    "%": lambda p, o: p % o,
+}
+SAMPLES = {BinPoly: BinPoly((1, 1, 0, 1)), QuatPoly: QuatPoly((3, 2, 0, 1))}
+
+
+@pytest.mark.parametrize("op", BINARY_OPS)
+@pytest.mark.parametrize("cls", [BinPoly, QuatPoly])
+def test_entry_points_refuse_other_operands_with_the_ring_message(cls, op):
+    p = SAMPLES[cls]
+    other_ring = SAMPLES[QuatPoly if cls is BinPoly else BinPoly]
+    for other in (other_ring, True, 1.5, None):
+        with pytest.raises(TypeError) as exc:
+            BINARY_OPS[op](p, other)
+        assert str(exc.value) == f"expected a polynomial over Z{cls.MOD}, got {other!r}"
 
 
 # -- division ---------------------------------------------------------------
@@ -84,8 +115,10 @@ def test_divmod_zero_dividend():
 
 
 def test_divmod_by_zero_raises():
-    with pytest.raises(DivisorZero):
-        divmod(bp("x"), BinPoly.zero())
+    for cls in (BinPoly, QuatPoly):
+        for op in ("divmod", "//", "%"):
+            with pytest.raises(DivisorZero, match="polynomial division by zero"):
+                BINARY_OPS[op](cls.x(), cls.zero())
 
 
 def test_divmod_round_trip_exhaustive():
@@ -189,6 +222,22 @@ def test_theta_factors_x_nm_minus_1():
 
 
 # -- modular inverse -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("func", [gf2.exact_div, gf2.modinv])
+def test_exact_div_and_modinv_refuse_quaternary_arguments(func):
+    q = QuatPoly((1, 1))
+    for args in ((q, bp("x+1")), (bp("x+1"), q), (q, q)):
+        with pytest.raises(TypeError, match="expected a polynomial over Z2"):
+            func(*args)
+
+
+def test_exact_div_refuses_remainder_and_zero_divisor():
+    with pytest.raises(ArithmeticError, match=r"\(x\^2\+1\) is not divisible by \(x\^2\+x\+1\)"):
+        gf2.exact_div(bp("x^2+1"), bp("x^2+x+1"))
+    with pytest.raises(DivisorZero):
+        gf2.exact_div(bp("x+1"), BinPoly.zero())
+    assert gf2.exact_div(BinPoly.zero(), bp("x+1")) == BinPoly.zero()
 
 
 def test_modinv_known_values():

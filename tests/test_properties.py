@@ -22,6 +22,7 @@ from z2z4cyclic import (
     BinPoly,
     Codeword,
     NotInvertible,
+    NotMonic,
     QuatPoly,
     Z2Z4Error,
     code_report,
@@ -195,7 +196,7 @@ def test_binpoly_views_match_reference(a):
 
 
 @PROPERTY
-@given(bits, bits, st.integers(0, 3))
+@given(bits, bits, st.integers(-9, 9))
 def test_binpoly_ring_ops_match_reference(a, b, k):
     p, q = BinPoly(a), BinPoly(b)
     ta, tb = ref_trim(a), ref_trim(b)
@@ -451,6 +452,39 @@ def test_quatpoly_long_product_matches_convolution():
     a[-1] = b[-1] = 1
     want = ref_trim(int(v) for v in np.convolve(a, b) % 4)
     assert (QuatPoly(a.tolist()) * QuatPoly(b.tolist())).coeffs == want
+
+
+@PROPERTY
+@given(quats)
+def test_make_monic_scales_by_the_leading_coefficient(a):
+    p, ta = QuatPoly(a), ref_trim(a)
+    if not ta or ta[-1] == 2:
+        with pytest.raises(NotMonic):
+            z4.make_monic(p)
+        return
+    assert z4.make_monic(p).coeffs == ref_trim(ta[-1] * v % 4 for v in ta)
+
+
+def ref_graeffe_lift(d) -> tuple:
+    """The Hensel lift of a binary divisor d of x^n - 1, from tuples alone:
+    D(x) * D(-x) = +-P(x^2), with the sign that makes P monic."""
+    neg = tuple(-v % 4 if i % 2 else v for i, v in enumerate(d))
+    prod = ref4_mul(d, neg)
+    assert not any(prod[1::2])
+    lifted = prod[::2]
+    return ref_trim(lifted[-1] * v % 4 for v in lifted)
+
+
+def test_hensel_lift_matches_graeffe_reference():
+    # Every binary divisor of x^n - 1 for odd n <= 35.  From 29 coefficients
+    # on, 9 * min(len) passes 255, so QuatPoly._mul spreads the Graeffe
+    # product's operands to wider slots; n = 31 and 33 reach degree 29 and up.
+    top = 0
+    for n in range(1, 36, 2):
+        for d in gf2.divisors_xn1(n):
+            assert z4.hensel_lift(d, n).coeffs == ref_graeffe_lift(d.coeffs), (n, str(d))
+            top = max(top, d.degree)
+    assert top >= 29
 
 
 # -- packed-key canonical sort ------------------------------------------------
