@@ -33,6 +33,7 @@ from .code import (
     _count_text,
     _deg,
     _gray_keys,
+    _pairings,
     _projection_sizes,
     _reduce_blocks,
     _row_keys,
@@ -40,8 +41,6 @@ from .code import (
     _shift_cols,
     _sort_keys,
     _span_keys,
-    _span_rows,
-    _span_widths,
     cardinality,
     code_type,
     code_type_from_words,
@@ -115,7 +114,7 @@ def code_report(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> CodeReport:
         is_mdss=d is not None and _mdss_gap(spec, d, t) == 0,
         is_self_dual=self_dual,
         is_separable=t.is_separable,
-        is_cyclic_verified=_cyclic_closed(_span_rows(spec), _span_widths(spec), spec.alpha, keys),
+        is_cyclic_verified=_cyclic_closed(spec._span_rows, spec._span_widths, spec.alpha, keys),
     )
 
 
@@ -186,18 +185,6 @@ def iter_valid_specs(alpha: int, beta: int):
                 yield validate_spec(alpha, beta, b, base * t, f, h)
 
 
-def _spec_sort_key(spec: CyclicCodeSpec):
-    return (
-        spec.alpha,
-        spec.beta,
-        _deg(spec.b),
-        spec.b.coeffs,
-        spec.ell.coeffs,
-        spec.f.coeffs,
-        spec.h.coeffs,
-    )
-
-
 _PREDICATES = ("self_dual", "mdss", "separable")
 
 
@@ -210,12 +197,13 @@ def search_codes(
     """All codes with alpha <= alpha_max, beta in beta_set matching the predicate.
 
     Distinct tuples generating equal codeword sets are collapsed to the
-    earliest tuple in sort order, so the result is deterministic.  A pair
+    earliest tuple in sort order (b by gf2.poly_key, then the coefficients
+    of ell, f and h), so the result is deterministic.  A pair
     (alpha, beta) with more than SEARCH_CAP tuples raises TooLarge.
     """
     if predicate not in _PREDICATES:
         raise InvalidParameter(f"predicate must be one of {', '.join(_PREDICATES)}")
-    if not isinstance(alpha_max, int) or alpha_max < 1:
+    if not isinstance(alpha_max, int) or isinstance(alpha_max, bool) or alpha_max < 1:
         raise InvalidParameter("alpha_max must be a positive integer")
     longest = max([alpha_max, *beta_set])
     if longest > DEGREE_CAP:
@@ -224,7 +212,8 @@ def search_codes(
     for alpha in range(1, alpha_max + 1):
         for beta in sorted(set(beta_set)):
             seen: set[bytes] = set()
-            for spec in sorted(iter_valid_specs(alpha, beta), key=_spec_sort_key):
+            specs = iter_valid_specs(alpha, beta)
+            for spec in sorted(specs, key=lambda s: (gf2.poly_key(s.b), s.ell.coeffs, s.f.coeffs, s.h.coeffs)):
                 key = codeword_matrix(spec, cap).tobytes()
                 if key in seen:
                     continue
@@ -280,9 +269,9 @@ class CheckResult:
 
 def _sample_rows(spec: CyclicCodeSpec, rng: np.random.Generator, count: int) -> np.ndarray:
     """Uniform random codewords from the spanning-set decomposition."""
-    widths = _span_widths(spec)
+    widths = spec._span_widths
     coeff = rng.integers(0, 1 << widths, size=(count, len(widths)), dtype=np.int16)
-    return _reduce_blocks(coeff @ _span_rows(spec), spec.alpha)
+    return _reduce_blocks(coeff @ spec._span_rows, spec.alpha)
 
 
 def _cyclic_correlation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -356,10 +345,10 @@ def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> lis
         f"measured {measured} vs formula {t}",
     )
     keys = _row_keys(mat, spec.alpha)
-    rows = _span_rows(spec)
+    rows = spec._span_rows
     check(
         "cyclic-closure",
-        _cyclic_closed(rows, _span_widths(spec), spec.alpha, keys),
+        _cyclic_closed(rows, spec._span_widths, spec.alpha, keys),
         "shifted word set equals word set",
     )
     check(
@@ -424,13 +413,9 @@ def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> lis
 
     sample_c = _sample_rows(spec, rng, 64)
     sample_d = _sample_rows(dspec, rng, 64)
-    ips = (
-        2 * (sample_c[:, : spec.alpha] * sample_d[:, : spec.alpha]).sum(axis=1)
-        + (sample_c[:, spec.alpha :] * sample_d[:, spec.alpha :]).sum(axis=1)
-    ) % 4
     check(
         "orthogonality",
-        not ips.any(),
+        not _pairings(sample_c, sample_d, spec.alpha).any(),
         f"{len(sample_c)} sampled pairs from C x C_dual have zero inner product",
     )
     pairs = 8

@@ -35,7 +35,6 @@ from .code import (
     _decode_keys,
     _format_rows,
     _gray_rows,
-    _span_rows,
     cardinality,
     codeword_matrix,
     parse_spec_text,
@@ -104,7 +103,7 @@ def _run_dual(spec, cmd: Command) -> tuple[int, str]:
 
 
 def _run_matrix(spec, cmd: Command) -> tuple[int, str]:
-    rows = iter(_format_rows(_span_rows(spec), spec.alpha))
+    rows = iter(_format_rows(spec._span_rows, spec.alpha))
     labeled = {
         name: [next(rows) for _ in range(count)]
         for name, count in zip(("S1", "S2", "S3"), _block_sizes(spec))

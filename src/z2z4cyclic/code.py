@@ -7,32 +7,32 @@ The code is the module generated by (b | 0) and (ell | f*h + 2f) under
 the mixing action lambda * (p | q) = (lambda*p mod 2 | lambda*q), with
 everything reduced mod x^alpha - 1 and x^beta - 1.
 
-Vectors and polynomials correspond by (u_0, ..., u_{n-1}) <-> sum u_i x^i.
-Each word fact has one implementation here: _shift_cols, a column gather
-on int16 rows, is the one simultaneous block shift, and packed keys are
-never shifted (cyclic_shift is the same shift on one Codeword, for the
-public API); shifting both blocks is multiplication by x, so the shift
-of a span is the span of the shifted rows.  _block_sizes gives the
+Vectors and polynomials correspond by (u_0, ..., u_{n-1}) <->
+sum u_i x^i.  Each word fact has one implementation here: _shift_cols, a
+column gather on int16 rows, is the one simultaneous block shift, and packed
+keys are never shifted (cyclic_shift is the same shift on one Codeword,
+for the public API); shifting both blocks is multiplication by x, so the
+shift of a span is the span of the shifted rows.  _block_sizes gives the
 spanning block sizes |S1|, |S2|, |S3| = (alpha - deg b, deg g, deg h)
-that the spanning rows, their coefficient widths (_span_widths),
-cardinality(spec) (the one size formula) and code_type read; _base_pairs
-gives the base pairs (b | 0), (ell | fh + 2f), (ell*g | 2fg) that the
-spanning rows, subcode_order_two and project_xy read; and _gray_keys is
-the Gray map, on packed keys: a Gray-coded key is the key of the word's
-Gray image in the all-binary layout, so _gray_rows decodes it and its
-popcount is the word's Gray weight.  The spanning rows are the shifts of
-the base rows, taken by one _shift_cols gather.  _span_keys enumerates
-the span of any rows by doubling on packed keys: each row's multiples
-are added to all the keys built so far, an order-two row by one XOR and
-an S2 row lane-wise (_key_add), and the keys are sorted once.
-_codeword_keys is the span of the spanning rows, and codeword_matrix
-decodes it once, column-major, into the int16 matrix.  Membership is
-decided in the dual module, from the dual's spanning rows, without
-enumerating the code.
-The spanning rows (read-only) live on the spec instance: they are built
-on first use and kept in a private field that takes no part in ==, hash
-or repr, so equal instances share nothing and no result outlives the
-instance.
+that the spanning rows and their coefficient widths (the spec's cached
+properties _span_rows and _span_widths), cardinality(spec) (the one size
+formula) and code_type read; _base_pairs gives the base pairs (b | 0),
+(ell | fh + 2f), (ell*g | 2fg) that the spanning rows, subcode_order_two
+and project_xy read; and _gray_keys is the Gray map, on packed keys: a
+Gray-coded key is the key of the word's Gray image in the all-binary
+layout, so _gray_rows decodes it and its popcount is the word's Gray
+weight; _pairings, the pairing 2<u, u'> + <q, q'> mod 4 on int rows, is
+behind dual.contains and verify's orthogonality check.  The spanning
+rows are the shifts of the base rows, taken by one _shift_cols gather,
+and are cached read-only in the spec's __dict__, outside the dataclass
+fields, so ==, hash and repr never see them and equal instances share
+nothing.  _span_keys enumerates the span of any rows by doubling on
+packed keys: each row's multiples are added to all the keys built so
+far, an order-two row by one XOR and an S2 row lane-wise (_key_add), and
+the keys are sorted once.  _codeword_keys is the span of the spanning
+rows, and codeword_matrix decodes it once, column-major, into the int16
+matrix.  Membership is decided in the dual module, from the dual's
+spanning rows, without enumerating the code.
 Inside the package a codeword set is its sorted distinct packed keys;
 the public form is their decode, an int16 matrix of unique rows (binary
 block first) in lexicographic row order, which keeps brute-force
@@ -139,14 +139,11 @@ class CyclicCodeSpec:
     f: QuatPoly
     h: QuatPoly
     g: QuatPoly = field(init=False)
-    # _span_rows's read-only rows, built on first use and kept for the life of
-    # this instance.
-    _span: np.ndarray | None = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         for name in ("alpha", "beta"):
             n = getattr(self, name)
-            if not isinstance(n, int) or n < 1:
+            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
                 raise InvalidSpec(f"{name} must be a positive integer")
             if n > DEGREE_CAP:
                 raise TooLarge(f"{name} = {n} is above the length cap of {DEGREE_CAP}")
@@ -179,6 +176,26 @@ class CyclicCodeSpec:
         if (h2 * gf2.gcd(self.b, self.ell * g2)) % self.b:
             raise ArithmeticError("internal error: b does not divide h * gcd(b, ell*g) mod 2")
         object.__setattr__(self, "g", g)
+
+    @functools.cached_property
+    def _span_rows(self) -> np.ndarray:
+        """Spanning rows S1|S2|S3, read-only: row i of each block is its base row
+        shifted i steps in both blocks, all taken by one gather of the shifts by -i."""
+        a, beta = self.alpha, self.beta
+        counts = _block_sizes(self)
+        bases = np.stack([_pair_row(p, q, a, beta) for p, q in _base_pairs(self)])
+        which = np.repeat(np.arange(3), counts)
+        back = (np.cumsum(counts) - counts)[which] - np.arange(len(which))
+        rows = bases[which[:, None], _shift_cols(a, beta, back[:, None])]
+        rows.flags.writeable = False
+        return rows
+
+    @functools.cached_property
+    def _span_widths(self) -> np.ndarray:
+        """Each spanning row's coefficient width in bits, read-only: 1 for S1 and S3, 2 for S2."""
+        widths = np.repeat((1, 2, 1), _block_sizes(self))
+        widths.flags.writeable = False
+        return widths
 
 
 def validate_spec(alpha: int, beta: int, b: BinPoly, ell: BinPoly, f: QuatPoly, h: QuatPoly) -> CyclicCodeSpec:
@@ -349,37 +366,9 @@ def _shift_cols(alpha: int, beta: int, k) -> np.ndarray:
     )
 
 
-def _span_rows(spec: CyclicCodeSpec) -> np.ndarray:
-    """Spanning rows S1|S2|S3 as one matrix.
-
-    Row i of each block is the block's base row shifted i steps in both
-    blocks, all taken by one gather of the shifts by -i.  Built once per
-    spec instance; the matrix is read-only.
-    """
-    if spec._span is None:
-        object.__setattr__(spec, "_span", _build_span_rows(spec))
-    return spec._span
-
-
-def _span_widths(spec: CyclicCodeSpec) -> np.ndarray:
-    """Each spanning row's coefficient width in bits: 1 for S1 and S3, 2 for S2."""
-    return np.repeat((1, 2, 1), _block_sizes(spec))
-
-
-def _build_span_rows(spec: CyclicCodeSpec) -> np.ndarray:
-    a, beta = spec.alpha, spec.beta
-    counts = _block_sizes(spec)
-    bases = np.stack([_pair_row(p, q, a, beta) for p, q in _base_pairs(spec)])
-    which = np.repeat(np.arange(3), counts)
-    back = (np.cumsum(counts) - counts)[which] - np.arange(len(which))
-    rows = bases[which[:, None], _shift_cols(a, beta, back[:, None])]
-    rows.flags.writeable = False
-    return rows
-
-
 def spanning_set(spec: CyclicCodeSpec) -> list[Codeword]:
     """Shifted generators whose Z4-combinations cover the code exactly once."""
-    return [_row_word(row, spec.alpha) for row in _span_rows(spec)]
+    return [_row_word(row, spec.alpha) for row in spec._span_rows]
 
 
 def _row_word(row: np.ndarray, alpha: int) -> Codeword:
@@ -569,7 +558,7 @@ def _codeword_keys(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
     total = cardinality(spec)
     if total > cap:
         raise TooLarge(f"code has {_count_text(total)} codewords, above the cap of {cap}")
-    keys = _span_keys(_span_rows(spec), _span_widths(spec), spec.alpha)
+    keys = _span_keys(spec._span_rows, spec._span_widths, spec.alpha)
     if keys.shape[1] != total:
         raise ArithmeticError(
             f"internal error: enumeration found {keys.shape[1]} codewords, formula says {total}"
@@ -646,6 +635,13 @@ def _check_ambient(w1: Codeword, w2: Codeword) -> None:
         raise AmbientMismatch(
             f"ambients differ: ({len(w1.u)}|{len(w1.uq)}) vs ({len(w2.u)}|{len(w2.uq)})"
         )
+
+
+def _pairings(a: np.ndarray, b: np.ndarray, alpha: int) -> np.ndarray:
+    """2 * <u, u'> + <q, q'> mod 4 over the last axis of rows a and b, broadcast
+    against each other; the sums are in int64, so long rows cannot overflow."""
+    prod = np.multiply(a, b, dtype=np.int64)
+    return (2 * prod[..., :alpha].sum(axis=-1) + prod[..., alpha:].sum(axis=-1)) % 4
 
 
 def inner_product(w1: Codeword, w2: Codeword) -> int:

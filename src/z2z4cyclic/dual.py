@@ -37,7 +37,7 @@ from .code import (
     _check_cap,
     _count_text,
     _deg,
-    _span_rows,
+    _pairings,
     cardinality,
     code_type,
     validate_spec,
@@ -162,12 +162,10 @@ def dual_spec(spec: CyclicCodeSpec) -> CyclicCodeSpec:
 def contains(spec: CyclicCodeSpec, w: Codeword) -> bool:
     """Whether w is a codeword, decided as C = (C_dual)^perp without enumerating C:
     w has the code's block lengths and is orthogonal to every spanning row of
-    dual_spec(spec), by one matmul mod 4 in int64 so that long rows cannot overflow."""
+    dual_spec(spec)."""
     if len(w.u) != spec.alpha or len(w.uq) != spec.beta:
         return False
-    rows = _span_rows(dual_spec(spec)).astype(np.int64)
-    rows[:, : spec.alpha] *= 2
-    return not (rows @ (w.u + w.uq) % 4).any()
+    return not _pairings(dual_spec(spec)._span_rows, w.u + w.uq, spec.alpha).any()
 
 
 def _residue_keys(coef: np.ndarray) -> np.ndarray:
@@ -212,7 +210,7 @@ def brute_force_dual_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.nda
     expected = total // cardinality(spec)
     if expected > cap:
         raise TooLarge(f"dual has {expected} codewords, above the cap of {cap}")
-    rows = _span_rows(spec).astype(np.int64)
+    rows = spec._span_rows.astype(np.int64)
     # Contribution of each index bit, most significant first: 2u for a Z2
     # bit, 2q and q for the high and low bits of a Z4 coordinate.  Reversed,
     # coef[k] is bit k's.

@@ -42,7 +42,11 @@ class InvalidSpec(Z2Z4Error, ValueError):
 
 
 class TooLarge(Z2Z4Error):
-    """An enumeration would exceed the configured cap."""
+    """A refusal by one of the package's caps: the enumeration cap on codewords
+    (ENUM_CAP or the caller's cap), the degree cap on polynomial text, the
+    length cap on alpha, beta and lcm(alpha, beta) (all DEGREE_CAP), the
+    search cap on tuples per (alpha, beta) and the divisor cap on x^n - 1
+    (both SEARCH_CAP), and the ambient cap of the brute-force dual (AMBIENT_CAP)."""
 
 
 class AmbientMismatch(Z2Z4Error, ValueError):

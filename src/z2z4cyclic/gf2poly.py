@@ -7,9 +7,9 @@ reversal.  This module adds the number-theoretic helpers the code
 constructions need: monic gcd, exact division, modular inverse, the
 all-ones polynomial theta, factorization of x^n - 1 for odd n (split by
 its cyclotomic cosets), and divisor enumeration for arbitrary n.  gcd,
-exact_div and modinv check their arguments once and then run on the
-packed ints through the kernels _mod_bits, _divmod_bits and _clmul,
-wrapping only the result.
+exact_div and modinv refuse an argument outside Z2[x] through the ring's
+own BinPoly._check_ring and then run on the packed ints through the
+kernels _mod_bits, _divmod_bits and _clmul, wrapping only the result.
 """
 
 from __future__ import annotations
@@ -130,17 +130,11 @@ def poly_key(p: DensePoly) -> tuple:
     return (len(p.coeffs), p.coeffs)
 
 
-def _check_binary(*polys) -> None:
-    """The type check of gcd, exact_div and modinv; an exact BinPoly skips the call."""
-    for p in polys:
-        if not isinstance(p, BinPoly):
-            raise TypeError(f"expected a polynomial over Z2, got {p!r}")
-
-
 def gcd(a: BinPoly, b: BinPoly) -> BinPoly:
     """Monic greatest common divisor; gcd(a, 0) = a."""
     if a.__class__ is not BinPoly or b.__class__ is not BinPoly:
-        _check_binary(a, b)
+        BinPoly._check_ring(a)
+        BinPoly._check_ring(b)
     x, y = a._rep, b._rep
     if not x and not y:
         raise GcdUndefined("gcd(0, 0) is undefined")
@@ -152,7 +146,8 @@ def gcd(a: BinPoly, b: BinPoly) -> BinPoly:
 def exact_div(a: BinPoly, b: BinPoly) -> BinPoly:
     """Quotient a/b when the division is exact; a nonzero remainder is a bug here."""
     if a.__class__ is not BinPoly or b.__class__ is not BinPoly:
-        _check_binary(a, b)
+        BinPoly._check_ring(a)
+        BinPoly._check_ring(b)
     if not b._rep:
         raise DivisorZero("polynomial division by zero")
     q, r = _divmod_bits(a._rep, b._rep)
@@ -165,7 +160,8 @@ def modinv(p: BinPoly, m: BinPoly) -> BinPoly:
     """Inverse of p modulo m (deg m >= 1), via the extended Euclidean algorithm
     on the packed ints: s1 * p = r1 (mod m) holds at every step."""
     if p.__class__ is not BinPoly or m.__class__ is not BinPoly:
-        _check_binary(p, m)
+        BinPoly._check_ring(p)
+        BinPoly._check_ring(m)
     mod = m._rep
     if mod < 2:
         raise InvalidParameter("modulus must have degree at least 1")

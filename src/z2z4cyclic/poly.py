@@ -64,7 +64,8 @@ class DensePoly:
     on the stored representation: _pack, _add, _sub, _neg, _scale, _mul,
     _divmod, _mod, _reciprocal, _fold.  An operand of the caller's own
     class is in the ring by construction, so it goes to the kernel at
-    once; only other operands get the generic _check_ring.  Subclasses
+    once; only other operands get the generic _check_ring, a classmethod
+    that gf2poly's helpers call as BinPoly._check_ring too.  Subclasses
     supply kernels and the slot width _SLOT (bits per coefficient), and
     never override an entry point.
     """
@@ -164,9 +165,10 @@ class DensePoly:
     def __mod__(self, divisor):
         return self._mod(self._divisor_rep(divisor))
 
-    def _check_ring(self, other):
-        if not isinstance(other, DensePoly) or other.MOD != self.MOD:
-            raise TypeError(f"expected a polynomial over Z{self.MOD}, got {other!r}")
+    @classmethod
+    def _check_ring(cls, other):
+        if not isinstance(other, DensePoly) or other.MOD != cls.MOD:
+            raise TypeError(f"expected a polynomial over Z{cls.MOD}, got {other!r}")
 
     def _divisor_rep(self, divisor):
         """The representation of a divisor in this ring; zero raises DivisorZero."""

@@ -157,7 +157,7 @@ class QuatPoly(DensePoly):
 
 
 def check_beta(beta: int) -> None:
-    if not isinstance(beta, int) or beta < 1:
+    if not isinstance(beta, int) or isinstance(beta, bool) or beta < 1:
         raise InvalidParameter("beta must be a positive integer")
     if beta % 2 == 0:
         raise EvenLengthUnsupported(f"beta = {beta} is even; quaternary lengths must be odd")

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import time
 
+import numpy as np
 import pytest
 
 from z2z4cyclic import (
@@ -248,6 +249,36 @@ def test_search_rejects_bad_arguments():
         search_codes(3, {3}, "shortest")
     with pytest.raises(InvalidParameter):
         search_codes(0, {3}, "mdss")
+
+
+def test_search_refuses_a_bool_alpha_max_like_zero():
+    for alpha_max in (0, True):
+        with pytest.raises(InvalidParameter, match="^alpha_max must be a positive integer$"):
+            search_codes(alpha_max, {1}, "mdss")
+
+
+def test_family_tuples_give_distinct_word_sets_and_self_duality_is_tuple_equality():
+    """Over the 820 tuples with alpha <= 5 and beta in {1, 3, 5}: no two give the same
+    word set, so search's dedup never drops one there; and among the tuples whose type
+    admits self-duality, dual_spec(s) == s exactly when the dual's word set is C's."""
+    words: dict[tuple, object] = {}
+    candidates = self_dual = 0
+    for alpha in range(1, 6):
+        for beta in (1, 3, 5):
+            for spec in iter_valid_specs(alpha, beta):
+                mat = codeword_matrix(spec)
+                key = (alpha, beta, mat.tobytes())
+                assert key not in words, (words.get(key), spec)
+                words[key] = spec
+                t = code_type(spec)
+                if 2 * (t.gamma + 2 * t.delta) != alpha + 2 * beta:
+                    continue
+                candidates += 1
+                dual = dual_spec(spec)
+                same_words = np.array_equal(mat, codeword_matrix(dual))
+                assert (dual == spec) == same_words, spec
+                self_dual += same_words
+    assert (len(words), candidates, self_dual) == (820, 38, 6)
 
 
 def test_search_caps_lengths_before_factoring(monkeypatch):

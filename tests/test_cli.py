@@ -712,6 +712,13 @@ def test_bad_beta_set_exits_two(capsys):
     assert "comma-separated" in err
 
 
+def test_empty_beta_set_exits_two(capsys):
+    status, out, err = run_cli(
+        capsys, "search", "--alpha-max", "2", "--beta-set", ",", "--predicate", "self_dual",
+    )
+    assert (status, out, err.strip()) == (2, "", "error: --beta-set must name at least one value")
+
+
 @pytest.mark.parametrize("beta, message", [
     ("0", "error: beta must be a positive integer"),
     ("2", "error: beta = 2 is even; quaternary lengths must be odd"),

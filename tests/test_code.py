@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import time
 
 import numpy as np
@@ -10,6 +11,8 @@ import pytest
 from z2z4cyclic import (
     BinPoly,
     Codeword,
+    CodeType,
+    CyclicCodeSpec,
     QuatPoly,
     cardinality,
     code_type,
@@ -37,6 +40,7 @@ from z2z4cyclic import (
     validate_spec,
 )
 from z2z4cyclic import gf2poly as gf2
+from z2z4cyclic.code import _deg
 from z2z4cyclic.dual import brute_force_dual_matrix
 from z2z4cyclic.errors import (
     AmbientMismatch,
@@ -129,6 +133,33 @@ def test_validate_spec_rejects_structural_errors():
         validate_spec(3, 3, bp("x^3+1"), BinPoly.zero(), qp("3x+1"), qp("1"))  # f not monic
     with pytest.raises(InvalidSpec):
         validate_spec(3, 3, bp("x^3+1"), BinPoly.zero(), qp("x+1"), qp("1"))  # fh not a divisor
+
+
+@pytest.mark.parametrize("index, value, message", [
+    (0, "3", "alpha must be a positive integer"),
+    (2, qp("x^3+3"), "b and ell must be binary polynomials"),
+    (4, bp("1"), "f and h must be quaternary polynomials"),
+    (5, qp("3x^2+x+1"), "h must be monic"),
+], ids=("text-alpha", "quaternary-b", "binary-f", "non-monic-h"))
+def test_spec_refuses_wrong_field_types_and_a_non_monic_h(index, value, message):
+    fields = [3, 3, bp("x^3+1"), bp("x+1"), qp("1"), qp("x^2+x+1")]
+    fields[index] = value
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+        CyclicCodeSpec(*fields)
+
+
+def test_validate_spec_refuses_a_bool_length_like_zero():
+    # True would otherwise pass as 1, report as "alpha": true and equal the alpha = 1 spec.
+    for name, alpha, beta in (("alpha", 0, 1), ("alpha", True, 1), ("beta", 1, 0), ("beta", 1, True)):
+        with pytest.raises(InvalidSpec, match=f"^{name} must be a positive integer$"):
+            validate_spec(alpha, beta, bp("1"), bp("0"), qp("1"), qp("x+3"))
+
+
+def test_code_type_and_deg_refuse_what_no_formula_can_use():
+    with pytest.raises(InvalidParameter, match=r"^inconsistent type parameters: \(3,3;2,1;2\)$"):
+        CodeType(3, 3, 2, 1, 2, 1, 0, 0, 0)
+    with pytest.raises(InvalidParameter, match="^degree of the zero polynomial consumed in a formula$"):
+        _deg(BinPoly.zero())
 
 
 def test_validate_spec_consequence_checks_raise_internal_errors(monkeypatch):

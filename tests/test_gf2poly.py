@@ -1,5 +1,7 @@
 """Binary polynomial arithmetic: ring ops, gcd, inverses, theta, factorization."""
 
+import re
+
 import pytest
 
 from z2z4cyclic import BinPoly, QuatPoly, divisors_xn1, factor_xn1, theta
@@ -95,6 +97,15 @@ def test_entry_points_refuse_other_operands_with_the_ring_message(cls, op):
 
 
 # -- division ---------------------------------------------------------------
+
+
+def test_fold_and_pow_refuse_bad_lengths_and_other_types_compare_unequal():
+    p = bp("x^2+1")
+    with pytest.raises(ValueError, match="^fold length must be positive$"):
+        p.fold(0)
+    with pytest.raises(ValueError, match="^exponent must be a nonnegative integer$"):
+        p ** -1
+    assert (BinPoly.one() == 3) is False
 
 
 def test_divmod_splits_factor():
@@ -224,11 +235,14 @@ def test_theta_factors_x_nm_minus_1():
 # -- modular inverse -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("func", [gf2.exact_div, gf2.modinv])
+@pytest.mark.parametrize("func", [gf2.exact_div, gf2.modinv, gf2.gcd])
 def test_exact_div_and_modinv_refuse_quaternary_arguments(func):
     q = QuatPoly((1, 1))
     for args in ((q, bp("x+1")), (bp("x+1"), q), (q, q)):
         with pytest.raises(TypeError, match="expected a polynomial over Z2"):
+            func(*args)
+    for args, bad in (((q, bp("x+1")), q), ((bp("x+1"), None), None), ((None, q), None)):
+        with pytest.raises(TypeError, match=f"^expected a polynomial over Z2, got {re.escape(repr(bad))}$"):
             func(*args)
 
 
@@ -331,6 +345,12 @@ def test_factor_xn1_splits_into_count_irreducibles(n, count):
     assert len(set(factors)) == len(factors) == count
     assert all(p.degree >= 1 for p in factors)
     assert factors == sorted(factors, key=gf2.poly_key)
+
+
+def test_xn1_and_divisors_xn1_refuse_a_zero_length():
+    for call in (gf2.xn1, divisors_xn1):
+        with pytest.raises(InvalidParameter, match="^n must be a positive integer$"):
+            call(0)
 
 
 def test_divisors_xn1_odd_n():

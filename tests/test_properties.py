@@ -44,7 +44,6 @@ from z2z4cyclic.cli import main
 from z2z4cyclic.code import (
     _DECODE_CELLS,
     _block_sizes,
-    _build_span_rows,
     _decode_keys,
     _deg,
     _gray_keys,
@@ -59,8 +58,6 @@ from z2z4cyclic.code import (
     _shift_cols,
     _sort_keys,
     _span_keys,
-    _span_rows,
-    _span_widths,
 )
 from z2z4cyclic.poly import NEG_INF
 
@@ -656,7 +653,7 @@ CLOSED_CODES = [
 
 @pytest.mark.parametrize("spec", CLOSED_CODES, ids=lambda s: f"{s.alpha}-{s.beta}")
 def test_cyclic_closure_fails_without_one_moving_word(spec):
-    rows, widths = _span_rows(spec), _span_widths(spec)
+    rows, widths = spec._span_rows, spec._span_widths
     assert _cyclic_closed(rows, widths, spec.alpha, _row_keys(codeword_matrix(spec), spec.alpha))
     # Row j after the first of its block is the shift of row j - 1.  The spanning
     # combinations are distinct, so without row j the shift of row j - 1 leaves the span.
@@ -721,27 +718,27 @@ VALID_SPECS = SMALL_SPECS + [
 @PROPERTY
 @given(st.sampled_from(VALID_SPECS))
 def test_span_rows_match_rolled_rows(spec):
-    rows = _span_rows(spec)
+    rows = spec._span_rows
     ref_rows, ref_widths = ref_span_rows(spec)
     assert rows.dtype == ref_rows.dtype and rows.shape == ref_rows.shape
     assert np.array_equal(rows, ref_rows)
-    assert tuple(_span_widths(spec).tolist()) == ref_widths
+    assert tuple(spec._span_widths.tolist()) == ref_widths
 
 
 def test_span_rows_are_kept_read_only_on_the_spec_instance():
     text = "alpha=3\nbeta=3\nb=x^3+1\nell=x+1\nf=1\nh=x^2+x+1\n"  # the worked example
     spec, twin = parse_spec_text(text), parse_spec_text(text)
     before = (repr(spec), hash(spec))
-    rows = _span_rows(spec)
-    assert _span_rows(spec) is rows
-    assert not rows.flags.writeable
+    rows = spec._span_rows
+    assert spec._span_rows is rows
+    assert not rows.flags.writeable and not spec._span_widths.flags.writeable
     with pytest.raises(ValueError):
         rows[0, 0] = 1
-    assert np.array_equal(rows, _build_span_rows(spec))
-    # An equal instance builds its own rows; the memo is not part of ==, hash or repr.
-    assert twin._span is None
-    assert _span_rows(twin) is not rows
-    assert not np.shares_memory(_span_rows(twin), rows)
+    # An equal instance builds its own rows; the cache is not part of ==, hash or repr.
+    assert "_span_rows" not in vars(twin)
+    assert twin._span_rows is not rows
+    assert not np.shares_memory(twin._span_rows, rows)
+    assert np.array_equal(twin._span_rows, rows)
     assert spec == twin and (repr(spec), hash(spec)) == before == (repr(twin), hash(twin))
     assert "_span" not in repr(spec)
 

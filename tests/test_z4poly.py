@@ -9,6 +9,7 @@ from z2z4cyclic import gf2poly as gf2
 from z2z4cyclic import z4poly as z4
 from z2z4cyclic.errors import (
     EvenLengthUnsupported,
+    InvalidParameter,
     NotADivisor,
     NotMonic,
     ParseError,
@@ -116,6 +117,22 @@ def test_make_monic_preserves_unit_scaling():
 
 
 # -- Hensel lift ------------------------------------------------------------------------
+
+
+def test_xn1_and_check_beta_refuse_zero_and_a_bool():
+    with pytest.raises(InvalidParameter, match="^n must be a positive integer$"):
+        z4.xn1(0)
+    for beta in (0, True):
+        with pytest.raises(InvalidParameter, match="^beta must be a positive integer$"):
+            z4.check_beta(beta)
+
+
+def test_hensel_lift_past_the_preset_byte_masks():
+    # The Graeffe product of a degree-8192 lift has 16385 bytes, one more than
+    # the preset masks cover, so the odd-byte test builds a wider mask.
+    n = 8193
+    assert hensel_lift(gf2.theta(n, 1), n) == QuatPoly([1] * n)
+    assert hensel_lift(gf2.xn1(n), n) == z4.xn1(n)
 
 
 def test_hensel_lift_known_values():
