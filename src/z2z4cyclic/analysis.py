@@ -2,9 +2,10 @@
 
 code_report computes the minimum distance, the Hamming distance of the
 Gray image (binary weight plus Lee weight), by exhaustive enumeration:
-the words are packed into keys once, and each word's weight is the
-popcount of its key's Gray code.  Cyclic closure compares those keys
-with the span of the shifted spanning rows (_span_keys).
+the words are the spec's sorted packed keys, enumerated once and cached
+on the spec, and each word's weight is the popcount of its key's Gray
+code.  Cyclic closure compares those keys with the span of the shifted
+spanning rows (_span_keys).
 Its MDSS, self-dual and separable flags reduce to exact comparisons of
 type parameters and canonical word matrices: no floating point anywhere.
 
@@ -30,13 +31,13 @@ from .code import (
     ENUM_CAP,
     CodeType,
     CyclicCodeSpec,
+    _codeword_keys,
     _count_text,
     _deg,
     _gray_keys,
     _pairings,
     _projection_sizes,
     _reduce_blocks,
-    _row_keys,
     _row_word,
     _shift_cols,
     _sort_keys,
@@ -102,7 +103,7 @@ def code_report(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> CodeReport:
     The trivial code has min_distance None and is never MDSS.
     """
     mat = codeword_matrix(spec, cap)
-    keys = _row_keys(mat, spec.alpha)
+    keys = _codeword_keys(spec, cap)
     t = code_type(spec)
     d = _min_distance(keys, spec.alpha, mat.shape[1])
     self_dual = False
@@ -215,12 +216,13 @@ def search_codes(
             specs = iter_valid_specs(alpha, beta)
             for spec in sorted(specs, key=lambda s: (gf2.poly_key(s.b), s.ell.coeffs, s.f.coeffs, s.h.coeffs)):
                 key = codeword_matrix(spec, cap).tobytes()
-                if key in seen:
-                    continue
-                seen.add(key)
-                report = code_report(spec, cap)
-                if getattr(report, f"is_{predicate}"):
-                    results.append((spec, report))
+                if key not in seen:
+                    seen.add(key)
+                    report = code_report(spec, cap)
+                    if getattr(report, f"is_{predicate}"):
+                        results.append((spec, report))
+                # Drop the spec's cached keys, or every spec of the pair would hold its own.
+                vars(spec).pop("_word_keys", None)
     return results
 
 
@@ -344,7 +346,7 @@ def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> lis
         measured == t,
         f"measured {measured} vs formula {t}",
     )
-    keys = _row_keys(mat, spec.alpha)
+    keys = _codeword_keys(spec, cap)
     rows = spec._span_rows
     check(
         "cyclic-closure",

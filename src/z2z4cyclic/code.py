@@ -29,10 +29,13 @@ fields, so ==, hash and repr never see them and equal instances share
 nothing.  _span_keys enumerates the span of any rows by doubling on
 packed keys: each row's multiples are added to all the keys built so
 far, an order-two row by one XOR and an S2 row lane-wise (_key_add), and
-the keys are sorted once.  _codeword_keys is the span of the spanning
-rows, and codeword_matrix decodes it once, column-major, into the int16
-matrix.  Membership is decided in the dual module, from the dual's
-spanning rows, without enumerating the code.
+the keys are sorted once.  The span of the spanning rows is enumerated
+once per spec and cached read-only beside the spanning rows (_word_keys);
+_codeword_keys checks the cap and returns it, and codeword_matrix decodes
+it, column-major, into the int16 matrix.  So a spec keeps 4 bytes per
+codeword when its rows fit 32 bits, and 8 bytes per limb above that.
+Membership is decided in the dual module, from the dual's spanning rows,
+without enumerating the code.
 Inside the package a codeword set is its sorted distinct packed keys;
 the public form is their decode, an int16 matrix of unique rows (binary
 block first) in lexicographic row order, which keeps brute-force
@@ -40,11 +43,13 @@ comparisons exact.  _sort_keys is the one np.unique here, and it leaves
 its argument as it was; only _span_keys presorts its own one-limb keys,
 in place.  Each row is written MSB-first with 1 bit per Z2 coordinate
 (or Gray bit) and 2 bits per Z4 coordinate, so packed-key order equals
-lexicographic row order.  A row of alpha + 2*beta <= 64 bits is one
-uint64; a wider row takes ceil((alpha + 2*beta) / 64) uint64 limbs, most
-significant limb first, compared limb by limb.  Where each column sits
-in the limbs depends only on the column count and alpha; _key_layout
-works it out once per shape.
+lexicographic row order.  The limb word follows the row's bit count: a
+row of alpha + 2*beta <= 32 bits is one uint32; a wider row takes
+ceil((alpha + 2*beta) / 64) uint64 limbs, most significant limb first,
+compared limb by limb.  A Gray image has the same bit count as its word,
+so its key takes the same word.  Where each column sits in the limbs
+depends only on the column count and alpha; _key_layout works it out
+once per shape.
 """
 
 from __future__ import annotations
@@ -197,6 +202,22 @@ class CyclicCodeSpec:
         widths.flags.writeable = False
         return widths
 
+    @functools.cached_property
+    def _word_keys(self) -> np.ndarray:
+        """All codewords as sorted distinct packed keys, shape (k, |C|), read-only: the
+        span of the spanning rows, with coefficients over Z2 for S1 and S3 rows and
+        over Z4 for S2 rows.  The key count is asserted against the cardinality
+        formula rather than assumed.  Read it through _codeword_keys, which checks
+        the cap first."""
+        total = cardinality(self)
+        keys = _span_keys(self._span_rows, self._span_widths, self.alpha)
+        if keys.shape[1] != total:
+            raise ArithmeticError(
+                f"internal error: enumeration found {keys.shape[1]} codewords, formula says {total}"
+            )
+        keys.flags.writeable = False
+        return keys
+
 
 def validate_spec(alpha: int, beta: int, b: BinPoly, ell: BinPoly, f: QuatPoly, h: QuatPoly) -> CyclicCodeSpec:
     """Check every defining condition and return the spec with g attached."""
@@ -209,16 +230,21 @@ SPEC_KEYS = ("alpha", "beta", "b", "ell", "f", "h")
 def spec_from_fields(fields) -> CyclicCodeSpec:
     """Parse and validate the six text fields of a spec, given as a mapping.
 
-    alpha and beta are integers (or their text), the polynomials are text
-    in either form BinPoly.parse / QuatPoly.parse accept.  This is the one
-    decoder behind spec files, the CLI's inline flags and Command dicts.
+    alpha and beta are each an int (not a bool) or its text; a float, a
+    bool, None or any other type is refused rather than truncated.  The
+    polynomials are text in either form BinPoly.parse / QuatPoly.parse
+    accept.  This is the one decoder behind spec files, the CLI's inline
+    flags and Command dicts.
     """
     missing = [k for k in SPEC_KEYS if k not in fields]
     if missing:
         raise ParseError(f"missing keys: {', '.join(missing)}")
+    lengths = [fields["alpha"], fields["beta"]]
+    if any(isinstance(v, bool) or not isinstance(v, (int, str)) for v in lengths):
+        raise ParseError("alpha and beta must be integers")
     try:
-        alpha, beta = int(fields["alpha"]), int(fields["beta"])
-    except (TypeError, ValueError):
+        alpha, beta = map(int, lengths)
+    except ValueError:
         raise ParseError("alpha and beta must be integers") from None
     return validate_spec(
         alpha,
@@ -386,6 +412,8 @@ def _reduce_blocks(words: np.ndarray, alpha: int) -> np.ndarray:
 class _KeyLayout(NamedTuple):
     """Where _row_keys puts each column of a matrix, for one (column count, alpha)."""
 
+    # The limb word: uint32 when the row's bits fit 32, else uint64.
+    dtype: type
     # Per key limb, most significant first: its contiguous column range.
     slices: tuple[tuple[int, int], ...]
     # Per column: 1 << (its lowest bit's position in its limb).
@@ -401,55 +429,63 @@ class _KeyLayout(NamedTuple):
 @functools.lru_cache(maxsize=64)
 def _key_layout(n: int, alpha: int) -> _KeyLayout:
     widths = np.where(np.arange(n) < alpha, 1, 2)
-    k = max(1, -(-int(widths.sum()) // 64))
+    bits = int(widths.sum())
+    dtype = np.uint32 if bits <= 32 else np.uint64
+    word = 8 * np.dtype(dtype).itemsize
+    k = max(1, -(-bits // word))
     lsb = np.cumsum(widths[::-1])[::-1] - widths
-    limb = k - 1 - lsb // 64
-    shift = lsb % 64
+    limb = k - 1 - lsb // word
+    shift = lsb % word
     slices = []
     for i in range(k):
         cols = np.flatnonzero(limb == i)
         slices.append((int(cols[0]), int(cols[-1]) + 1) if len(cols) else (0, 0))
     # The Z4 lanes fill the low y_bits bits; their low bits are the even ones.
     y_bits = 2 * (n - alpha)
-    low = _int_limbs(((1 << y_bits) - 1) // 3, k)
-    shifts = shift.astype(np.uint64)[:, None]
-    masks = ((1 << widths) - 1).astype(np.uint64)[:, None]
-    weights = np.uint64(1) << shifts[:, 0]
+    low = _int_limbs(((1 << y_bits) - 1) // 3, k, dtype)
+    shifts = shift.astype(dtype)[:, None]
+    masks = ((1 << widths) - 1).astype(dtype)[:, None]
+    weights = dtype(1) << shifts[:, 0]
     for a in (shifts, masks, weights):
         a.flags.writeable = False
-    return _KeyLayout(tuple(slices), weights, low, shifts, masks)
+    return _KeyLayout(dtype, tuple(slices), weights, low, shifts, masks)
 
 
-def _int_limbs(value: int, k: int) -> np.ndarray:
-    """A nonnegative int below 2^(64k) as a read-only (k, 1) column of uint64 limbs."""
-    out = np.array([[(value >> 64 * (k - 1 - i)) & (2**64 - 1)] for i in range(k)], dtype=np.uint64)
+def _int_limbs(value: int, k: int, dtype: type) -> np.ndarray:
+    """A nonnegative int below 2^(word * k) as a read-only (k, 1) column of limbs of
+    the unsigned word dtype, most significant first."""
+    word = 8 * np.dtype(dtype).itemsize
+    mask = (1 << word) - 1
+    out = np.array([[(value >> word * (k - 1 - i)) & mask] for i in range(k)], dtype=dtype)
     out.flags.writeable = False
     return out
 
 
 def _row_keys(words: np.ndarray, alpha: int) -> np.ndarray:
-    """Each row packed MSB-first into uint64 limbs: shape (k, rows), limb 0 most significant.
+    """Each row packed MSB-first into limbs: shape (k, rows), limb 0 most significant.
 
     Columns before alpha take 1 bit and the rest 2 bits, so entries must
-    already be reduced into 0..1 and 0..3; k = max(1, ceil(bits / 64)).
-    The bits are right-aligned in the limbs, so the 2-bit columns, which
-    come last, never straddle two limbs.
+    already be reduced into 0..1 and 0..3.  A row of at most 32 bits is one
+    uint32; a wider one takes k = ceil(bits / 64) uint64 limbs.  The bits
+    are right-aligned in the limbs, so the 2-bit columns, which come last,
+    never straddle two limbs.
     """
     layout = _key_layout(words.shape[1], alpha)
-    keys = np.zeros((len(layout.slices), len(words)), dtype=np.uint64)
+    keys = np.zeros((len(layout.slices), len(words)), dtype=layout.dtype)
     # A limb's columns are one contiguous slice with disjoint bits, so the
     # sum of value << shift over the slice is their OR.  einsum casts the
     # int16 slice in buffered chunks, never as a whole (rows, columns) copy.
     for i, (lo, hi) in enumerate(layout.slices):
         if hi > lo:
             keys[i] = np.einsum(
-                "ij,j->i", words[:, lo:hi], layout.weights[lo:hi], dtype=np.uint64,
+                "ij,j->i", words[:, lo:hi], layout.weights[lo:hi], dtype=layout.dtype,
                 casting="unsafe",
             )
     return keys
 
 
-# Entries per (columns, rows) block of _decode_keys: its uint64 buffer is 1 MB.
+# Entries per (columns, rows) block of _decode_keys: its limb-word buffer is 512 KB
+# for uint32 keys and 1 MB for uint64 keys.
 _DECODE_CELLS = 1 << 17
 
 
@@ -465,7 +501,7 @@ def _decode_keys(keys: np.ndarray, alpha: int, n: int) -> np.ndarray:
     rows = keys.shape[1]
     out = np.empty((rows, n), dtype=np.int16)
     block = max(1, min(rows, _DECODE_CELLS // max(n, 1)))
-    wide = np.empty((n, block), dtype=np.uint64)
+    wide = np.empty((n, block), dtype=layout.dtype)
     buf = np.empty((n, block), dtype=np.int16)
     for lo in range(0, rows, block):
         size = min(block, rows - lo)
@@ -528,7 +564,7 @@ def _span_keys(rows: np.ndarray, widths: np.ndarray, alpha: int) -> np.ndarray:
     row_keys = _row_keys(rows, alpha)
     if (row_keys[:, widths == 1] & low).any():
         raise ArithmeticError("internal error: an order-two spanning row has an odd Z4 entry")
-    keys = np.zeros((len(low), 1 << int(widths.sum())), dtype=np.uint64)
+    keys = np.zeros((len(low), 1 << int(widths.sum())), dtype=low.dtype)
     size = 1
     for j, width in enumerate(widths.tolist()):
         row = row_keys[:, j : j + 1]
@@ -550,20 +586,13 @@ def _check_cap(cap: int) -> None:
 
 
 def _codeword_keys(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
-    """All codewords as sorted distinct packed keys, shape (k, |C|): the span of the
-    spanning rows, with coefficients over Z2 for S1 and S3 rows and over Z4 for S2
-    rows.  The key count is asserted against the cardinality formula rather than
-    assumed."""
+    """All codewords as sorted distinct packed keys, shape (k, |C|): the spec's cached
+    _word_keys, once |C| is known to be within the cap."""
     _check_cap(cap)
     total = cardinality(spec)
     if total > cap:
         raise TooLarge(f"code has {_count_text(total)} codewords, above the cap of {cap}")
-    keys = _span_keys(spec._span_rows, spec._span_widths, spec.alpha)
-    if keys.shape[1] != total:
-        raise ArithmeticError(
-            f"internal error: enumeration found {keys.shape[1]} codewords, formula says {total}"
-        )
-    return keys
+    return spec._word_keys
 
 
 def codeword_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:

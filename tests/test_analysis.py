@@ -225,6 +225,9 @@ def test_search_finds_exactly_the_self_dual_family():
             target.h,
         )
         assert report.min_distance == 2
+    # A spec's enumerated keys are dropped once search has scanned it, so
+    # neither the scanned tuples nor the results hold their codes' keys.
+    assert not any("_word_keys" in vars(spec) for spec, _ in found)
 
 
 def test_search_mdss_distances():

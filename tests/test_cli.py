@@ -531,14 +531,56 @@ WIDE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name, verb, fmt", sorted(WIDE_DIGESTS))
-def test_wide_ambient_outputs_are_unchanged(name, verb, fmt):
-    fields = dict(zip(("alpha", "beta", "b", "ell", "f", "h"), WIDE_SPECS[name]))
+# Rows of alpha + 2*beta = 32 bits, the widest that packs into one uint32 key,
+# and of 33 bits, the narrowest that takes a uint64 key; 512 words each.
+BOUNDARY_SPECS = {
+    "14/9": ("14", "9", "x^14+1", "0", "1", "x^9+3"),
+    "15/9": ("15", "9", "x^15+1", "0", "1", "x^9+3"),
+}
+BOUNDARY_DIGESTS = {
+    ("14/9", "info", "text"): "7c7707532ce16d55e3594a5beab2119a71da6f5b8da0f2f3f03da721ae0eb2b9",
+    ("14/9", "info", "json"): "f1643283a9199097b728b4907b942c75098d4dec547534592862a50d45759c43",
+    ("14/9", "enumerate", "text"): "e4ff8af6a206a921639ff9c15900a87534c504967fa88697123e53c8eed12edf",
+    ("14/9", "enumerate", "json"): "6d1b3f0529326f94ae073298dcfb140488c1867291228324c2fed46d8bad2ec6",
+    ("14/9", "gray", "text"): "06f2762a92761691435c1190763face1c5da58660d0e95f79a5fe0012917ef13",
+    ("14/9", "gray", "json"): "40fc40822e91e6adcb8e4a45e5352cb9b6d597ed9cb975fbd7656cd10676f673",
+    ("14/9", "verify", "text"): "bbbe6cf1d60f1f6fd28b8201c92da23b8fbd35dc449dfce39ef005b3a78bb5cf",
+    ("14/9", "verify", "json"): "8dd636762bd371d15ede722ba7b17ee46ed5f43a03536dcc3dcf9bba89dfa97c",
+    ("15/9", "info", "text"): "6d12dd6ce2ec8a8b7148127c52e6a78a5e7780a8378b66352d1bb22b699866b2",
+    ("15/9", "info", "json"): "a08ae8e5c83c414727fda5766be2786b34b1f845f3c34fba833fc8d2efd107b8",
+    ("15/9", "enumerate", "text"): "1289db61b9c189e30ad4a2f628d1242f1bb2d437693be5902b73fb39063a7c6b",
+    ("15/9", "enumerate", "json"): "9f087093a6c49d3bcb3fb68bdf9edccd658f9d13f0db03006ed4ec8284d72b8a",
+    ("15/9", "gray", "text"): "e79a8330d86416ce19c5aafc751c982f16a461c2639f58e56d5495bb7e2238be",
+    ("15/9", "gray", "json"): "a540bb0d0d06aa696102929f765ceaac24eadec5a6d562fc119238bf667feb23",
+    ("15/9", "verify", "text"): "18f334860bacee5f90029df625d0278cc159d64236583054c8d92b675f5b84cc",
+    ("15/9", "verify", "json"): "53ac5d4d5fb33c95bb29b9629c9ff4c4f788f4391bcaf95f4a55e0a102163eb9",
+}
+
+
+def _assert_digest(spec, verb, fmt, digest):
+    fields = dict(zip(("alpha", "beta", "b", "ell", "f", "h"), spec))
     status, out = run(Command(verb=verb, spec_source=fields, output_format=fmt))
     assert status == 0
     if (verb, fmt) == ("verify", "text"):
         assert out.endswith("\n14 passed, 2 skipped")
-    assert hashlib.sha256(out.encode()).hexdigest() == WIDE_DIGESTS[name, verb, fmt]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, verb, fmt", sorted(WIDE_DIGESTS))
+def test_wide_ambient_outputs_are_unchanged(name, verb, fmt):
+    _assert_digest(WIDE_SPECS[name], verb, fmt, WIDE_DIGESTS[name, verb, fmt])
+
+
+@pytest.mark.parametrize("name, verb, fmt", sorted(BOUNDARY_DIGESTS))
+def test_limb_word_boundary_outputs_are_unchanged(name, verb, fmt):
+    _assert_digest(BOUNDARY_SPECS[name], verb, fmt, BOUNDARY_DIGESTS[name, verb, fmt])
+
+
+@pytest.mark.parametrize("alpha", [3.7, True, None])
+def test_command_dict_length_of_the_wrong_type_is_a_parse_error(alpha):
+    fields = {"alpha": alpha, "beta": 3, "b": "x^3+1", "ell": "x+1", "f": "1", "h": "x^2+x+1"}
+    with pytest.raises(ParseError, match="^alpha and beta must be integers$"):
+        run(Command(verb="dual", spec_source=fields))
 
 
 def test_command_dict_missing_a_key_is_a_parse_error():

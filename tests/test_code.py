@@ -40,7 +40,7 @@ from z2z4cyclic import (
     validate_spec,
 )
 from z2z4cyclic import gf2poly as gf2
-from z2z4cyclic.code import _deg
+from z2z4cyclic.code import _codeword_keys, _decode_keys, _deg
 from z2z4cyclic.dual import brute_force_dual_matrix
 from z2z4cyclic.errors import (
     AmbientMismatch,
@@ -209,6 +209,15 @@ def test_spec_from_fields_errors():
         spec_from_fields({**base, "h": 1})
 
 
+@pytest.mark.parametrize("value", [3.7, True, None])
+@pytest.mark.parametrize("key", ["alpha", "beta"])
+def test_spec_from_fields_refuses_lengths_that_are_not_int_or_text(key, value):
+    # int() would truncate 3.7 to 3 and read True as 1; neither may pass.
+    base = {"alpha": 3, "beta": 3, "b": "x^3+1", "ell": "x+1", "f": "1", "h": "x^2+x+1"}
+    with pytest.raises(ParseError, match="^alpha and beta must be integers$"):
+        spec_from_fields({**base, key: value})
+
+
 def test_block_lengths_above_the_cap_are_too_large():
     from z2z4cyclic import DEGREE_CAP
 
@@ -278,6 +287,46 @@ def test_enumerate_tiny_ambient():
 def test_enumerate_respects_cap(example_spec):
     with pytest.raises(TooLarge):
         codeword_matrix(example_spec, cap=8)
+
+
+def test_codeword_keys_are_cached_read_only(example_spec):
+    keys = _codeword_keys(example_spec)
+    assert _codeword_keys(example_spec) is keys
+    assert not keys.flags.writeable
+    with pytest.raises(ValueError):
+        keys[0, 0] = 0
+    assert np.array_equal(codeword_matrix(example_spec), _decode_keys(keys, 3, 6))
+
+
+def test_cached_keys_still_answer_to_the_cap(example_spec):
+    _codeword_keys(example_spec)
+    total = cardinality(example_spec)
+    with pytest.raises(TooLarge, match=f"^code has {total} codewords, above the cap of {total - 1}$"):
+        _codeword_keys(example_spec, cap=total - 1)
+    with pytest.raises(TooLarge):
+        codeword_matrix(example_spec, cap=total - 1)
+    assert len(codeword_matrix(example_spec, cap=total)) == total
+
+
+def test_cached_keys_leave_identity_alone(example_spec):
+    before = (repr(example_spec), hash(example_spec))
+    _codeword_keys(example_spec)
+    fresh = validate_spec(3, 3, bp("x^3+1"), bp("x+1"), qp("1"), qp("x^2+x+1"))
+    assert "_word_keys" not in vars(fresh)
+    assert (repr(example_spec), hash(example_spec)) == before == (repr(fresh), hash(fresh))
+    assert example_spec == fresh
+
+
+def test_dual_spec_enumerates_its_own_keys():
+    # Self-dual, so the dual is an equal tuple, but a fresh object with no cache.
+    spec = validate_spec(2, 1, bp("x+1"), BinPoly.zero(), qp("1"), qp("x+3"))
+    keys = _codeword_keys(spec)
+    dual = dual_spec(spec)
+    assert dual == spec and dual is not spec
+    assert "_word_keys" not in vars(dual)
+    dual_keys = _codeword_keys(dual)
+    assert dual_keys is not keys
+    assert np.array_equal(dual_keys, keys)
 
 
 @pytest.mark.parametrize("cap", [0, -1])

@@ -519,6 +519,7 @@ def test_sort_keys_matches_numpy_row_sort(ambient, gray, distinct, n_rows, densi
         alpha = rows.shape[1]
     bits = alpha + 2 * (rows.shape[1] - alpha)
     assert _row_keys(rows, alpha).shape == (max(1, -(-bits // 64)), n_rows)
+    assert _row_keys(rows, alpha).dtype == (np.uint32 if bits <= 32 else np.uint64)
     ref = np.unique(rows, axis=0)
     keys = _row_keys(rows, alpha)
     assert np.array_equal(_sort_keys(keys), _row_keys(ref, alpha))
