@@ -32,7 +32,6 @@ from .code import (
     CodeType,
     CyclicCodeSpec,
     _codeword_keys,
-    _count_text,
     _deg,
     _gray_keys,
     _pairings,
@@ -58,7 +57,7 @@ from .dual import (
 )
 from .errors import InvalidParameter, TooLarge
 from .gf2poly import BinPoly
-from .poly import DEGREE_CAP, SEARCH_CAP
+from .poly import DEGREE_CAP, SEARCH_CAP, _count_text
 from .z4poly import QuatPoly
 
 
@@ -141,14 +140,20 @@ def construct_mdss(alpha: int, beta: int) -> CyclicCodeSpec:
 # -- exhaustive small-parameter search -------------------------------------
 
 
-def _tuple_count(divisors: list[BinPoly], factors: list[BinPoly]) -> int:
-    """How many tuples iter_valid_specs yields for these b and factors of x^beta - 1.
+def _tuple_count(alpha: int, beta: int) -> int:
+    """How many tuples iter_valid_specs yields, from cyclotomic cosets alone.
 
-    A factor p outside b has 3 routes (f, h or g) and one ell each; a
-    factor dividing b, routed to h or g, also frees deg p bits of ell.
+    A factor p of x^beta - 1 (a coset mod beta, deg p its size) outside b has
+    3 routes (f, h or g) and one ell each; dividing b, 1 + 2^(deg p + 1), as h or
+    g frees deg p bits of ell.  For alpha = 2^s * m, m odd, b takes each factor of
+    x^m - 1 0 .. 2^s times, and p can divide b only if p | x^gcd(alpha, beta) - 1.
     """
-    return sum(
-        math.prod(3 if b % p else 1 + 2 ** (_deg(p) + 1) for p in factors) for b in divisors
+    mult = alpha & -alpha
+    shared = gf2._cosets(math.gcd(alpha, beta))
+    return (
+        3 ** (len(gf2._cosets(beta)) - len(shared))
+        * (mult + 1) ** (len(gf2._cosets(alpha // mult)) - len(shared))
+        * math.prod(3 + mult * (1 + 2 ** (c.bit_count() + 1)) for c in shared)
     )
 
 
@@ -158,15 +163,18 @@ def iter_valid_specs(alpha: int, beta: int):
     b runs over all binary divisors of x^alpha - 1; each irreducible
     factor of x^beta - 1 is routed to f, h, or g through its Hensel
     lift; ell runs over exactly the multiples of b/gcd(b, (x^beta-1)/f)
-    below deg b, which is precisely the divisibility condition.  More
-    than SEARCH_CAP tuples raise TooLarge before the first is built.
+    below deg b, which is precisely the divisibility condition.  More than
+    SEARCH_CAP divisors or tuples raise TooLarge before anything is factored.
     """
     z4.check_beta(beta)
+    gf2._check_divisor_count(alpha)
+    count = _tuple_count(alpha, beta)
+    if count > SEARCH_CAP:
+        raise TooLarge(
+            f"{_count_text(count)} tuples for alpha = {alpha}, beta = {beta}, above the cap of {SEARCH_CAP}"
+        )
     factors = gf2.factor_xn1(beta)
     divisors = gf2.divisors_xn1(alpha)
-    count = _tuple_count(divisors, factors)
-    if count > SEARCH_CAP:
-        raise TooLarge(f"{count} tuples for alpha = {alpha}, beta = {beta}, above the cap of {SEARCH_CAP}")
     basics = [z4.hensel_lift(p, beta) for p in factors]
     xb1 = gf2.xn1(beta)
     for b in divisors:

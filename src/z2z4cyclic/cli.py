@@ -42,6 +42,7 @@ from .code import (
 )
 from .dual import dual_degrees, dual_generators
 from .errors import InvalidParameter, ParseError, TooLarge, Z2Z4Error
+from .poly import _parse_int
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,15 @@ _VERB_TABLE = {
     "search": (_run_search, "scan all small codes for a predicate", ("search", "cap")),
 }
 
+
+def _int_arg(text: str) -> int:
+    """argparse type for an integer flag: poly._parse_int, with argparse's own refusal text."""
+    try:
+        return _parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 # Each group's flags as (flag, add_argument options), in the parser's order.
 _FLAG_GROUPS = {
     "spec": [
@@ -195,7 +205,7 @@ _FLAG_GROUPS = {
         ("--h", {"help": "inline spec: quaternary generator h"}),
     ],
     "search": [
-        ("--alpha-max", {"type": int, "required": True, "help": "largest alpha"}),
+        ("--alpha-max", {"type": _int_arg, "required": True, "help": "largest alpha"}),
         ("--beta-set", {"required": True, "help": "comma-separated odd beta values"}),
         (
             "--predicate",
@@ -203,8 +213,8 @@ _FLAG_GROUPS = {
         ),
     ],
     "json": [("--json", {"action": "store_true", "help": "emit JSON instead of text"})],
-    "cap": [("--cap", {"type": int, "default": ENUM_CAP, "help": "enumeration cap"})],
-    "seed": [("--seed", {"type": int, "default": 0, "help": "seed for sampled checks"})],
+    "cap": [("--cap", {"type": _int_arg, "default": ENUM_CAP, "help": "enumeration cap"})],
+    "seed": [("--seed", {"type": _int_arg, "default": 0, "help": "seed for sampled checks"})],
 }
 
 
@@ -242,7 +252,7 @@ def _command_from_args(args: argparse.Namespace) -> Command:
         raise ParseError(f"--cap must be at least 1, not {args.cap}")
     if "search" in groups:
         try:
-            beta_set = tuple(int(tok) for tok in args.beta_set.split(",") if tok.strip())
+            beta_set = tuple(_parse_int(tok) for tok in args.beta_set.split(",") if tok.strip())
         except ValueError:
             raise ParseError("--beta-set must be comma-separated integers") from None
         if not beta_set:

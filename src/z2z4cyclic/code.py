@@ -65,7 +65,7 @@ from . import gf2poly as gf2
 from . import z4poly as z4
 from .errors import AmbientMismatch, InvalidParameter, InvalidSpec, ParseError, TooLarge
 from .gf2poly import BinPoly
-from .poly import DEGREE_CAP
+from .poly import DEGREE_CAP, _count_text, _parse_int
 from .z4poly import QuatPoly
 
 ENUM_CAP = 2**22
@@ -230,11 +230,12 @@ SPEC_KEYS = ("alpha", "beta", "b", "ell", "f", "h")
 def spec_from_fields(fields) -> CyclicCodeSpec:
     """Parse and validate the six text fields of a spec, given as a mapping.
 
-    alpha and beta are each an int (not a bool) or its text; a float, a
-    bool, None or any other type is refused rather than truncated.  The
-    polynomials are text in either form BinPoly.parse / QuatPoly.parse
-    accept.  This is the one decoder behind spec files, the CLI's inline
-    flags and Command dicts.
+    alpha and beta are each an int (not a bool) or its text: ASCII digits
+    with an optional sign, whitespace around them allowed; "1_0", non-ASCII
+    digits, a float, a bool, None or any other type is refused rather than
+    read or truncated.  The polynomials are text in either form
+    BinPoly.parse / QuatPoly.parse accept.  This is the one decoder behind
+    spec files, the CLI's inline flags and Command dicts.
     """
     missing = [k for k in SPEC_KEYS if k not in fields]
     if missing:
@@ -243,7 +244,7 @@ def spec_from_fields(fields) -> CyclicCodeSpec:
     if any(isinstance(v, bool) or not isinstance(v, (int, str)) for v in lengths):
         raise ParseError("alpha and beta must be integers")
     try:
-        alpha, beta = map(int, lengths)
+        alpha, beta = (int(v) if isinstance(v, int) else _parse_int(v) for v in lengths)
     except ValueError:
         raise ParseError("alpha and beta must be integers") from None
     return validate_spec(
@@ -540,11 +541,6 @@ def _projection_sizes(keys: np.ndarray, alpha: int, n: int) -> tuple[int, int]:
     low = _key_layout(n, alpha).low
     y_field = low | low << 1
     return _sort_keys(keys & ~y_field).shape[1], _sort_keys(keys & y_field).shape[1]
-
-
-def _count_text(n: int) -> str:
-    """n in full, or as 2^k for a power of two above 2^64."""
-    return f"2^{n.bit_length() - 1}" if n > 2**64 and not n & (n - 1) else str(n)
 
 
 def _span_keys(rows: np.ndarray, widths: np.ndarray, alpha: int) -> np.ndarray:

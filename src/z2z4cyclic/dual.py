@@ -3,9 +3,9 @@
 The dual of an additive cyclic code is again additive cyclic, and its
 generator tuple (b_bar, ell_bar, f_bar, h_bar) can be written directly
 in terms of the original tuple: reciprocals and gcds give b_bar and the
-binary images of f_bar*h_bar and f_bar, Hensel lifting carries those
-back to Z4, and ell_bar is assembled from modular inverses of
-rho = ell/gcd(b, ell).  Separable codes (ell = 0) take a shortcut where
+binary images of f_bar*h_bar and f_bar, hence of h_bar, Hensel lifting
+carries f_bar and h_bar back to Z4, and ell_bar is assembled from
+modular inverses of rho = ell/gcd(b, ell).  Separable codes (ell = 0) take a shortcut where
 every dual factor is a normalized reciprocal.
 
 contains decides membership from the closed form: C = (C_dual)^perp, so
@@ -35,7 +35,6 @@ from .code import (
     Codeword,
     CyclicCodeSpec,
     _check_cap,
-    _count_text,
     _deg,
     _pairings,
     cardinality,
@@ -44,6 +43,7 @@ from .code import (
 )
 from .errors import NotADivisor, TooLarge
 from .gf2poly import BinPoly
+from .poly import _count_text
 from .z4poly import QuatPoly
 
 AMBIENT_CAP = 2**24
@@ -122,8 +122,9 @@ def dual_generators(spec: CyclicCodeSpec) -> DualResult:
         b_bar = gf2.exact_div(gf2.xn1(a), gl_star)
         fh_bar_bin = gf2.exact_div(gf2.xn1(beta) * glg_star, f2_star * b_star)
         f_bar_bin = gf2.exact_div(gf2.xn1(beta) * gl_star, f2_star * h2_star * glg_star)
+        # Lifts of coprime divisors multiply, so h_bar lifts fh_bar_bin / f_bar_bin.
         f_bar = z4.hensel_lift(f_bar_bin, beta)
-        fh_bar = z4.hensel_lift(fh_bar_bin, beta)
+        h_bar = z4.hensel_lift(gf2.exact_div(fh_bar_bin, f_bar_bin), beta)
         # rho is coprime to b/gcd(b, ell), so both inverses below exist.
         rho = gf2.exact_div(spec.ell, gl)
         rho_star = rho.reciprocal()
@@ -139,11 +140,6 @@ def dual_generators(spec: CyclicCodeSpec) -> DualResult:
             + cofactor1 * BinPoly.x(e2) * mu2
         )
         ell_bar = ell_bar.fold(a) % b_bar
-        h_bar, rem = divmod(fh_bar, f_bar)
-        if rem:
-            raise ArithmeticError(
-                f"internal error: ({fh_bar}) is not divisible by ({f_bar}) over Z4"
-            )
     dual = validate_spec(a, beta, b_bar, ell_bar, f_bar, h_bar)
     dd = dual_degrees(spec)
     got = (_deg(dual.b), _deg(dual.f), _deg(dual.h), _deg(dual.g))

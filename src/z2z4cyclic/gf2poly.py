@@ -24,7 +24,7 @@ from .errors import (
     NotInvertible,
     TooLarge,
 )
-from .poly import NEG_INF, SEARCH_CAP, DensePoly
+from .poly import NEG_INF, SEARCH_CAP, DensePoly, _count_text
 
 
 def _clmul(a: int, b: int) -> int:
@@ -183,6 +183,31 @@ def theta(m: int, n: int) -> BinPoly:
     return BinPoly._wrap(sum(1 << (i * n) for i in range(m)))
 
 
+def _cosets(n: int) -> list[int]:
+    """The cyclotomic cosets {j, 2j, 4j, ...} mod odd n as bit masks, by least
+    element j: one per irreducible factor of x^n - 1, of degree the coset's size."""
+    seen = [0] * n
+    cosets = []
+    for j in range(n):
+        ind, k = 0, j
+        while not seen[k]:
+            seen[k] = 1
+            ind |= 1 << k
+            k = 2 * k % n
+        if ind:
+            cosets.append(ind)
+    return cosets
+
+
+def _check_divisor_count(n: int) -> None:
+    """Refuse x^n - 1 with more than SEARCH_CAP divisors, counted as in divisors_xn1."""
+    if n < 1:
+        raise InvalidParameter("n must be a positive integer")
+    count = ((n & -n) + 1) ** len(_cosets(n // (n & -n)))
+    if count > SEARCH_CAP:
+        raise TooLarge(f"x^{n}-1 has {_count_text(count)} divisors, above the cap of {SEARCH_CAP}")
+
+
 def factor_xn1(n: int) -> list[BinPoly]:
     """Distinct monic irreducible factors of x^n - 1 over Z2, odd n only.
 
@@ -194,18 +219,7 @@ def factor_xn1(n: int) -> list[BinPoly]:
         raise InvalidParameter("n must be a positive integer")
     if n % 2 == 0:
         raise EvenLengthUnsupported(f"x^{n}-1 is not squarefree over Z2 for even n")
-    seen = [0] * n
-    indicators = []
-    for j in range(n):
-        if seen[j]:
-            continue
-        ind = 0
-        k = j
-        while not seen[k]:
-            seen[k] = 1
-            ind |= 1 << k
-            k = 2 * k % n
-        indicators.append(BinPoly._wrap(ind))
+    indicators = [BinPoly._wrap(ind) for ind in _cosets(n)]
     factors = [xn1(n)]
     for v in indicators:
         if len(factors) == len(indicators):
@@ -228,20 +242,12 @@ def divisors_xn1(n: int) -> list[BinPoly]:
 
     x^n - 1 = (x^m - 1)^(2^s) for n = 2^s * m with m odd, so each odd-part
     factor may appear with multiplicity up to 2^s: (2^s + 1)^k divisors for
-    k odd-part factors.  More than SEARCH_CAP of them raise TooLarge before
-    the first is built.
+    k odd-part factors, one per coset mod m.  More than SEARCH_CAP of them
+    raise TooLarge before anything is factored.
     """
-    if n < 1:
-        raise InvalidParameter("n must be a positive integer")
-    s, m = 0, n
-    while m % 2 == 0:
-        s += 1
-        m //= 2
-    base = factor_xn1(m)
-    mult = 2**s
-    count = (mult + 1) ** len(base)
-    if count > SEARCH_CAP:
-        raise TooLarge(f"x^{n}-1 has {count} divisors, above the cap of {SEARCH_CAP}")
+    _check_divisor_count(n)
+    mult = n & -n
+    base = factor_xn1(n // mult)
     divisors = []
     for exps in product(range(mult + 1), repeat=len(base)):
         d = BinPoly.one()

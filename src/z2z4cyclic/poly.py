@@ -40,6 +40,9 @@ SEARCH_CAP = 2**16
 
 # Numerals are ASCII digits only: str.isdigit() also accepts superscripts.
 _NUMERAL = re.compile(r"[0-9]+")
+# An integer a user types (a length, a cap, a seed): an optional sign, then
+# a numeral.  int() alone would also take "1_0" and non-ASCII digits.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 # One human-form term: sign, coefficient, then x with an optional exponent;
 # the whitespace around it goes with it.
 _TERM = re.compile(r"\s*([+-]?)\s*([0-9]*)\s*(x\s*(?:\^\s*([0-9]*))?)?\s*")
@@ -54,6 +57,23 @@ def _value(numeral: str) -> int:
     """
     digits = numeral.lstrip("0")
     return int(digits or "0") if len(digits) <= _CAP_DIGITS else DEGREE_CAP + 1
+
+
+def _parse_int(text: str) -> int:
+    """The value of an _INTEGER numeral with whitespace around it; ValueError otherwise."""
+    t = text.strip()
+    if not _INTEGER.fullmatch(t):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(t)
+
+
+def _count_text(n: int) -> str:
+    """A count for a message: in full up to 2^64, above that 2^k for a power
+    of two and "more than 2^k" for anything else."""
+    if n <= 2**64:
+        return str(n)
+    k = n.bit_length() - 1
+    return f"2^{k}" if n == 1 << k else f"more than 2^{k}"
 
 
 class DensePoly:

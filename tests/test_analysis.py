@@ -27,6 +27,7 @@ from z2z4cyclic import (
 from z2z4cyclic import analysis
 from z2z4cyclic import gf2poly as gf2
 from z2z4cyclic.errors import InvalidParameter, TooLarge
+from z2z4cyclic.poly import _count_text
 
 from conftest import bp, qp, word_set
 
@@ -160,14 +161,52 @@ def test_valid_spec_counts_are_stable():
     assert counts == {(1, 1): 8, (2, 1): 13, (1, 3): 24, (3, 3): 96, (4, 5): 69}
 
 
-def test_tuple_count_formula_matches_iter_valid_specs():
-    # Every pair below, including shared factors of degree 2, 3 and 4
-    # (beta = 3, 7, 5) and repeated factors of x^alpha - 1 (even alpha).
-    pairs = [(a, b) for a in range(1, 11) for b in (1, 3, 5, 7)]
-    pairs += [(a, 9) for a in range(1, 7)]
-    for alpha, beta in pairs:
-        count = analysis._tuple_count(gf2.divisors_xn1(alpha), gf2.factor_xn1(beta))
-        assert count == sum(1 for _ in iter_valid_specs(alpha, beta)), (alpha, beta)
+def test_tuple_count_formula_matches_iter_valid_specs(monkeypatch):
+    # Shared factors of degree 2, 3, 4 and 6 (beta = 3, 7, 5 and 9) and
+    # repeated factors of x^alpha - 1 (even alpha, multiplicity up to 16);
+    # four pairs are above the cap, and there the refusal names the count.
+    # What is counted is the tuples the loops build, so validate_spec is
+    # replaced by a plain tuple; test_acceptance validates what they build.
+    monkeypatch.setattr(analysis, "validate_spec", lambda *fields: fields)
+    checked = 0
+    for alpha in range(1, 17):
+        for beta in (1, 3, 5, 7, 9, 15, 21):
+            count = analysis._tuple_count(alpha, beta)
+            if count > SEARCH_CAP:
+                with pytest.raises(TooLarge, match=f"^{count} tuples for alpha = {alpha}, "):
+                    next(iter_valid_specs(alpha, beta))
+                continue
+            assert count == sum(1 for _ in iter_valid_specs(alpha, beta)), (alpha, beta)
+            checked += 1
+    assert checked == 108
+
+
+def test_refusals_above_2_64_print_the_count_as_a_power_of_two():
+    # x^4095 - 1 has 351 irreducible factors, so 2^351 divisors, and x^1 - 1
+    # with x^4095 - 1 gives 3^350 * 8 tuples, between 2^557 and 2^558.
+    assert analysis._tuple_count(1, 4095) == 3**350 * 8
+    counts = [2**64, 2**64 + 1, 2**65, 3**41]
+    assert [_count_text(n) for n in counts] == [str(2**64), "more than 2^64", "2^65", "more than 2^64"]
+    with pytest.raises(TooLarge, match=r"^more than 2\^557 tuples for alpha = 1, beta = 4095, "):
+        next(iter_valid_specs(1, 4095))
+    with pytest.raises(TooLarge, match=r"^x\^4095-1 has 2\^351 divisors, above the cap of 65536$"):
+        gf2.divisors_xn1(4095)
+
+
+def test_search_refuses_huge_lengths_without_factoring(monkeypatch):
+    def no_factoring(n):
+        raise AssertionError(f"x^{n}-1 was factored before the caps were checked")
+
+    monkeypatch.setattr(gf2, "factor_xn1", no_factoring)
+    monkeypatch.setattr(gf2, "divisors_xn1", no_factoring)
+    for call, refusal in (
+        (lambda: search_codes(1, {4095}, "separable"), "tuples for alpha = 1, beta = 4095"),
+        (lambda: next(iter_valid_specs(4095, 1)), r"x\^4095-1 has 2\^351 divisors"),
+    ):
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge, match=refusal):
+            call()
+        assert time.perf_counter() - t0 < 2
 
 
 def test_search_caps_tuple_count_before_building_specs(monkeypatch):

@@ -1,6 +1,7 @@
 """Command-line front end: verbs, output formats, and exit codes."""
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -16,8 +17,10 @@ from z2z4cyclic import (
     CheckResult,
     QuatPoly,
     analysis,
+    cardinality,
     codeword_matrix,
     gray_map,
+    iter_valid_specs,
     spec_fields,
     spec_from_fields,
 )
@@ -576,11 +579,105 @@ def test_limb_word_boundary_outputs_are_unchanged(name, verb, fmt):
     _assert_digest(BOUNDARY_SPECS[name], verb, fmt, BOUNDARY_DIGESTS[name, verb, fmt])
 
 
+# sha256 over the (status, output) pairs of run() for one (verb, format)
+# group of a sample: every 4th valid tuple with alpha <= 5 and beta in
+# {1, 3, 5, 7} under info, dual, matrix and verify, the same tuples with
+# |C| <= 2^10 under enumerate and gray, and the three search predicates
+# over alpha <= 3 and beta in {1, 3}.  Recorded when search factored
+# x^beta - 1 before counting tuples and the dual divided f_bar*h_bar by
+# f_bar over Z4.
+SAMPLE_DIGESTS = {
+    ("dual", "json"): "0f1dc6f17bd4fe9710e4cd74003e3dce3b2abe3dddd163795a6180686cc3dd22",
+    ("dual", "text"): "dca82ec741bccfc66d4a85aa44b9167e42575652344c578f2ba6da766ff54fe9",
+    ("enumerate", "json"): "be03bbec8a70b2ae1641170721ba7a1aa5b8e0c8360309880091cc23f2b2df2e",
+    ("enumerate", "text"): "3000d1976a754a8c3879037604814a5ed90340e90ba8478a14fa6d15668c631d",
+    ("gray", "json"): "6da3fe46c40948b0e20db0690b49d0188cf1ca4d88e3c2f0f9e59671ccfbb78c",
+    ("gray", "text"): "4b7a567c74892f3e06f280def973621bddf7429e97a3fb86f26eabcff3f90739",
+    ("info", "json"): "0c1fabc0b1477c21c6b29ce53f6407f88ffcd28c29af0a4b59d6ea776f907805",
+    ("info", "text"): "2e1b99caa116d8c9f3509c72e7a6223a58da78d856cf0ff28f695c2f3f53556d",
+    ("matrix", "json"): "5776bc8a026a463c3e12b7070432714afaddcece1c42d0b727c4585d5313ecea",
+    ("matrix", "text"): "4bff2c7384c6dc3228a0f4d1faf6b79ba32bc7dbd0f1f00dbc7c493f1137cd7b",
+    ("search", "json"): "232152851e4bf6b2287c9152de4f2c00273b2cca69b8ac222c5112eeb54452f6",
+    ("search", "text"): "42ee3b7ab0f697b178a376fe8f2be2a06bd0eba9ada175f63320e741a37c612e",
+    ("verify", "json"): "c3c061f4ccd2b9da282da895382702f91b40d9f3488db1d3c01bd94d61118eb8",
+    ("verify", "text"): "3dd834fd4e1ff201764059e506ab33feb10df7b27dd080724c6340033a2841a9",
+}
+
+
+@functools.cache
+def _sample_specs():
+    specs = [s for a in range(1, 6) for b in (1, 3, 5, 7) for s in iter_valid_specs(a, b)]
+    return specs[::4]
+
+
+def _sample_commands(verb, fmt):
+    if verb == "search":
+        for predicate in analysis._PREDICATES:
+            yield Command(verb, None, fmt, alpha_max=3, beta_set=(1, 3), predicate=predicate)
+        return
+    for spec in _sample_specs():
+        if verb not in ("enumerate", "gray") or cardinality(spec) <= 2**10:
+            yield Command(verb, spec_fields(spec), fmt)
+
+
+@pytest.mark.parametrize("verb, fmt", sorted(SAMPLE_DIGESTS))
+def test_sampled_outputs_are_unchanged(verb, fmt):
+    digest = hashlib.sha256()
+    for cmd in _sample_commands(verb, fmt):
+        digest.update(repr(run(cmd)).encode())
+    assert digest.hexdigest() == SAMPLE_DIGESTS[verb, fmt]
+
+
 @pytest.mark.parametrize("alpha", [3.7, True, None])
 def test_command_dict_length_of_the_wrong_type_is_a_parse_error(alpha):
     fields = {"alpha": alpha, "beta": 3, "b": "x^3+1", "ell": "x+1", "f": "1", "h": "x^2+x+1"}
     with pytest.raises(ParseError, match="^alpha and beta must be integers$"):
         run(Command(verb="dual", spec_source=fields))
+
+
+# int() reads each of these: an underscore between digits, FULLWIDTH DIGIT
+# THREE and ARABIC-INDIC DIGIT THREE.
+NOT_ASCII_INTEGERS = ["1_0", "\uff13", "\u0663"]
+LENGTH_REFUSAL = "error: alpha and beta must be integers\n"
+C1_FIELDS = {k.lstrip("-"): v for k, v in zip(C1_INLINE[::2], C1_INLINE[1::2])}
+
+
+@pytest.mark.parametrize("text", NOT_ASCII_INTEGERS)
+def test_integers_are_ascii_numerals_on_every_entry_point(capsys, tmp_path, text):
+    path = tmp_path / "spec.txt"
+    path.write_text(C1_TEXT.replace("beta=3", f"beta={text}"), encoding="utf-8")
+    search = ["search", "--alpha-max", "1", "--beta-set", "1", "--predicate", "mdss"]
+    cases = [
+        (["info", "--spec", str(path)], LENGTH_REFUSAL),
+        (["dual", "--alpha", text, *C1_INLINE[2:]], LENGTH_REFUSAL),
+        (["dual", *C1_INLINE[:3], text, *C1_INLINE[4:]], LENGTH_REFUSAL),
+        (search[:4] + [f"1,{text}"] + search[5:], "error: --beta-set must be comma-separated integers\n"),
+        (search[:2] + [text] + search[3:], f"argument --alpha-max: invalid int value: {text!r}\n"),
+        (["info", *C1_INLINE, "--cap", text], f"argument --cap: invalid int value: {text!r}\n"),
+        (["verify", *C1_INLINE, "--seed", text], f"argument --seed: invalid int value: {text!r}\n"),
+    ]
+    for argv, refusal in cases:
+        status, out, err = run_cli(capsys, *argv)
+        assert (status, out) == (2, ""), argv
+        assert err.endswith(refusal), argv
+    fields = {**C1_FIELDS, "alpha": text}
+    with pytest.raises(ParseError, match="^alpha and beta must be integers$"):
+        run(Command(verb="dual", spec_source=fields))
+
+
+def test_integers_take_a_sign_and_surrounding_whitespace(capsys, c1_file):
+    _, want, _ = run_cli(capsys, "verify", "--spec", c1_file, "--cap", "16")
+    inline = ["--alpha", "+3", "--beta", " 3 ", *C1_INLINE[4:]]
+    status, out, _ = run_cli(capsys, "verify", *inline, "--cap", " +16 ", "--seed", "+0")
+    assert (status, out) == (0, want)
+    fields = {**C1_FIELDS, "alpha": " +3 "}
+    assert run(Command(verb="dual", spec_source=fields)) == run(Command("dual", C1_FIELDS))
+    status, out, _ = run_cli(
+        capsys, "search", "--alpha-max", "+2", "--beta-set", " 1, +3 ", "--predicate", "mdss"
+    )
+    assert (status, out) == run_cli(
+        capsys, "search", "--alpha-max", "2", "--beta-set", "1,3", "--predicate", "mdss"
+    )[:2]
 
 
 def test_command_dict_missing_a_key_is_a_parse_error():

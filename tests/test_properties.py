@@ -484,6 +484,22 @@ def test_hensel_lift_matches_graeffe_reference():
     assert top >= 29
 
 
+@PROPERTY
+@given(st.sampled_from(range(1, 36, 2)), st.data())
+def test_hensel_lift_of_a_coprime_product_is_the_product_of_lifts(n, data):
+    # Each irreducible factor of x^n - 1 goes to p, to q or to neither, so p
+    # and q are coprime divisors.  dual_generators rests on this: it lifts
+    # h_bar's binary image on its own rather than dividing lifts over Z4.
+    p = q = BinPoly.one()
+    for factor in gf2.factor_xn1(n):
+        route = data.draw(st.sampled_from(("p", "q", "neither")))
+        if route == "p":
+            p = p * factor
+        elif route == "q":
+            q = q * factor
+    assert z4.hensel_lift(p * q, n) == z4.hensel_lift(p, n) * z4.hensel_lift(q, n)
+
+
 # -- packed-key canonical sort ------------------------------------------------
 
 # (alpha, beta) with 1 <= alpha + 2*beta <= 140 bits: an X block only, a Y
