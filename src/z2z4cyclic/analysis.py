@@ -143,18 +143,14 @@ def construct_mdss(alpha: int, beta: int) -> CyclicCodeSpec:
 def _tuple_count(alpha: int, beta: int) -> int:
     """How many tuples iter_valid_specs yields, from cyclotomic cosets alone.
 
-    A factor p of x^beta - 1 (a coset mod beta, deg p its size) outside b has
-    3 routes (f, h or g) and one ell each; dividing b, 1 + 2^(deg p + 1), as h or
-    g frees deg p bits of ell.  For alpha = 2^s * m, m odd, b takes each factor of
-    x^m - 1 0 .. 2^s times, and p can divide b only if p | x^gcd(alpha, beta) - 1.
+    For alpha = 2^s * m, m odd, b takes each factor of x^m - 1 0 .. 2^s times.  A factor p
+    of x^beta - 1 (a coset mod beta) outside b has 3 routes (f, h or g); one dividing b, so
+    x^gcd(alpha, beta) - 1, has 1 + 2^(deg p + 1), as h or g frees deg p bits of ell.
     """
-    mult = alpha & -alpha
-    shared = gf2._cosets(math.gcd(alpha, beta))
-    return (
-        3 ** (len(gf2._cosets(beta)) - len(shared))
-        * (mult + 1) ** (len(gf2._cosets(alpha // mult)) - len(shared))
-        * math.prod(3 + mult * (1 + 2 ** (c.bit_count() + 1)) for c in shared)
-    )
+    mult, k = gf2._divisor_shape(alpha)
+    shared = [c.bit_count() for c in gf2._cosets(math.gcd(alpha, beta))]
+    free = 3 ** (len(gf2._cosets(beta)) - len(shared)) * (mult + 1) ** (k - len(shared))
+    return free * math.prod(3 + mult * (1 + 2 ** (d + 1)) for d in shared)
 
 
 def iter_valid_specs(alpha: int, beta: int):
@@ -167,17 +163,14 @@ def iter_valid_specs(alpha: int, beta: int):
     SEARCH_CAP divisors or tuples raise TooLarge before anything is factored.
     """
     z4.check_beta(beta)
-    gf2._check_divisor_count(alpha)
     count = _tuple_count(alpha, beta)
     if count > SEARCH_CAP:
         raise TooLarge(
             f"{_count_text(count)} tuples for alpha = {alpha}, beta = {beta}, above the cap of {SEARCH_CAP}"
         )
-    factors = gf2.factor_xn1(beta)
-    divisors = gf2.divisors_xn1(alpha)
-    basics = [z4.hensel_lift(p, beta) for p in factors]
+    basics = [z4.hensel_lift(p, beta) for p in gf2.factor_xn1(beta)]
     xb1 = gf2.xn1(beta)
-    for b in divisors:
+    for b in gf2.divisors_xn1(alpha):
         for assign in itertools.product((0, 1, 2), repeat=len(basics)):
             f = QuatPoly.one()
             h = QuatPoly.one()

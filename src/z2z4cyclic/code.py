@@ -86,13 +86,13 @@ class Codeword:
 
 
 def parse_codeword(text: str) -> Codeword:
-    """Parse "u0 u1 ... | q0 q1 ..."."""
+    """Parse "u0 u1 ... | q0 q1 ...", each entry ASCII digits with an optional sign."""
     if "|" not in text:
         raise ParseError("codeword text needs a '|' between the binary and quaternary blocks")
     left, _, right = text.partition("|")
     try:
-        u = tuple(int(t) for t in left.split())
-        uq = tuple(int(t) for t in right.split())
+        u = tuple(_parse_int(t) for t in left.split())
+        uq = tuple(_parse_int(t) for t in right.split())
     except ValueError as e:
         raise ParseError(f"codeword entries must be integers: {e}") from None
     try:

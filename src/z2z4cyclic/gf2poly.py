@@ -184,28 +184,27 @@ def theta(m: int, n: int) -> BinPoly:
 
 
 def _cosets(n: int) -> list[int]:
-    """The cyclotomic cosets {j, 2j, 4j, ...} mod odd n as bit masks, by least
-    element j: one per irreducible factor of x^n - 1, of degree the coset's size."""
-    seen = [0] * n
-    cosets = []
+    """Cosets {j, 2j, 4j, ...} mod odd n as bit masks: one per irreducible factor of x^n - 1, of its degree."""
+    seen, cosets = [0] * n, []
     for j in range(n):
         ind, k = 0, j
         while not seen[k]:
             seen[k] = 1
-            ind |= 1 << k
-            k = 2 * k % n
+            ind, k = ind | 1 << k, 2 * k % n
         if ind:
             cosets.append(ind)
     return cosets
 
 
-def _check_divisor_count(n: int) -> None:
-    """Refuse x^n - 1 with more than SEARCH_CAP divisors, counted as in divisors_xn1."""
+def _divisor_shape(n: int) -> tuple[int, int]:
+    """(2^s, k) for n = 2^s * m, m odd, k cosets mod m; over SEARCH_CAP (2^s + 1)^k divisors raise TooLarge."""
     if n < 1:
         raise InvalidParameter("n must be a positive integer")
-    count = ((n & -n) + 1) ** len(_cosets(n // (n & -n)))
-    if count > SEARCH_CAP:
-        raise TooLarge(f"x^{n}-1 has {_count_text(count)} divisors, above the cap of {SEARCH_CAP}")
+    mult = n & -n
+    k = len(_cosets(n // mult))
+    if (mult + 1) ** k > SEARCH_CAP:
+        raise TooLarge(f"x^{n}-1 has {_count_text((mult + 1) ** k)} divisors, above the cap of {SEARCH_CAP}")
+    return mult, k
 
 
 def factor_xn1(n: int) -> list[BinPoly]:
@@ -245,8 +244,7 @@ def divisors_xn1(n: int) -> list[BinPoly]:
     k odd-part factors, one per coset mod m.  More than SEARCH_CAP of them
     raise TooLarge before anything is factored.
     """
-    _check_divisor_count(n)
-    mult = n & -n
+    mult, _ = _divisor_shape(n)
     base = factor_xn1(n // mult)
     divisors = []
     for exps in product(range(mult + 1), repeat=len(base)):

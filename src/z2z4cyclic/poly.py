@@ -60,10 +60,11 @@ def _value(numeral: str) -> int:
 
 
 def _parse_int(text: str) -> int:
-    """The value of an _INTEGER numeral with whitespace around it; ValueError otherwise."""
+    """The value of an _INTEGER numeral with whitespace around it; otherwise
+    ValueError, worded as int()'s own."""
     t = text.strip()
     if not _INTEGER.fullmatch(t):
-        raise ValueError(f"not an integer: {text!r}")
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     return int(t)
 
 

@@ -72,8 +72,13 @@ def test_codeword_text_round_trip():
 def test_parse_codeword_errors():
     with pytest.raises(ParseError):
         parse_codeword("1 0 1")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^codeword entries must be integers: invalid literal for int\(\) with base 10: 'x'$"):
         parse_codeword("1 x | 0")
+    # Entries are ASCII digits with an optional sign, as alpha and beta are.
+    for text in ("1 | \uff13", "1_0 | 0", "1 | \u0663"):
+        with pytest.raises(ParseError, match="^codeword entries must be integers: "):
+            parse_codeword(text)
+    assert parse_codeword("+1 | -0 3") == Codeword((1,), (0, 3))
     with pytest.raises(ParseError):
         parse_codeword("3 | 0")
 
