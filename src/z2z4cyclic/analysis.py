@@ -31,6 +31,7 @@ from .code import (
     ENUM_CAP,
     CodeType,
     CyclicCodeSpec,
+    _check_words,
     _codeword_keys,
     _deg,
     _gray_keys,
@@ -153,6 +154,16 @@ def _tuple_count(alpha: int, beta: int) -> int:
     return free * math.prod(3 + mult * (1 + 2 ** (d + 1)) for d in shared)
 
 
+def _check_pair(alpha: int, beta: int) -> None:
+    """Refuse an invalid beta, then more than SEARCH_CAP divisors or tuples for the pair."""
+    z4.check_beta(beta)
+    count = _tuple_count(alpha, beta)
+    if count > SEARCH_CAP:
+        raise TooLarge(
+            f"{_count_text(count)} tuples for alpha = {alpha}, beta = {beta}, above the cap of {SEARCH_CAP}"
+        )
+
+
 def iter_valid_specs(alpha: int, beta: int):
     """Every valid generator tuple for the given block lengths, lazily.
 
@@ -162,12 +173,7 @@ def iter_valid_specs(alpha: int, beta: int):
     below deg b, which is precisely the divisibility condition.  More than
     SEARCH_CAP divisors or tuples raise TooLarge before anything is factored.
     """
-    z4.check_beta(beta)
-    count = _tuple_count(alpha, beta)
-    if count > SEARCH_CAP:
-        raise TooLarge(
-            f"{_count_text(count)} tuples for alpha = {alpha}, beta = {beta}, above the cap of {SEARCH_CAP}"
-        )
+    _check_pair(alpha, beta)
     basics = [z4.hensel_lift(p, beta) for p in gf2.factor_xn1(beta)]
     xb1 = gf2.xn1(beta)
     for b in gf2.divisors_xn1(alpha):
@@ -201,7 +207,8 @@ def search_codes(
     Distinct tuples generating equal codeword sets are collapsed to the
     earliest tuple in sort order (b by gf2.poly_key, then the coefficients
     of ell, f and h), so the result is deterministic.  A pair
-    (alpha, beta) with more than SEARCH_CAP tuples raises TooLarge.
+    (alpha, beta) with more than SEARCH_CAP tuples, or whose ambient has
+    more than cap words, raises TooLarge before the first pair is searched.
     """
     if predicate not in _PREDICATES:
         raise InvalidParameter(f"predicate must be one of {', '.join(_PREDICATES)}")
@@ -210,20 +217,26 @@ def search_codes(
     longest = max([alpha_max, *beta_set])
     if longest > DEGREE_CAP:
         raise TooLarge(f"block length {longest} is above the length cap of {DEGREE_CAP}")
+    pairs = [(alpha, beta) for alpha in range(1, alpha_max + 1) for beta in sorted(set(beta_set))]
+    # A pair's first tuple in sort order, b = 1, ell = 0, f = h = 1, is the whole
+    # ambient and its largest code, so the first refusal the sweep would meet is
+    # found here, before anything is factored or enumerated.
+    for alpha, beta in pairs:
+        _check_pair(alpha, beta)
+        _check_words(2 ** (alpha + 2 * beta), cap)
     results = []
-    for alpha in range(1, alpha_max + 1):
-        for beta in sorted(set(beta_set)):
-            seen: set[bytes] = set()
-            specs = iter_valid_specs(alpha, beta)
-            for spec in sorted(specs, key=lambda s: (gf2.poly_key(s.b), s.ell.coeffs, s.f.coeffs, s.h.coeffs)):
-                key = codeword_matrix(spec, cap).tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    report = code_report(spec, cap)
-                    if getattr(report, f"is_{predicate}"):
-                        results.append((spec, report))
-                # Drop the spec's cached keys, or every spec of the pair would hold its own.
-                vars(spec).pop("_word_keys", None)
+    for alpha, beta in pairs:
+        seen: set[bytes] = set()
+        specs = iter_valid_specs(alpha, beta)
+        for spec in sorted(specs, key=lambda s: (gf2.poly_key(s.b), s.ell.coeffs, s.f.coeffs, s.h.coeffs)):
+            key = codeword_matrix(spec, cap).tobytes()
+            if key not in seen:
+                seen.add(key)
+                report = code_report(spec, cap)
+                if getattr(report, f"is_{predicate}"):
+                    results.append((spec, report))
+            # Drop the spec's cached keys, or every spec of the pair would hold its own.
+            vars(spec).pop("_word_keys", None)
     return results
 
 

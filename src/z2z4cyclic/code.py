@@ -22,14 +22,23 @@ and project_xy read; and _gray_keys is the Gray map, on packed keys: a
 Gray-coded key is the key of the word's Gray image in the all-binary
 layout, so _gray_rows decodes it and its popcount is the word's Gray
 weight; _pairings, the pairing 2<u, u'> + <q, q'> mod 4 on int rows, is
-behind dual.contains and verify's orthogonality check.  The spanning
-rows are the shifts of the base rows, taken by one _shift_cols gather,
-and are cached read-only in the spec's __dict__, outside the dataclass
+behind dual.contains and verify's orthogonality check.  The three base
+rows are read from the folded polynomials' packed ints in one
+np.frombuffer: a QuatPoly's little-endian rep bytes are its coefficients,
+and a BinPoly's bits become 0/1 bytes.  The spanning rows are their
+shifts, taken by one gather whose index (built through _shift_cols) is
+worked out once per (alpha, beta, block sizes) and cached while small;
+they are cached read-only in the spec's __dict__, outside the dataclass
 fields, so ==, hash and repr never see them and equal instances share
-nothing.  _span_keys enumerates the span of any rows by doubling on
-packed keys: each row's multiples are added to all the keys built so
-far, an order-two row by one XOR and an S2 row lane-wise (_key_add), and
-the keys are sorted once.  The span of the spanning rows is enumerated
+nothing.  circ_product works on coefficient bytes too: per block, the
+word's entries repeated m/len times and the other word's entries read
+big-endian give one product and one fold, with no theta, lift or
+reciprocal built; it shares no code with analysis's np.correlate oracle
+of the shifted inner products.  _span_keys enumerates the span of any
+rows by doubling on packed keys: each row's multiples are added to all
+the keys built so far, an order-two row by one XOR and an S2 row
+lane-wise (_key_add, from the row's low Z4 lane bits, masked once for
+all rows), and the keys are sorted once.  The span of the spanning rows is enumerated
 once per spec and cached read-only beside the spanning rows (_word_keys);
 _codeword_keys checks the cap and returns it, and codeword_matrix decodes
 it, column-major, into the int16 matrix.  So a spec keeps 4 bytes per
@@ -66,7 +75,7 @@ from . import z4poly as z4
 from .errors import AmbientMismatch, InvalidParameter, InvalidSpec, ParseError, TooLarge
 from .gf2poly import BinPoly
 from .poly import DEGREE_CAP, _count_text, _parse_int
-from .z4poly import QuatPoly
+from .z4poly import _DIGIT_BYTE, QuatPoly
 
 ENUM_CAP = 2**22
 
@@ -185,13 +194,19 @@ class CyclicCodeSpec:
     @functools.cached_property
     def _span_rows(self) -> np.ndarray:
         """Spanning rows S1|S2|S3, read-only: row i of each block is its base row
-        shifted i steps in both blocks, all taken by one gather of the shifts by -i."""
+        shifted i steps in both blocks, all taken by one gather from the base rows'
+        coefficient bytes."""
         a, beta = self.alpha, self.beta
         counts = _block_sizes(self)
-        bases = np.stack([_pair_row(p, q, a, beta) for p, q in _base_pairs(self)])
-        which = np.repeat(np.arange(3), counts)
-        back = (np.cumsum(counts) - counts)[which] - np.arange(len(which))
-        rows = bases[which[:, None], _shift_cols(a, beta, back[:, None])]
+        # A folded BinPoly's bits, lowest first, become 0/1 bytes; a folded QuatPoly's
+        # little-endian rep bytes are already its coefficients.
+        bases = bytearray()
+        for p, q in _base_pairs(self):
+            bases += f"{p.fold(a)._rep:0{a}b}".encode()[::-1].translate(_DIGIT_BYTE)
+            bases += q.fold(beta)._rep.to_bytes(beta, "little")
+        # An index above _SPAN_INDEX_CELLS is built afresh, not kept in the cache.
+        index = _span_index if sum(counts) * (a + beta) <= _SPAN_INDEX_CELLS else _span_index.__wrapped__
+        rows = np.frombuffer(bases, dtype=np.uint8).astype(np.int16)[index(a, beta, counts)]
         rows.flags.writeable = False
         return rows
 
@@ -374,15 +389,19 @@ def cardinality(spec: CyclicCodeSpec) -> int:
 # -- spanning sets and enumeration ---------------------------------------
 
 
-def _poly_vec(p, n: int) -> np.ndarray:
-    coeffs = p.fold(n).coeffs
-    out = np.zeros(n, dtype=np.int16)
-    out[: len(coeffs)] = coeffs
-    return out
+# Largest spanning-row gather index, in entries, that _span_index keeps cached.
+_SPAN_INDEX_CELLS = 1 << 12
 
 
-def _pair_row(p: BinPoly, q: QuatPoly, alpha: int, beta: int) -> np.ndarray:
-    return np.concatenate([_poly_vec(p, alpha), _poly_vec(q, beta)])
+@functools.lru_cache(maxsize=64)
+def _span_index(alpha: int, beta: int, counts: tuple[int, int, int]) -> np.ndarray:
+    """The gather taking the three base rows, laid end to end, to the spanning rows:
+    row i of block k reads base row k shifted by -i, through _shift_cols."""
+    which = np.repeat(np.arange(3), counts)
+    back = (np.cumsum(counts) - counts)[which] - np.arange(len(which))
+    index = which[:, None] * (alpha + beta) + _shift_cols(alpha, beta, back[:, None])
+    index.flags.writeable = False
+    return index
 
 
 def _shift_cols(alpha: int, beta: int, k) -> np.ndarray:
@@ -514,10 +533,11 @@ def _decode_keys(keys: np.ndarray, alpha: int, n: int) -> np.ndarray:
     return out
 
 
-def _key_add(a: np.ndarray, b: np.ndarray, low: np.ndarray, out=None) -> np.ndarray:
-    """Packed keys of the sums of reduced rows: XOR in each Z2 bit and each Z4 lane,
-    plus the carry of the Z4 lanes' low bits into their high bits."""
-    out = np.bitwise_and(a, b & low, out=out)
+def _key_add(a: np.ndarray, b: np.ndarray, b_low: np.ndarray, out=None) -> np.ndarray:
+    """Packed keys of the sums of reduced rows, given b_low = b & low (the low bits of
+    b's Z4 lanes): XOR in each Z2 bit and each Z4 lane, plus the carry of the Z4
+    lanes' low bits into their high bits."""
+    out = np.bitwise_and(a, b_low, out=out)
     out <<= 1
     out ^= a
     out ^= b
@@ -553,13 +573,17 @@ def _span_keys(rows: np.ndarray, widths: np.ndarray, alpha: int) -> np.ndarray:
     row j fills keys c*size .. (c+1)*size - 1.  An order-two row has even
     Z4 entries, so adding it is one XOR; a width-2 row is added lane-wise
     by _key_add, and c = 2, 3 are the c = 0, 1 words XOR the key of twice
-    the row.  One-limb keys are then sorted in place by numpy's SIMD sort,
-    so that np.unique's stable sort runs over sorted input.
+    the row.  Every row's low Z4 lane bits, and their double, are masked
+    once for all rows, and the order-two check reads the same mask.
+    One-limb keys are then sorted in place by numpy's SIMD sort, so that
+    np.unique's stable sort runs over sorted input.
     """
     low = _key_layout(rows.shape[1], alpha).low
     row_keys = _row_keys(rows, alpha)
-    if (row_keys[:, widths == 1] & low).any():
+    row_lows = row_keys & low
+    if row_lows[:, widths == 1].any():
         raise ArithmeticError("internal error: an order-two spanning row has an odd Z4 entry")
+    twice = row_lows << 1
     keys = np.zeros((len(low), 1 << int(widths.sum())), dtype=low.dtype)
     size = 1
     for j, width in enumerate(widths.tolist()):
@@ -567,8 +591,8 @@ def _span_keys(rows: np.ndarray, widths: np.ndarray, alpha: int) -> np.ndarray:
         if width == 1:
             np.bitwise_xor(keys[:, :size], row, out=keys[:, size : 2 * size])
         else:
-            _key_add(keys[:, :size], row, low, out=keys[:, size : 2 * size])
-            np.bitwise_xor(keys[:, : 2 * size], (row & low) << 1, out=keys[:, 2 * size : 4 * size])
+            _key_add(keys[:, :size], row, row_lows[:, j : j + 1], out=keys[:, size : 2 * size])
+            np.bitwise_xor(keys[:, : 2 * size], twice[:, j : j + 1], out=keys[:, 2 * size : 4 * size])
         size <<= width
     if len(keys) == 1:
         keys[0].sort()
@@ -581,13 +605,17 @@ def _check_cap(cap: int) -> None:
         raise InvalidParameter(f"cap must be at least 1, not {cap}")
 
 
+def _check_words(total: int, cap: int) -> None:
+    """Refuse a cap below 1, then a code of total words above the cap."""
+    _check_cap(cap)
+    if total > cap:
+        raise TooLarge(f"code has {_count_text(total)} codewords, above the cap of {cap}")
+
+
 def _codeword_keys(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
     """All codewords as sorted distinct packed keys, shape (k, |C|): the spec's cached
     _word_keys, once |C| is known to be within the cap."""
-    _check_cap(cap)
-    total = cardinality(spec)
-    if total > cap:
-        raise TooLarge(f"code has {_count_text(total)} codewords, above the cap of {cap}")
+    _check_words(cardinality(spec), cap)
     return spec._word_keys
 
 
@@ -688,25 +716,23 @@ def circ_product(w1: Codeword, w2: Codeword) -> QuatPoly:
     DEGREE_CAP raises TooLarge.
     """
     _check_ambient(w1, w2)
-    a, beta = len(w1.u), len(w1.uq)
-    m = math.lcm(*(k for k in (a, beta) if k))
+    m = math.lcm(*(k for k in (len(w1.u), len(w1.uq)) if k))
     if m > DEGREE_CAP:
         raise TooLarge(f"lcm(alpha, beta) = {m} is above the length cap of {DEGREE_CAP}")
-    total = QuatPoly.zero()
-    v = BinPoly._make(w2.u)
-    # binary addend: 2 * u(x) * theta_{m/a}(x^a) * x^(m-1-deg v) * v*(x)
-    if not v.is_zero:
-        u4 = QuatPoly._make(w1.u)
-        th = z4.lift_binary(gf2.theta(m // a, a))
-        term = 2 * u4 * th * QuatPoly.x(m - 1 - _deg(v)) * z4.lift_binary(v.reciprocal())
-        total = total + term.fold(m)
-    vq = QuatPoly._make(w2.uq)
-    if not vq.is_zero:
-        uq4 = QuatPoly._make(w1.uq)
-        th = z4.lift_binary(gf2.theta(m // beta, beta))
-        term = uq4 * th * QuatPoly.x(m - 1 - _deg(vq)) * vq.reciprocal()
-        total = total + term.fold(m)
-    return total
+    # 2 * <u, shift(v, i)> in Z4 for the binary block, <q, shift(vq, i)> for the other.
+    return _circ_term(w1.u, w2.u, m, 2) + _circ_term(w1.uq, w2.uq, m, 1)
+
+
+def _circ_term(u: tuple[int, ...], v: tuple[int, ...], m: int, c: int) -> QuatPoly:
+    """c * u(x) theta_{m/k}(x^k) * x^(m-1-deg v) v*(x) mod x^m - 1, k = len(u), built on
+    coefficient bytes: u repeated m/k times is u(x) theta_{m/k}(x^k), and v's bytes read
+    big-endian, followed by m - k zero bytes, are x^(m-1-deg v) v*(x).  Zero when v is.
+    c * v stays reduced: c = 2 only on the binary block, whose entries are 0 and 1."""
+    if not any(v):
+        return QuatPoly.zero()
+    repeated = QuatPoly._wrap(int.from_bytes(bytes(u) * (m // len(u)), "little"))
+    reversed_v = QuatPoly._wrap(c * int.from_bytes(bytes(v) + bytes(m - len(v)), "big"))
+    return (repeated * reversed_v).fold(m)
 
 
 # -- distinguished subcodes ----------------------------------------------

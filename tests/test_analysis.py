@@ -26,7 +26,8 @@ from z2z4cyclic import (
 )
 from z2z4cyclic import analysis
 from z2z4cyclic import gf2poly as gf2
-from z2z4cyclic.errors import InvalidParameter, TooLarge
+from z2z4cyclic.cli import main
+from z2z4cyclic.errors import EvenLengthUnsupported, InvalidParameter, TooLarge
 from z2z4cyclic.poly import _count_text
 
 from conftest import bp, qp, word_set
@@ -205,6 +206,42 @@ def test_search_refuses_huge_lengths_without_factoring(monkeypatch):
         with pytest.raises(TooLarge, match=refusal):
             call()
         assert time.perf_counter() - t0 < 2
+
+
+def test_doomed_sweep_is_refused_before_anything_is_factored(monkeypatch, capsys):
+    def no_factoring(n):
+        raise AssertionError(f"x^{n}-1 was factored before the sweep was refused")
+
+    monkeypatch.setattr(gf2, "factor_xn1", no_factoring)
+    # Each pair's first tuple, b = 1, ell = 0, f = h = 1, spans its whole ambient of
+    # 2^(alpha + 2) words; alpha = 21 is the first pair above the cap of 2^22.
+    t0 = time.perf_counter()
+    status = main(["search", "--alpha-max", "4095", "--beta-set", "1", "--predicate", "separable"])
+    assert time.perf_counter() - t0 < 2
+    out, err = capsys.readouterr()
+    assert (status, out, err) == (3, "", "error: code has 8388608 codewords, above the cap of 4194304\n")
+
+
+@pytest.mark.parametrize(
+    "alpha_max, beta_set, cap, error, refusal",
+    [
+        # (1, 63) has too many tuples, and the sweep meets it before (21, 1).
+        (30, {1, 63}, 2**22, TooLarge, "^4251528 tuples for alpha = 1, beta = 63, "),
+        # At a pair, an even beta is refused before the cap, and the cap before a
+        # later pair's even beta.
+        (30, {3, 2}, 0, EvenLengthUnsupported, "beta = 2 is even"),
+        (30, {1, 2}, 0, InvalidParameter, "^cap must be at least 1, not 0$"),
+        # (1, 9) has 2^19 words; (2, 9) is the first pair above a cap of 2^19.
+        (4, {9}, 2**19, TooLarge, "^code has 1048576 codewords, above the cap of 524288$"),
+    ],
+)
+def test_search_raises_the_first_refusal_of_the_sweep(monkeypatch, alpha_max, beta_set, cap, error, refusal):
+    def no_specs(*args):
+        raise AssertionError("a spec was built before the sweep was refused")
+
+    monkeypatch.setattr(analysis, "validate_spec", no_specs)
+    with pytest.raises(error, match=refusal):
+        search_codes(alpha_max, beta_set, "mdss", cap)
 
 
 def test_search_caps_tuple_count_before_building_specs(monkeypatch):

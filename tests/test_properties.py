@@ -4,18 +4,20 @@ packed-key canonical sort and the block projection counts against numpy's
 row sort, the key kernels (the lane-wise Z4 add, the decode, enumeration on
 two limbs) against their int16 and polynomial forms, the span of shifted
 rows and cyclic closure against a set of shifted Codewords, the gathered
-spanning rows and correlated shift products against their loop forms, and
+spanning rows and correlated shift products against their loop forms, the
+circ product's coefficients against the shifted inner products, and
 the Gray map on keys, its decoded image and its popcount weights against a
 literal per-symbol table."""
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from z2z4cyclic import (
@@ -25,6 +27,7 @@ from z2z4cyclic import (
     NotMonic,
     QuatPoly,
     Z2Z4Error,
+    circ_product,
     code_report,
     codeword_matrix,
     cyclic_shift,
@@ -43,6 +46,7 @@ from z2z4cyclic.analysis import _cyclic_closed, _shifted_inner_products
 from z2z4cyclic.cli import main
 from z2z4cyclic.code import (
     _DECODE_CELLS,
+    _SPAN_INDEX_CELLS,
     _block_sizes,
     _decode_keys,
     _deg,
@@ -50,13 +54,13 @@ from z2z4cyclic.code import (
     _gray_rows,
     _key_add,
     _key_layout,
-    _pair_row,
     _projection_sizes,
     _reduce_blocks,
     _row_keys,
     _row_word,
     _shift_cols,
     _sort_keys,
+    _span_index,
     _span_keys,
 )
 from z2z4cyclic.poly import NEG_INF
@@ -561,7 +565,7 @@ def test_key_add_is_the_packed_reduced_sum(ambient, n_rows, seed):
     a, b = rows(), rows()
     ka, kb = _row_keys(a, alpha), _row_keys(b, alpha)
     want = _row_keys(_reduce_blocks(a + b, alpha), alpha)
-    assert np.array_equal(_key_add(ka, kb, _key_layout(alpha + beta, alpha).low), want)
+    assert np.array_equal(_key_add(ka, kb, kb & _key_layout(alpha + beta, alpha).low), want)
     assert np.array_equal(_decode_keys(ka, alpha, alpha + beta), a)
 
 
@@ -706,14 +710,24 @@ def test_two_limb_enumeration_matches_the_multiples_of_its_generator():
 # -- spanning rows and shifted inner products ---------------------------------
 
 
+def ref_base_row(p, q, alpha, beta):
+    """(p | q) reduced mod x^alpha - 1 and x^beta - 1, one coefficient at a time."""
+    row = [0] * (alpha + beta)
+    for i, c in enumerate(p.coeffs):
+        row[i % alpha] ^= c
+    for i, c in enumerate(q.coeffs):
+        row[alpha + i % beta] = (row[alpha + i % beta] + c) % 4
+    return np.array(row, dtype=np.int16)
+
+
 def ref_span_rows(spec):
     """The spanning rows built one np.roll at a time, each from the one before."""
     a, beta = spec.alpha, spec.beta
     counts = (a - _deg(spec.b), _deg(spec.g), _deg(spec.h))
     bases = (
-        _pair_row(spec.b, QuatPoly.zero(), a, beta),
-        _pair_row(spec.ell, spec.f * spec.h + 2 * spec.f, a, beta),
-        _pair_row(spec.ell * spec.g.reduce_mod2(), 2 * spec.f * spec.g, a, beta),
+        ref_base_row(spec.b, QuatPoly.zero(), a, beta),
+        ref_base_row(spec.ell, spec.f * spec.h + 2 * spec.f, a, beta),
+        ref_base_row(spec.ell * spec.g.reduce_mod2(), 2 * spec.f * spec.g, a, beta),
     )
     rows, widths = [], []
     for base, count, width in zip(bases, counts, (1, 2, 1)):
@@ -726,20 +740,37 @@ def ref_span_rows(spec):
     return mat, tuple(widths)
 
 
-# Longer blocks too, where shift counts reach alpha or beta - 1.
+# (65 | 9) with b = x + 1, ell = 1, f = h = 1: 73 rows of 74 columns, a gather index
+# above _SPAN_INDEX_CELLS, so it is built afresh and not cached.
+WIDE_SPEC = validate_spec(65, 9, BinPoly.parse("x+1"), BinPoly.one(), QuatPoly.one(), QuatPoly.one())
+
+# Longer blocks too, where shift counts reach alpha or beta - 1; a Z2 block of 17 or
+# more coordinates, whose base rows are ints of three or more bytes; the 33/17 code
+# on two key limbs; and WIDE_SPEC.
 VALID_SPECS = SMALL_SPECS + [
-    spec for ab in ((6, 7), (9, 3), (3, 9)) for spec in iter_valid_specs(*ab)
-]
+    spec for ab in ((6, 7), (9, 3), (3, 9), (17, 3)) for spec in iter_valid_specs(*ab)
+] + [CLOSED_CODES[2], WIDE_SPEC]
 
 
-@PROPERTY
-@given(st.sampled_from(VALID_SPECS))
-def test_span_rows_match_rolled_rows(spec):
-    rows = spec._span_rows
-    ref_rows, ref_widths = ref_span_rows(spec)
-    assert rows.dtype == ref_rows.dtype and rows.shape == ref_rows.shape
-    assert np.array_equal(rows, ref_rows)
-    assert tuple(spec._span_widths.tolist()) == ref_widths
+def test_span_rows_match_rolled_rows():
+    for spec in VALID_SPECS:
+        rows = spec._span_rows
+        ref_rows, ref_widths = ref_span_rows(spec)
+        assert rows.dtype == ref_rows.dtype and rows.shape == ref_rows.shape, spec
+        assert np.array_equal(rows, ref_rows), spec
+        assert tuple(spec._span_widths.tolist()) == ref_widths, spec
+
+
+def test_span_index_is_cached_only_for_small_shapes():
+    _span_index.cache_clear()
+    wide = dataclasses.replace(WIDE_SPEC)
+    assert sum(_block_sizes(wide)) * (wide.alpha + wide.beta) > _SPAN_INDEX_CELLS
+    assert np.array_equal(wide._span_rows, ref_span_rows(wide)[0])
+    assert _span_index.cache_info().currsize == 0
+    for spec in VALID_SPECS[:200]:
+        dataclasses.replace(spec)._span_rows
+    info = _span_index.cache_info()
+    assert info.hits > 0 and 0 < info.currsize <= info.maxsize == 64
 
 
 def test_span_rows_are_kept_read_only_on_the_spec_instance():
@@ -777,6 +808,35 @@ def test_shifted_inner_products_match_shift_loop(pair):
     got = _shifted_inner_products(r1, r2, alpha)
     want = [inner_product(w1, cyclic_shift(w2, k)) for k in range(math.lcm(alpha, beta))]
     assert got.tolist() == want
+
+
+@st.composite
+def circ_pairs(draw):
+    """Two words of one ambient with alpha, beta <= 40, either block possibly empty, and
+    each block of each word drawn at random or all zero.  Blocks of 29 or more
+    coordinates make 9 * min(len) >= 256 in QuatPoly._mul, its spread path."""
+    alpha, beta = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+
+    def block(length, top):
+        digits = st.lists(st.integers(0, top), min_size=length, max_size=length)
+        return draw(st.just((0,) * length) | digits.map(tuple))
+
+    return tuple(Codeword(block(alpha, 1), block(beta, 3)) for _ in range(2))
+
+
+@PROPERTY
+@example((Codeword((1,) * 31, (1, 2, 3) * 12 + (1,)), Codeword((1, 0) * 15 + (1,), (3,) * 37)))
+@example((Codeword((), (2, 1, 3)), Codeword((), (1, 1, 0))))
+@example((Codeword((1, 1), ()), Codeword((0, 1), ())))
+@example((Codeword((), ()), Codeword((), ())))
+@given(circ_pairs())
+def test_circ_product_coefficients_are_the_shifted_inner_products(pair):
+    w1, w2 = pair
+    m = math.lcm(*(k for k in (len(w1.u), len(w1.uq)) if k))
+    p = circ_product(w1, w2)
+    assert p.degree < m
+    coeffs = p.coeffs + (0,) * (m - len(p.coeffs))
+    assert [coeffs[m - 1 - i] for i in range(m)] == [inner_product(w1, cyclic_shift(w2, i)) for i in range(m)]
 
 
 # -- Gray map against a literal table -------------------------------------------
