@@ -9,32 +9,35 @@ everything reduced mod x^alpha - 1 and x^beta - 1.
 
 Vectors and polynomials correspond by (u_0, ..., u_{n-1}) <->
 sum u_i x^i.  Each word fact has one implementation here: _shift_cols, a
-column gather on int16 rows, is the one simultaneous block shift, and packed
-keys are never shifted (cyclic_shift is the same shift on one Codeword,
-for the public API); shifting both blocks is multiplication by x, so the
-shift of a span is the span of the shifted rows.  _block_sizes gives the
-spanning block sizes |S1|, |S2|, |S3| = (alpha - deg b, deg g, deg h)
-that the spanning rows and their coefficient widths (the spec's cached
-properties _span_rows and _span_widths), cardinality(spec) (the one size
-formula) and code_type read; _base_pairs gives the base pairs (b | 0),
+column gather on int16 rows, is the one simultaneous shift of rows that
+already exist, and packed keys are never shifted (cyclic_shift is the
+same shift on one Codeword, for the public API); shifting both blocks is
+multiplication by x, so the shift of a span is the span of the shifted
+rows.  _block_sizes gives the spanning block sizes |S1|, |S2|, |S3| =
+(alpha - deg b, deg g, deg h) that the spanning rows and their
+coefficient widths (the spec's cached properties _span_rows and
+_span_widths), cardinality(spec) (the one size formula) and code_type
+read; _base_pairs gives the base pairs (b | 0),
 (ell | fh + 2f), (ell*g | 2fg) that the spanning rows, subcode_order_two
 and project_xy read; and _gray_keys is the Gray map, on packed keys: a
 Gray-coded key is the key of the word's Gray image in the all-binary
 layout, so _gray_rows decodes it and its popcount is the word's Gray
 weight; _pairings, the pairing 2<u, u'> + <q, q'> mod 4 on int rows, is
-behind dual.contains and verify's orthogonality check.  The three base
-rows are read from the folded polynomials' packed ints in one
-np.frombuffer: a QuatPoly's little-endian rep bytes are its coefficients,
-and a BinPoly's bits become 0/1 bytes.  The spanning rows are their
-shifts, taken by one gather whose index (built through _shift_cols) is
-worked out once per (alpha, beta, block sizes) and cached while small;
-they are cached read-only in the spec's __dict__, outside the dataclass
-fields, so ==, hash and repr never see them and equal instances share
-nothing.  circ_product works on coefficient bytes too: per block, the
-word's entries repeated m/len times and the other word's entries read
-big-endian give one product and one fold, with no theta, lift or
-reciprocal built; it shares no code with analysis's np.correlate oracle
-of the shifted inner products.  _span_keys enumerates the span of any
+behind dual.contains and verify's orthogonality check: one einsum per
+block sums in int64 and casts its operands in buffered chunks, so it
+builds nothing wider than its output.  The spanning rows are written,
+not gathered: row i of a block is its base pair times x^i, which rotates
+each block's coefficients i places.  Each base pair's blocks are written
+once as little-endian coefficient bytes, doubled (a QuatPoly's rep bytes
+are its coefficients, and a BinPoly's lift to Z4 makes them 0/1 bytes),
+and row i is one slice of each; the rows go into one bytearray, widened
+to int16 once.  They are cached read-only in the spec's __dict__, outside
+the dataclass fields, so ==, hash and repr never see them and equal
+instances share nothing.  circ_product works on coefficient bytes too:
+per block, the word's entries repeated m/len times and the other word's
+entries read big-endian give one product and one fold, with no theta,
+lift or reciprocal built; it shares no code with analysis's np.correlate
+oracle of the shifted inner products.  _span_keys enumerates the span of any
 rows by doubling on packed keys: each row's multiples are added to all
 the keys built so far, an order-two row by one XOR and an S2 row
 lane-wise (_key_add, from the row's low Z4 lane bits, masked once for
@@ -75,7 +78,7 @@ from . import z4poly as z4
 from .errors import AmbientMismatch, InvalidParameter, InvalidSpec, ParseError, TooLarge
 from .gf2poly import BinPoly
 from .poly import DEGREE_CAP, _count_text, _parse_int
-from .z4poly import _DIGIT_BYTE, QuatPoly
+from .z4poly import QuatPoly
 
 ENUM_CAP = 2**22
 
@@ -88,9 +91,10 @@ class Codeword:
     uq: tuple[int, ...]
 
     def __post_init__(self):
-        if any(v not in (0, 1) for v in self.u):
+        # A bool equals 0 or 1 but is not an entry; numpy integers are.
+        if any(isinstance(v, (bool, np.bool_)) or v not in (0, 1) for v in self.u):
             raise InvalidParameter("binary block entries must be 0 or 1")
-        if any(v not in (0, 1, 2, 3) for v in self.uq):
+        if any(isinstance(v, (bool, np.bool_)) or v not in (0, 1, 2, 3) for v in self.uq):
             raise InvalidParameter("quaternary block entries must be in 0..3")
 
 
@@ -193,20 +197,19 @@ class CyclicCodeSpec:
 
     @functools.cached_property
     def _span_rows(self) -> np.ndarray:
-        """Spanning rows S1|S2|S3, read-only: row i of each block is its base row
-        shifted i steps in both blocks, all taken by one gather from the base rows'
-        coefficient bytes."""
+        """Spanning rows S1|S2|S3, read-only: row i of each block is its base pair
+        times x^i, each block's coefficient bytes rotated i places."""
         a, beta = self.alpha, self.beta
-        counts = _block_sizes(self)
-        # A folded BinPoly's bits, lowest first, become 0/1 bytes; a folded QuatPoly's
-        # little-endian rep bytes are already its coefficients.
-        bases = bytearray()
-        for p, q in _base_pairs(self):
-            bases += f"{p.fold(a)._rep:0{a}b}".encode()[::-1].translate(_DIGIT_BYTE)
-            bases += q.fold(beta)._rep.to_bytes(beta, "little")
-        # An index above _SPAN_INDEX_CELLS is built afresh, not kept in the cache.
-        index = _span_index if sum(counts) * (a + beta) <= _SPAN_INDEX_CELLS else _span_index.__wrapped__
-        rows = np.frombuffer(bases, dtype=np.uint8).astype(np.int16)[index(a, beta, counts)]
+        rows = bytearray()
+        for (p, q), count in zip(_base_pairs(self), _block_sizes(self)):
+            # Each block's little-endian coefficient bytes, doubled: bytes n - i .. 2n - i
+            # of the doubled block are the block rotated i places.
+            xs = z4.lift_binary(p.fold(a))._rep.to_bytes(a, "little") * 2
+            ys = q.fold(beta)._rep.to_bytes(beta, "little") * 2
+            for i in range(count):
+                rows += xs[a - i % a : 2 * a - i % a]
+                rows += ys[beta - i % beta : 2 * beta - i % beta]
+        rows = np.frombuffer(rows, dtype=np.uint8).astype(np.int16).reshape(-1, a + beta)
         rows.flags.writeable = False
         return rows
 
@@ -387,21 +390,6 @@ def cardinality(spec: CyclicCodeSpec) -> int:
 
 
 # -- spanning sets and enumeration ---------------------------------------
-
-
-# Largest spanning-row gather index, in entries, that _span_index keeps cached.
-_SPAN_INDEX_CELLS = 1 << 12
-
-
-@functools.lru_cache(maxsize=64)
-def _span_index(alpha: int, beta: int, counts: tuple[int, int, int]) -> np.ndarray:
-    """The gather taking the three base rows, laid end to end, to the spanning rows:
-    row i of block k reads base row k shifted by -i, through _shift_cols."""
-    which = np.repeat(np.arange(3), counts)
-    back = (np.cumsum(counts) - counts)[which] - np.arange(len(which))
-    index = which[:, None] * (alpha + beta) + _shift_cols(alpha, beta, back[:, None])
-    index.flags.writeable = False
-    return index
 
 
 def _shift_cols(alpha: int, beta: int, k) -> np.ndarray:
@@ -692,9 +680,14 @@ def _check_ambient(w1: Codeword, w2: Codeword) -> None:
 
 def _pairings(a: np.ndarray, b: np.ndarray, alpha: int) -> np.ndarray:
     """2 * <u, u'> + <q, q'> mod 4 over the last axis of rows a and b, broadcast
-    against each other; the sums are in int64, so long rows cannot overflow."""
-    prod = np.multiply(a, b, dtype=np.int64)
-    return (2 * prod[..., :alpha].sum(axis=-1) + prod[..., alpha:].sum(axis=-1)) % 4
+    against each other.  The sums are in int64, so long rows cannot overflow, and
+    einsum casts its operands in buffered chunks, never as a whole int64 product."""
+    a, b = np.asarray(a), np.asarray(b)
+
+    def dot(x, y):
+        return np.einsum("...j,...j->...", x, y, dtype=np.int64, casting="unsafe")
+
+    return (2 * dot(a[..., :alpha], b[..., :alpha]) + dot(a[..., alpha:], b[..., alpha:])) % 4
 
 
 def inner_product(w1: Codeword, w2: Codeword) -> int:

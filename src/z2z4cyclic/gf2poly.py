@@ -24,7 +24,7 @@ from .errors import (
     NotInvertible,
     TooLarge,
 )
-from .poly import NEG_INF, SEARCH_CAP, DensePoly, _count_text
+from .poly import DEGREE_CAP, NEG_INF, SEARCH_CAP, DensePoly, _count_text
 
 
 def _clmul(a: int, b: int) -> int:
@@ -183,8 +183,17 @@ def theta(m: int, n: int) -> BinPoly:
     return BinPoly._wrap(sum(1 << (i * n) for i in range(m)))
 
 
+def _check_length(n: int) -> None:
+    """Refuse anything but an int n in 1 .. DEGREE_CAP, before any walk over 0 .. n - 1."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise InvalidParameter("n must be a positive integer")
+    if n > DEGREE_CAP:
+        raise TooLarge(f"n = {n} is above the length cap of {DEGREE_CAP}")
+
+
 def _cosets(n: int) -> list[int]:
     """Cosets {j, 2j, 4j, ...} mod odd n as bit masks: one per irreducible factor of x^n - 1, of its degree."""
+    _check_length(n)
     seen, cosets = [0] * n, []
     for j in range(n):
         ind, k = 0, j
@@ -198,8 +207,7 @@ def _cosets(n: int) -> list[int]:
 
 def _divisor_shape(n: int) -> tuple[int, int]:
     """(2^s, k) for n = 2^s * m, m odd, k cosets mod m; over SEARCH_CAP (2^s + 1)^k divisors raise TooLarge."""
-    if n < 1:
-        raise InvalidParameter("n must be a positive integer")
+    _check_length(n)
     mult = n & -n
     k = len(_cosets(n // mult))
     if (mult + 1) ** k > SEARCH_CAP:
@@ -214,8 +222,7 @@ def factor_xn1(n: int) -> list[BinPoly]:
     is a union of cyclotomic cosets {j, 2j, 4j, ...} mod n.  The coset
     indicators are thus a basis of Berlekamp's subalgebra: one factor per coset.
     """
-    if n < 1:
-        raise InvalidParameter("n must be a positive integer")
+    _check_length(n)
     if n % 2 == 0:
         raise EvenLengthUnsupported(f"x^{n}-1 is not squarefree over Z2 for even n")
     indicators = [BinPoly._wrap(ind) for ind in _cosets(n)]

@@ -369,6 +369,14 @@ def test_search_caps_lengths_before_factoring(monkeypatch):
         search_codes(5000, {3}, "mdss")
 
 
+def test_valid_specs_refuse_a_length_above_the_cap_before_any_walk():
+    for alpha, beta in ((1, 4097), (4097, 1)):
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge, match="^n = 4097 is above the length cap of 4096$"):
+            next(iter_valid_specs(alpha, beta))
+        assert time.perf_counter() - t0 < 1
+
+
 # -- verification and reports -------------------------------------------------
 
 

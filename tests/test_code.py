@@ -60,6 +60,17 @@ def test_codeword_rejects_bad_entries():
         Codeword((2,), (0,))
     with pytest.raises(InvalidParameter):
         Codeword((0,), (4,))
+    # A bool equals 0 or 1 but is no entry, in either block.
+    for u, uq, message in (
+        ((True, False), (2,), "^binary block entries must be 0 or 1$"),
+        ((1, 0), (2, np.True_), "^quaternary block entries must be in 0..3$"),
+        ((np.False_,), (), "^binary block entries must be 0 or 1$"),
+    ):
+        with pytest.raises(InvalidParameter, match=message):
+            Codeword(u, uq)
+    # numpy integers, as read from int16 rows, are entries.
+    row = np.array([1, 0, 3], dtype=np.int16)
+    assert format_codeword(Codeword(tuple(row[:2]), tuple(row[2:]))) == "1 0 | 3"
 
 
 def test_codeword_text_round_trip():

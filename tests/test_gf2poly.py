@@ -1,6 +1,7 @@
 """Binary polynomial arithmetic: ring ops, gcd, inverses, theta, factorization."""
 
 import re
+import time
 
 import pytest
 
@@ -351,6 +352,19 @@ def test_xn1_and_divisors_xn1_refuse_a_zero_length():
     for call in (gf2.xn1, divisors_xn1):
         with pytest.raises(InvalidParameter, match="^n must be a positive integer$"):
             call(0)
+
+
+@pytest.mark.parametrize("call", [factor_xn1, divisors_xn1, gf2._cosets, gf2._divisor_shape])
+def test_xn1_helpers_refuse_a_bool_a_float_and_a_length_above_the_cap(call):
+    for n in (True, 3.0, "3", None):
+        with pytest.raises(InvalidParameter, match="^n must be a positive integer$"):
+            call(n)
+    # Refused before the coset walk, which at a million steps takes seconds.
+    for n in (DEGREE_CAP + 1, 1_000_001):
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge, match=f"^n = {n} is above the length cap of {DEGREE_CAP}$"):
+            call(n)
+        assert time.perf_counter() - t0 < 1
 
 
 def test_divisors_xn1_odd_n():

@@ -3,17 +3,19 @@ the bit-packed BinPoly arithmetic against a schoolbook Z2 reference, the
 packed-key canonical sort and the block projection counts against numpy's
 row sort, the key kernels (the lane-wise Z4 add, the decode, enumeration on
 two limbs) against their int16 and polynomial forms, the span of shifted
-rows and cyclic closure against a set of shifted Codewords, the gathered
+rows and cyclic closure against a set of shifted Codewords, the rotated
 spanning rows and correlated shift products against their loop forms, the
-circ product's coefficients against the shifted inner products, and
+peak memory of the spanning rows and of contains, the pairing of long rows
+against inner_product, the circ product's coefficients against the shifted
+inner products, and
 the Gray map on keys, its decoded image and its popcount weights against a
 literal per-symbol table."""
 
 import contextlib
-import dataclasses
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +32,9 @@ from z2z4cyclic import (
     circ_product,
     code_report,
     codeword_matrix,
+    contains,
     cyclic_shift,
+    dual_spec,
     format_spec_text,
     gray_map,
     inner_product,
@@ -46,7 +50,6 @@ from z2z4cyclic.analysis import _cyclic_closed, _shifted_inner_products
 from z2z4cyclic.cli import main
 from z2z4cyclic.code import (
     _DECODE_CELLS,
-    _SPAN_INDEX_CELLS,
     _block_sizes,
     _decode_keys,
     _deg,
@@ -54,13 +57,13 @@ from z2z4cyclic.code import (
     _gray_rows,
     _key_add,
     _key_layout,
+    _pairings,
     _projection_sizes,
     _reduce_blocks,
     _row_keys,
     _row_word,
     _shift_cols,
     _sort_keys,
-    _span_index,
     _span_keys,
 )
 from z2z4cyclic.poly import NEG_INF
@@ -740,8 +743,8 @@ def ref_span_rows(spec):
     return mat, tuple(widths)
 
 
-# (65 | 9) with b = x + 1, ell = 1, f = h = 1: 73 rows of 74 columns, a gather index
-# above _SPAN_INDEX_CELLS, so it is built afresh and not cached.
+# (65 | 9) with b = x + 1, ell = 1, f = h = 1: 73 rows of 74 columns, the Z2 block
+# rotated up to 63 places.
 WIDE_SPEC = validate_spec(65, 9, BinPoly.parse("x+1"), BinPoly.one(), QuatPoly.one(), QuatPoly.one())
 
 # Longer blocks too, where shift counts reach alpha or beta - 1; a Z2 block of 17 or
@@ -761,16 +764,65 @@ def test_span_rows_match_rolled_rows():
         assert tuple(spec._span_widths.tolist()) == ref_widths, spec
 
 
-def test_span_index_is_cached_only_for_small_shapes():
-    _span_index.cache_clear()
-    wide = dataclasses.replace(WIDE_SPEC)
-    assert sum(_block_sizes(wide)) * (wide.alpha + wide.beta) > _SPAN_INDEX_CELLS
-    assert np.array_equal(wide._span_rows, ref_span_rows(wide)[0])
-    assert _span_index.cache_info().currsize == 0
-    for spec in VALID_SPECS[:200]:
-        dataclasses.replace(spec)._span_rows
-    info = _span_index.cache_info()
-    assert info.hits > 0 and 0 < info.currsize <= info.maxsize == 64
+def traced_peak(call):
+    """call()'s result and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_span_rows_peak_stays_within_twice_their_bytes():
+    # The (2047 | 2047) ambient: 4094 rows of 4094 columns, 32 MB of int16.  The rows'
+    # bytes and their int16 copy are the whole peak; no wider index or copy is built.
+    spec = validate_spec(2047, 2047, BinPoly.one(), BinPoly.zero(), QuatPoly.one(), QuatPoly.one())
+    rows, peak = traced_peak(lambda: spec._span_rows)
+    assert rows.shape == (4094, 4094)
+    assert peak <= 2 * rows.nbytes
+
+
+def test_contains_peak_stays_within_twice_the_dual_rows_bytes():
+    # The trivial (2047 | 2047) code, whose dual is the whole ambient: the pairing of
+    # its 4094 dual rows with the word builds no (rows, columns) int64 product.
+    xn = BinPoly._wrap(1 << 2047 | 1)
+    spec = validate_spec(2047, 2047, xn, BinPoly.zero(), QuatPoly.parse("x^2047+3"), QuatPoly.one())
+    word = Codeword((1,) * 2047, (3,) * 2047)
+    member, peak = traced_peak(lambda: contains(spec, word))
+    assert member is False
+    assert peak <= 2 * dual_spec(spec)._span_rows.nbytes
+
+
+@st.composite
+def long_row_pairs(draw):
+    """Two matrices of rows with at least 4000 Z4 columns, each entry 3 but a few,
+    so a product summed in int16 (9 per column) would wrap."""
+    alpha, beta, count = draw(st.integers(0, 40)), draw(st.integers(4000, 4100)), draw(st.integers(1, 3))
+    mats = []
+    for _ in range(2):
+        mat = np.full((count, alpha + beta), 3, dtype=np.int16)
+        mat[:, :alpha] = 1
+        cell = st.tuples(st.integers(0, count - 1), st.integers(0, alpha + beta - 1), st.integers(0, 3))
+        for r, c, v in draw(st.lists(cell, max_size=8)):
+            mat[r, c] = v % 2 if c < alpha else v
+        mats.append(mat)
+    return alpha, *mats
+
+
+@settings(deadline=None, max_examples=25)
+@given(long_row_pairs())
+def test_pairings_of_long_rows_match_inner_product(case):
+    alpha, a, b = case
+    words_a = [_row_word(row, alpha) for row in a]
+    words_b = [_row_word(row, alpha) for row in b]
+    want = [inner_product(w1, w2) for w1, w2 in zip(words_a, words_b)]
+    assert _pairings(a, b, alpha).tolist() == want
+    # One word against every row, as contains pairs the dual's rows with a word.
+    assert _pairings(a, b[0], alpha).tolist() == [inner_product(w, words_b[0]) for w in words_a]
+    assert _pairings(a, words_b[0].u + words_b[0].uq, alpha).tolist() == [
+        inner_product(w, words_b[0]) for w in words_a
+    ]
 
 
 def test_span_rows_are_kept_read_only_on_the_spec_instance():
