@@ -77,7 +77,7 @@ from . import gf2poly as gf2
 from . import z4poly as z4
 from .errors import AmbientMismatch, InvalidParameter, InvalidSpec, ParseError, TooLarge
 from .gf2poly import BinPoly
-from .poly import DEGREE_CAP, _count_text, _parse_int
+from .poly import DEGREE_CAP, _check_length, _count_text, _parse_int
 from .z4poly import QuatPoly
 
 ENUM_CAP = 2**22
@@ -91,10 +91,16 @@ class Codeword:
     uq: tuple[int, ...]
 
     def __post_init__(self):
-        # A bool equals 0 or 1 but is not an entry; numpy integers are.
-        if any(isinstance(v, (bool, np.bool_)) or v not in (0, 1) for v in self.u):
+        # Entries are ints or numpy integers: a bool or a float may equal 0 or 1
+        # but is not an entry.
+        if any(
+            not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v not in (0, 1) for v in self.u
+        ):
             raise InvalidParameter("binary block entries must be 0 or 1")
-        if any(isinstance(v, (bool, np.bool_)) or v not in (0, 1, 2, 3) for v in self.uq):
+        if any(
+            not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v not in (0, 1, 2, 3)
+            for v in self.uq
+        ):
             raise InvalidParameter("quaternary block entries must be in 0..3")
 
 
@@ -159,12 +165,8 @@ class CyclicCodeSpec:
     g: QuatPoly = field(init=False)
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):
-            n = getattr(self, name)
-            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-                raise InvalidSpec(f"{name} must be a positive integer")
-            if n > DEGREE_CAP:
-                raise TooLarge(f"{name} = {n} is above the length cap of {DEGREE_CAP}")
+        _check_length(self.alpha, "alpha", InvalidSpec)
+        _check_length(self.beta, "beta", InvalidSpec)
         if self.beta % 2 == 0:
             raise InvalidSpec("beta must be odd")
         if not isinstance(self.b, BinPoly) or not isinstance(self.ell, BinPoly):

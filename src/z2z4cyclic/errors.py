@@ -43,8 +43,9 @@ class InvalidSpec(Z2Z4Error, ValueError):
 
 class TooLarge(Z2Z4Error):
     """A refusal by one of the package's caps: the enumeration cap on codewords
-    (ENUM_CAP or the caller's cap), the degree cap on polynomial text, the
-    length cap on alpha, beta and lcm(alpha, beta) (all DEGREE_CAP), the
+    (ENUM_CAP or the caller's cap), the degree cap on polynomial text and
+    monomials, the length cap on alpha, beta and every n of x^n - 1 (all
+    checked by poly._check_length) and on lcm(alpha, beta) (all DEGREE_CAP), the
     search cap on tuples per (alpha, beta) and the divisor cap on x^n - 1
     (both SEARCH_CAP), and the ambient cap of the brute-force dual (AMBIENT_CAP)."""
 

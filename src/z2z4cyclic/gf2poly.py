@@ -24,7 +24,7 @@ from .errors import (
     NotInvertible,
     TooLarge,
 )
-from .poly import DEGREE_CAP, NEG_INF, SEARCH_CAP, DensePoly, _count_text
+from .poly import NEG_INF, SEARCH_CAP, DensePoly, _check_length, _count_text
 
 
 def _clmul(a: int, b: int) -> int:
@@ -120,8 +120,7 @@ class BinPoly(DensePoly):
 
 def xn1(n: int) -> BinPoly:
     """x^n - 1 over Z2, i.e. x^n + 1."""
-    if n < 1:
-        raise InvalidParameter("n must be a positive integer")
+    _check_length(n)
     return BinPoly._wrap(1 << n | 1)
 
 
@@ -178,17 +177,9 @@ def modinv(p: BinPoly, m: BinPoly) -> BinPoly:
 
 def theta(m: int, n: int) -> BinPoly:
     """theta_m(x^n) = 1 + x^n + x^{2n} + ... + x^{(m-1)n}."""
-    if m < 1 or n < 1:
-        raise InvalidParameter("theta requires m >= 1 and n >= 1")
+    _check_length(m, "m")
+    _check_length(n)
     return BinPoly._wrap(sum(1 << (i * n) for i in range(m)))
-
-
-def _check_length(n: int) -> None:
-    """Refuse anything but an int n in 1 .. DEGREE_CAP, before any walk over 0 .. n - 1."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidParameter("n must be a positive integer")
-    if n > DEGREE_CAP:
-        raise TooLarge(f"n = {n} is above the length cap of {DEGREE_CAP}")
 
 
 def _cosets(n: int) -> list[int]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
-from .errors import DivisorZero, ParseError, ReciprocalOfZero, TooLarge
+from .errors import DivisorZero, InvalidParameter, ParseError, ReciprocalOfZero, TooLarge
 
 NEG_INF = float("-inf")
 
@@ -57,6 +57,15 @@ def _value(numeral: str) -> int:
     """
     digits = numeral.lstrip("0")
     return int(digits or "0") if len(digits) <= _CAP_DIGITS else DEGREE_CAP + 1
+
+
+def _check_length(n: int, name: str = "n", error: type = InvalidParameter) -> None:
+    """Refuse anything but an int length in 1 .. DEGREE_CAP, before anything of
+    that size is built: alpha, beta and the n of every x^n - 1."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise error(f"{name} must be a positive integer")
+    if n > DEGREE_CAP:
+        raise TooLarge(f"{name} = {n} is above the length cap of {DEGREE_CAP}")
 
 
 def _parse_int(text: str) -> int:
@@ -124,9 +133,11 @@ class DensePoly:
 
     @classmethod
     def x(cls, exponent: int = 1, coefficient: int = 1):
-        """The monomial coefficient * x**exponent."""
-        if exponent < 0:
+        """The monomial coefficient * x**exponent, exponent an int up to DEGREE_CAP."""
+        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise ValueError("exponent must be nonnegative")
+        if exponent > DEGREE_CAP:
+            raise TooLarge(f"exponent {exponent} is above the degree cap {DEGREE_CAP}")
         return cls._wrap(cls._pack((coefficient,)) << cls._SLOT * exponent)
 
     def __setattr__(self, name, value):
@@ -207,8 +218,7 @@ class DensePoly:
 
     def fold(self, n: int):
         """Reduce mod x^n - 1 by folding exponents mod n."""
-        if n < 1:
-            raise ValueError("fold length must be positive")
+        _check_length(n)
         return self._fold(n)
 
     # -- text forms ---------------------------------------------------

@@ -19,19 +19,23 @@ bytes as the lift).  Quaternary block lengths must be odd.
 from __future__ import annotations
 
 from . import gf2poly
-from .errors import EvenLengthUnsupported, InvalidParameter, NotADivisor, NotMonic
+from .errors import EvenLengthUnsupported, NotADivisor, NotMonic
 from .gf2poly import BinPoly
-from .poly import DEGREE_CAP, NEG_INF, DensePoly
+from .poly import DEGREE_CAP, NEG_INF, DensePoly, _check_length
 
 
 # The coefficient of x^i is byte i of the stored int.  Sums of at most 85
 # reduced coefficients fit a byte, so x & _THREES (x & 0x0303...03) reduces
 # every coefficient of such a sum mod 4 at once.  _THREES covers the products
 # the package forms from polynomials of degree up to DEGREE_CAP; _reduce
-# builds a wider mask for a longer value.
+# builds a wider mask for a longer value, which public QuatPoly arithmetic
+# can form.
 _MASK_BYTES = 4 * DEGREE_CAP
 _THREES = int.from_bytes(b"\x03" * _MASK_BYTES, "little")
-# Every odd-numbered byte: the coefficients of the odd powers of x.
+# Every odd-numbered byte: the coefficients of the odd powers of x.  It is
+# only read in hensel_lift, where check_beta caps beta at DEGREE_CAP, so the
+# Graeffe product has at most 2 * DEGREE_CAP + 1 bytes and this mask always
+# covers it.
 _ODD_BYTES = int.from_bytes(b"\x00\xff" * (_MASK_BYTES // 2), "little")
 # bytes.translate tables: a byte mod 4, a byte's low bit as an ASCII digit,
 # and an ASCII binary digit as a byte.
@@ -45,13 +49,6 @@ def _reduce(x: int) -> int:
     if x.bit_length() <= 8 * _MASK_BYTES:
         return x & _THREES
     return x & int.from_bytes(b"\x03" * _nbytes(x), "little")
-
-
-def _odd_bytes(x: int) -> int:
-    """The bytes of a nonnegative x at odd positions, the others zeroed."""
-    if x.bit_length() <= 8 * _MASK_BYTES:
-        return x & _ODD_BYTES
-    return x & int.from_bytes(b"\x00\xff" * (_nbytes(x) // 2 + 1), "little")
 
 
 def _nbytes(x: int) -> int:
@@ -157,16 +154,14 @@ class QuatPoly(DensePoly):
 
 
 def check_beta(beta: int) -> None:
-    if not isinstance(beta, int) or isinstance(beta, bool) or beta < 1:
-        raise InvalidParameter("beta must be a positive integer")
+    _check_length(beta, "beta")
     if beta % 2 == 0:
         raise EvenLengthUnsupported(f"beta = {beta} is even; quaternary lengths must be odd")
 
 
 def xn1(n: int) -> QuatPoly:
     """x^n - 1 over Z4."""
-    if n < 1:
-        raise InvalidParameter("n must be a positive integer")
+    _check_length(n)
     return QuatPoly._wrap(1 << 8 * n | 3)
 
 
@@ -201,8 +196,8 @@ def hensel_lift(d: BinPoly, beta: int) -> QuatPoly:
     if d.is_zero or gf2poly.xn1(beta) % d:
         raise NotADivisor(f"({d}) does not divide x^{beta}-1 over Z2")
     big = lift_binary(d)
-    prod = big._mul(big._rep + 2 * _odd_bytes(big._rep))._rep
-    if _odd_bytes(prod):
+    prod = big._mul(big._rep + 2 * (big._rep & _ODD_BYTES))._rep
+    if prod & _ODD_BYTES:
         raise ArithmeticError("internal error: Graeffe product has odd-degree terms")
     even = prod.to_bytes(_nbytes(prod), "little")[::2]
     return make_monic(QuatPoly._wrap(int.from_bytes(even, "little")))

@@ -370,9 +370,12 @@ def test_search_caps_lengths_before_factoring(monkeypatch):
 
 
 def test_valid_specs_refuse_a_length_above_the_cap_before_any_walk():
-    for alpha, beta in ((1, 4097), (4097, 1)):
+    # beta is refused by check_beta, alpha by the divisor count's length check;
+    # a length above the cap is refused before its parity is checked.
+    for alpha, beta, name in ((1, 4097, "beta"), (1, 4098, "beta"), (4097, 1, "n")):
         t0 = time.perf_counter()
-        with pytest.raises(TooLarge, match="^n = 4097 is above the length cap of 4096$"):
+        n = max(alpha, beta)
+        with pytest.raises(TooLarge, match=f"^{name} = {n} is above the length cap of 4096$"):
             next(iter_valid_specs(alpha, beta))
         assert time.perf_counter() - t0 < 1
 

@@ -60,11 +60,15 @@ def test_codeword_rejects_bad_entries():
         Codeword((2,), (0,))
     with pytest.raises(InvalidParameter):
         Codeword((0,), (4,))
-    # A bool equals 0 or 1 but is no entry, in either block.
+    # A bool or a float equals 0 or 1 but is no entry, in either block.
     for u, uq, message in (
         ((True, False), (2,), "^binary block entries must be 0 or 1$"),
         ((1, 0), (2, np.True_), "^quaternary block entries must be in 0..3$"),
         ((np.False_,), (), "^binary block entries must be 0 or 1$"),
+        ((1.0, 0), (2,), "^binary block entries must be 0 or 1$"),
+        ((1, 0), (2.0,), "^quaternary block entries must be in 0..3$"),
+        ((np.float64(0),), (), "^binary block entries must be 0 or 1$"),
+        ((), (np.float64(3),), "^quaternary block entries must be in 0..3$"),
     ):
         with pytest.raises(InvalidParameter, match=message):
             Codeword(u, uq)

@@ -2,11 +2,13 @@
 
 import re
 import time
+import tracemalloc
 
 import pytest
 
 from z2z4cyclic import BinPoly, QuatPoly, divisors_xn1, factor_xn1, theta
 from z2z4cyclic import gf2poly as gf2
+from z2z4cyclic import z4poly as z4
 from z2z4cyclic.errors import (
     DivisorZero,
     EvenLengthUnsupported,
@@ -68,8 +70,13 @@ def test_monomial_builder():
         for e in [*range(70), *range(70, DEGREE_CAP, 263), DEGREE_CAP]:
             for c in range(6):
                 assert cls.x(e, c) == cls._make([0] * e + [c]), (cls, e, c)
-        with pytest.raises(ValueError, match="exponent must be nonnegative"):
-            cls.x(-1)
+        # Refused as parse() refuses them: a bool or a float is no exponent,
+        # and one above the cap is refused before its monomial is built.
+        for e in (-1, True, 2.0, None):
+            with pytest.raises(ValueError, match="^exponent must be nonnegative$"):
+                cls.x(e)
+        with pytest.raises(TooLarge, match=f"^exponent 40000000 is above the degree cap {DEGREE_CAP}$"):
+            cls.x(4 * 10**7)
 
 
 # -- the shared entry points, both rings --------------------------------------
@@ -102,7 +109,7 @@ def test_entry_points_refuse_other_operands_with_the_ring_message(cls, op):
 
 def test_fold_and_pow_refuse_bad_lengths_and_other_types_compare_unequal():
     p = bp("x^2+1")
-    with pytest.raises(ValueError, match="^fold length must be positive$"):
+    with pytest.raises(ValueError, match="^n must be a positive integer$"):
         p.fold(0)
     with pytest.raises(ValueError, match="^exponent must be a nonnegative integer$"):
         p ** -1
@@ -354,17 +361,44 @@ def test_xn1_and_divisors_xn1_refuse_a_zero_length():
             call(0)
 
 
-@pytest.mark.parametrize("call", [factor_xn1, divisors_xn1, gf2._cosets, gf2._divisor_shape])
-def test_xn1_helpers_refuse_a_bool_a_float_and_a_length_above_the_cap(call):
-    for n in (True, 3.0, "3", None):
-        with pytest.raises(InvalidParameter, match="^n must be a positive integer$"):
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (factor_xn1, "n"),
+        (divisors_xn1, "n"),
+        (gf2._cosets, "n"),
+        (gf2._divisor_shape, "n"),
+        (gf2.xn1, "n"),
+        (z4.xn1, "n"),
+        (bp("x^2+1").fold, "n"),
+        (QuatPoly.one().fold, "n"),
+        (lambda m: theta(m, 3), "m"),
+        (lambda n: theta(3, n), "n"),
+        (lambda beta: z4.hensel_lift(bp("x+1"), beta), "beta"),
+        (lambda beta: z4.mul_mod(QuatPoly.one(), QuatPoly.one(), beta), "beta"),
+    ],
+    ids=[
+        "factor_xn1", "divisors_xn1", "_cosets", "_divisor_shape", "gf2.xn1", "z4.xn1",
+        "BinPoly.fold", "QuatPoly.fold", "theta_m", "theta_n", "hensel_lift", "mul_mod",
+    ],
+)
+def test_xn1_helpers_refuse_a_bool_a_float_and_a_length_above_the_cap(call, name):
+    for n in (True, 3.0, "3", None, 0):
+        with pytest.raises(InvalidParameter, match=f"^{name} must be a positive integer$"):
             call(n)
-    # Refused before the coset walk, which at a million steps takes seconds.
-    for n in (DEGREE_CAP + 1, 1_000_001):
+    # Refused before anything of that size is built: a coset walk at a million
+    # steps takes seconds, and x^n - 1 over Z4 at n = 10^7 + 1 peaks at 21 MB.
+    for n in (DEGREE_CAP + 1, 1_000_001, 10**7 + 1):
+        tracemalloc.start()
         t0 = time.perf_counter()
-        with pytest.raises(TooLarge, match=f"^n = {n} is above the length cap of {DEGREE_CAP}$"):
-            call(n)
+        try:
+            with pytest.raises(TooLarge, match=f"^{name} = {n} is above the length cap of {DEGREE_CAP}$"):
+                call(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert time.perf_counter() - t0 < 1
+        assert peak < 2**20
 
 
 def test_divisors_xn1_odd_n():

@@ -14,6 +14,7 @@ from z2z4cyclic.errors import (
     NotMonic,
     ParseError,
     ReciprocalOfZero,
+    TooLarge,
 )
 
 from conftest import bp, qp
@@ -127,12 +128,14 @@ def test_xn1_and_check_beta_refuse_zero_and_a_bool():
             z4.check_beta(beta)
 
 
-def test_hensel_lift_past_the_preset_byte_masks():
-    # The Graeffe product of a degree-8192 lift has 16385 bytes, one more than
-    # the preset masks cover, so the odd-byte test builds a wider mask.
-    n = 8193
+def test_hensel_lift_at_the_largest_odd_length():
+    # 4095 is the largest odd length under the cap: the Graeffe product of a
+    # degree-4095 lift has 8191 bytes, inside the preset odd-byte mask.
+    n = 4095
     assert hensel_lift(gf2.theta(n, 1), n) == QuatPoly([1] * n)
     assert hensel_lift(gf2.xn1(n), n) == z4.xn1(n)
+    with pytest.raises(TooLarge, match="^beta = 8193 is above the length cap of 4096$"):
+        hensel_lift(gf2.xn1(4095), 8193)
 
 
 def test_hensel_lift_known_values():
