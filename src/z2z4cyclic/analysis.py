@@ -31,6 +31,7 @@ from .code import (
     ENUM_CAP,
     CodeType,
     CyclicCodeSpec,
+    _check_period,
     _check_words,
     _codeword_keys,
     _deg,
@@ -56,9 +57,9 @@ from .dual import (
     dual_spec,
     hensel_divisibility_check,
 )
-from .errors import InvalidParameter, TooLarge
+from .errors import InvalidParameter, InvalidSpec, TooLarge
 from .gf2poly import BinPoly
-from .poly import DEGREE_CAP, SEARCH_CAP, _count_text
+from .poly import DEGREE_CAP, SEARCH_CAP, _check_length, _count_text
 from .z4poly import QuatPoly
 
 
@@ -126,6 +127,9 @@ def construct_self_dual_family(alpha: int, beta: int) -> CyclicCodeSpec:
     """The self-dual code with b = x^(alpha/2) - 1, ell = 0, f = 1, h = x^beta - 1."""
     if not isinstance(alpha, int) or alpha < 2 or alpha % 2:
         raise InvalidParameter("alpha must be a positive even integer")
+    # The spec's length checks, in its words, before x^(alpha/2) - 1 and x^beta - 1 exist.
+    _check_length(alpha, "alpha", InvalidSpec)
+    _check_length(beta, "beta", InvalidSpec)
     return validate_spec(
         alpha, beta, gf2.xn1(alpha // 2), BinPoly.zero(), QuatPoly.one(), z4.xn1(beta)
     )
@@ -313,16 +317,20 @@ def _shifted_inner_products(r1: np.ndarray, r2: np.ndarray, alpha: int) -> np.nd
 def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> list[CheckResult]:
     """Run every invariant the construction promises, on one spec.
 
-    Returns every named check in a fixed order.  The caps act in three ways:
+    Returns every named check in a fixed order.  A refusal about the code
+    comes before any check runs, and a refusal about one check skips only
+    that check:
 
-    * |C| above cap raises TooLarge at once; no check result is returned.
+    * |C| above cap, then lcm(alpha, beta) above poly.DEGREE_CAP (the
+      period circ_product pairs words over), raise TooLarge before the
+      first check; no check result is returned.
     * A dual-side check whose enumeration raises TooLarge stays in the
       list as skipped, with ok None and the refusal as its detail:
       |C_dual| above cap skips "dual-oracle" and "duality-involution",
       and an ambient space above dual.AMBIENT_CAP skips "dual-oracle".
-    * lcm(alpha, beta) above poly.DEGREE_CAP raises TooLarge from
-      circ_product; no check result is returned.
     """
+    _check_words(cardinality(spec), cap)
+    _check_period(spec.alpha, spec.beta)
     # default_rng rejects negative seeds, and --seed takes any integer.
     rng = np.random.default_rng(abs(seed))
     out: list[CheckResult] = []

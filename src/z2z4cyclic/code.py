@@ -9,7 +9,7 @@ everything reduced mod x^alpha - 1 and x^beta - 1.
 
 Vectors and polynomials correspond by (u_0, ..., u_{n-1}) <->
 sum u_i x^i.  Each word fact has one implementation here: _shift_cols, a
-column gather on int16 rows, is the one simultaneous shift of rows that
+column gather on uint8 rows, is the one simultaneous shift of rows that
 already exist, and packed keys are never shifted (cyclic_shift is the
 same shift on one Codeword, for the public API); shifting both blocks is
 multiplication by x, so the shift of a span is the span of the shifted
@@ -30,8 +30,8 @@ not gathered: row i of a block is its base pair times x^i, which rotates
 each block's coefficients i places.  Each base pair's blocks are written
 once as little-endian coefficient bytes, doubled (a QuatPoly's rep bytes
 are its coefficients, and a BinPoly's lift to Z4 makes them 0/1 bytes),
-and row i is one slice of each; the rows go into one bytearray, widened
-to int16 once.  They are cached read-only in the spec's __dict__, outside
+and row i is one slice of each; the rows are that one bytearray, read
+as uint8.  They are cached read-only in the spec's __dict__, outside
 the dataclass fields, so ==, hash and repr never see them and equal
 instances share nothing.  circ_product works on coefficient bytes too:
 per block, the word's entries repeated m/len times and the other word's
@@ -44,12 +44,12 @@ lane-wise (_key_add, from the row's low Z4 lane bits, masked once for
 all rows), and the keys are sorted once.  The span of the spanning rows is enumerated
 once per spec and cached read-only beside the spanning rows (_word_keys);
 _codeword_keys checks the cap and returns it, and codeword_matrix decodes
-it, column-major, into the int16 matrix.  So a spec keeps 4 bytes per
+it, column-major, into the uint8 matrix.  So a spec keeps 4 bytes per
 codeword when its rows fit 32 bits, and 8 bytes per limb above that.
 Membership is decided in the dual module, from the dual's spanning rows,
 without enumerating the code.
 Inside the package a codeword set is its sorted distinct packed keys;
-the public form is their decode, an int16 matrix of unique rows (binary
+the public form is their decode, a uint8 matrix of unique rows (binary
 block first) in lexicographic row order, which keeps brute-force
 comparisons exact.  _sort_keys is the one np.unique here, and it leaves
 its argument as it was; only _span_keys presorts its own one-limb keys,
@@ -211,7 +211,7 @@ class CyclicCodeSpec:
             for i in range(count):
                 rows += xs[a - i % a : 2 * a - i % a]
                 rows += ys[beta - i % beta : 2 * beta - i % beta]
-        rows = np.frombuffer(rows, dtype=np.uint8).astype(np.int16).reshape(-1, a + beta)
+        rows = np.frombuffer(rows, dtype=np.uint8).reshape(-1, a + beta)
         rows.flags.writeable = False
         return rows
 
@@ -413,7 +413,8 @@ def _row_word(row: np.ndarray, alpha: int) -> Codeword:
 
 
 def _reduce_blocks(words: np.ndarray, alpha: int) -> np.ndarray:
-    # Two's-complement & is exact mod 2 and mod 4, wrapped int16 values too.
+    # & is exact mod 2 and mod 4 on uint8 rows and on wider two's-complement
+    # ones, wrapped values too: 2^8 is a multiple of 4.
     words[:, :alpha] &= 1
     words[:, alpha:] &= 3
     return words
@@ -484,7 +485,7 @@ def _row_keys(words: np.ndarray, alpha: int) -> np.ndarray:
     keys = np.zeros((len(layout.slices), len(words)), dtype=layout.dtype)
     # A limb's columns are one contiguous slice with disjoint bits, so the
     # sum of value << shift over the slice is their OR.  einsum casts the
-    # int16 slice in buffered chunks, never as a whole (rows, columns) copy.
+    # uint8 slice in buffered chunks, never as a whole (rows, columns) copy.
     for i, (lo, hi) in enumerate(layout.slices):
         if hi > lo:
             keys[i] = np.einsum(
@@ -500,26 +501,24 @@ _DECODE_CELLS = 1 << 17
 
 
 def _decode_keys(keys: np.ndarray, alpha: int, n: int) -> np.ndarray:
-    """The int16 rows of n columns that _row_keys packed into keys.
+    """The uint8 rows of n columns that _row_keys packed into keys.
 
     Decoded column-major, a block of about _DECODE_CELLS / n rows at a
-    time: each limb's columns are written to contiguous rows of an
-    (n, block) buffer, which is then transposed into the block's rows, so
-    the temporaries stay one block in size.
+    time: each limb's columns are shifted into contiguous rows of an
+    (n, block) limb-word buffer and masked straight into the block's
+    transposed view, so the only temporary is that one buffer.
     """
     layout = _key_layout(n, alpha)
     rows = keys.shape[1]
-    out = np.empty((rows, n), dtype=np.int16)
+    out = np.empty((rows, n), dtype=np.uint8)
     block = max(1, min(rows, _DECODE_CELLS // max(n, 1)))
     wide = np.empty((n, block), dtype=layout.dtype)
-    buf = np.empty((n, block), dtype=np.int16)
     for lo in range(0, rows, block):
         size = min(block, rows - lo)
         for i, (c0, c1) in enumerate(layout.slices):
             part = wide[c0:c1, :size]
             np.right_shift(keys[i, lo : lo + size], layout.shifts[c0:c1], out=part)
-            np.bitwise_and(part, layout.masks[c0:c1], out=buf[c0:c1, :size], casting="unsafe")
-        out[lo : lo + size] = buf[:, :size].T
+            np.bitwise_and(part, layout.masks[c0:c1], out=out[lo : lo + size].T[c0:c1], casting="unsafe")
     return out
 
 
@@ -610,7 +609,7 @@ def _codeword_keys(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
 
 
 def codeword_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
-    """All codewords as a canonical (sorted, unique) int16 matrix: _codeword_keys, decoded once."""
+    """All codewords as a canonical (sorted, unique) uint8 matrix: _codeword_keys, decoded once."""
     return _decode_keys(_codeword_keys(spec, cap), spec.alpha, spec.alpha + spec.beta)
 
 
@@ -662,14 +661,14 @@ def _gray_keys(keys: np.ndarray, alpha: int, n: int) -> np.ndarray:
 
 
 def _gray_rows(keys: np.ndarray, alpha: int, n: int) -> np.ndarray:
-    """Gray images of packed words of n columns, as an int16 matrix."""
+    """Gray images of packed words of n columns, as a uint8 matrix."""
     m = 2 * n - alpha
     return _decode_keys(_gray_keys(keys, alpha, n), m, m)
 
 
 def gray_map(w: Codeword) -> tuple[int, ...]:
     """Binary image of length alpha + 2*beta: identity on u, phi(q) per symbol."""
-    keys = _row_keys(np.array([w.u + w.uq], dtype=np.int16), len(w.u))
+    keys = _row_keys(np.array([w.u + w.uq], dtype=np.uint8), len(w.u))
     return tuple(_gray_rows(keys, len(w.u), len(w.u) + len(w.uq))[0].tolist())
 
 
@@ -708,14 +707,21 @@ def circ_product(w1: Codeword, w2: Codeword) -> QuatPoly:
     of x^(m-1-i); it vanishes exactly when w1 is orthogonal to every shift
     of w2.  An addend whose block of w2 is zero (or empty) is taken to be
     zero, so words with both blocks empty pair to zero.  m above
-    DEGREE_CAP raises TooLarge.
+    DEGREE_CAP raises TooLarge (_check_period).
     """
     _check_ambient(w1, w2)
-    m = math.lcm(*(k for k in (len(w1.u), len(w1.uq)) if k))
-    if m > DEGREE_CAP:
-        raise TooLarge(f"lcm(alpha, beta) = {m} is above the length cap of {DEGREE_CAP}")
+    m = _check_period(len(w1.u), len(w1.uq))
     # 2 * <u, shift(v, i)> in Z4 for the binary block, <q, shift(vq, i)> for the other.
     return _circ_term(w1.u, w2.u, m, 2) + _circ_term(w1.uq, w2.uq, m, 1)
+
+
+def _check_period(alpha: int, beta: int) -> int:
+    """The shift period lcm(alpha, beta) over the nonempty blocks (1 when both are
+    empty), which circ_product pairs words over; above DEGREE_CAP raises TooLarge."""
+    m = math.lcm(*(k for k in (alpha, beta) if k))
+    if m > DEGREE_CAP:
+        raise TooLarge(f"lcm(alpha, beta) = {m} is above the length cap of {DEGREE_CAP}")
+    return m
 
 
 def _circ_term(u: tuple[int, ...], v: tuple[int, ...], m: int, c: int) -> QuatPoly:

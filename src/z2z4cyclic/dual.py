@@ -178,7 +178,7 @@ def _residue_keys(coef: np.ndarray) -> np.ndarray:
 
 
 def brute_force_dual_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
-    """All ambient vectors orthogonal to the code, as a canonical matrix.
+    """All ambient vectors orthogonal to the code, as a canonical uint8 matrix.
 
     Ambient index i is the vector written MSB-first in row order: with n =
     alpha + 2*beta, Z2 coordinate j is bit n - 1 - j, and Z4 coordinate j
@@ -188,7 +188,9 @@ def brute_force_dual_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.nda
     orthogonal to every spanning row (and, by additivity, to the code)
     exactly when lo's residues are minus hi's.  Both halves' residue
     vectors are tabulated and packed into integer keys, the keys are
-    matched by one sort, and the matching indices are sorted and decoded.
+    matched by one sort, and the matching indices are sorted and decoded
+    into uint8 rows one column at a time, by a loop of its own rather than
+    code's key decoder.
     The survivor count is asserted against the product law |C| * |C_dual|
     = 2^n.
 
@@ -229,7 +231,7 @@ def brute_force_dual_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.nda
     # np.unique of 1-D input on its sort path rather than a slower hash path.
     idx = np.unique(idx, axis=0, return_index=True)[0]
     # Decoded one column at a time, so no temporary is wider than idx.
-    words = np.empty((len(idx), a + beta), dtype=np.int16)
+    words = np.empty((len(idx), a + beta), dtype=np.uint8)
     for j in range(a):
         words[:, j] = (idx >> (n - 1 - j)) & 1
     for j in range(beta):

@@ -181,8 +181,14 @@ class DensePoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        """self**n for an int n up to DEGREE_CAP whose product's degree bound,
+        n * deg, is within the cap too; both are checked before any multiply."""
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        if n > DEGREE_CAP:
+            raise TooLarge(f"exponent {n} is above the degree cap {DEGREE_CAP}")
+        if self.degree * n > DEGREE_CAP:
+            raise TooLarge(f"a power of degree up to {self.degree * n} is above the degree cap {DEGREE_CAP}")
         result = self.one()
         for _ in range(n):
             result = result * self

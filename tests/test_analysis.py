@@ -135,6 +135,11 @@ def test_self_dual_family_rejects_odd_alpha():
     for alpha in (1, 3, 0, -2):
         with pytest.raises(InvalidParameter):
             construct_self_dual_family(alpha, 3)
+    # A length above the cap is refused in the spec's words, not as the n of x^n - 1.
+    for alpha, beta, name in ((2, 10**7 + 1, "beta"), (10**7, 3, "alpha")):
+        n = max(alpha, beta)
+        with pytest.raises(TooLarge, match=f"^{name} = {n} is above the length cap of 4096$"):
+            construct_self_dual_family(alpha, beta)
 
 
 def test_mdss_construction_fields():

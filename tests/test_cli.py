@@ -480,15 +480,24 @@ def test_search_with_too_many_tuples_exits_three_quickly(capsys):
 
 
 def test_verify_with_huge_shift_period_exits_three_quickly(capsys):
-    # A one-word code whose lcm(alpha, beta) = 261632 is above the length cap.
-    t0 = time.perf_counter()
-    status, _, err = run_cli(
-        capsys, "verify", "--alpha", "512", "--beta", "511",
-        "--b", "x^512+1", "--ell", "0", "--f", "x^511+3", "--h", "1",
-    )
-    assert status == 3
-    assert "lcm(alpha, beta) = 261632" in err
-    assert time.perf_counter() - t0 < 2
+    cases = [
+        # A one-word code whose lcm(alpha, beta) = 261632 is above the length cap.
+        ("512", "511", "x^512+1", "0", "x^511+3", "lcm(alpha, beta) = 261632"),
+        # A 2^20-word code inside the word cap, with lcm(alpha, beta) = 4160: refused
+        # before its words are enumerated.
+        ("64", "65", "x^44+x^40+x^36+x^32+x^12+x^8+x^4+1", "0", "x^65+3", "lcm(alpha, beta) = 4160"),
+        # MDSS (127, 63), which both caps refuse, is refused for its size first.
+        ("127", "63", "x+1", "1", "1", "code has 2^252 codewords, above the cap of 4194304"),
+    ]
+    for alpha, beta, b, ell, f, refusal in cases:
+        t0 = time.perf_counter()
+        status, _, err = run_cli(
+            capsys, "verify", "--alpha", alpha, "--beta", beta,
+            "--b", b, "--ell", ell, "--f", f, "--h", "1",
+        )
+        assert status == 3
+        assert refusal in err
+        assert time.perf_counter() - t0 < 2
 
 
 def test_verify_with_long_shift_period_below_the_cap_is_quick(capsys):

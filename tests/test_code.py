@@ -72,8 +72,8 @@ def test_codeword_rejects_bad_entries():
     ):
         with pytest.raises(InvalidParameter, match=message):
             Codeword(u, uq)
-    # numpy integers, as read from int16 rows, are entries.
-    row = np.array([1, 0, 3], dtype=np.int16)
+    # numpy integers, as read from uint8 rows, are entries.
+    row = np.array([1, 0, 3], dtype=np.uint8)
     assert format_codeword(Codeword(tuple(row[:2]), tuple(row[2:]))) == "1 0 | 3"
 
 
@@ -315,7 +315,10 @@ def test_codeword_keys_are_cached_read_only(example_spec):
     assert not keys.flags.writeable
     with pytest.raises(ValueError):
         keys[0, 0] = 0
-    assert np.array_equal(codeword_matrix(example_spec), _decode_keys(keys, 3, 6))
+    # Every entry is 0..3, so the public matrix is uint8.
+    mat = codeword_matrix(example_spec)
+    assert mat.dtype == np.uint8
+    assert np.array_equal(mat, _decode_keys(keys, 3, 6))
 
 
 def test_cached_keys_still_answer_to_the_cap(example_spec):

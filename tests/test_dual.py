@@ -168,6 +168,7 @@ def test_brute_force_dual_matches_full_scan_exhaustive():
         for alpha in range(1, 10 - 2 * beta):
             for spec in iter_valid_specs(alpha, beta):
                 brute = brute_force_dual_matrix(spec)
+                assert brute.dtype == np.uint8
                 assert np.array_equal(brute, _full_scan_dual(spec)), spec
                 seen.add(("parity", (alpha + 2 * beta) % 2))
                 if cardinality(spec) == 1:

@@ -111,8 +111,18 @@ def test_fold_and_pow_refuse_bad_lengths_and_other_types_compare_unequal():
     p = bp("x^2+1")
     with pytest.raises(ValueError, match="^n must be a positive integer$"):
         p.fold(0)
-    with pytest.raises(ValueError, match="^exponent must be a nonnegative integer$"):
-        p ** -1
+    # A bool or a float is no exponent, as DensePoly.x refuses them.
+    for e in (-1, True, 2.0, None):
+        with pytest.raises(ValueError, match="^exponent must be a nonnegative integer$"):
+            p ** e
+    # An exponent or a product degree above the cap is refused before the first multiply.
+    assert (p**2048).degree == DEGREE_CAP
+    t0 = time.perf_counter()
+    with pytest.raises(TooLarge, match=f"^exponent 10000000 is above the degree cap {DEGREE_CAP}$"):
+        QuatPoly.one() ** 10**7
+    with pytest.raises(TooLarge, match=f"^a power of degree up to 4098 is above the degree cap {DEGREE_CAP}$"):
+        p**2049
+    assert time.perf_counter() - t0 < 2
     assert (BinPoly.one() == 3) is False
 
 

@@ -2,7 +2,7 @@
 the bit-packed BinPoly arithmetic against a schoolbook Z2 reference, the
 packed-key canonical sort and the block projection counts against numpy's
 row sort, the key kernels (the lane-wise Z4 add, the decode, enumeration on
-two limbs) against their int16 and polynomial forms, the span of shifted
+two limbs) against their row and polynomial forms, the span of shifted
 rows and cyclic closure against a set of shifted Codewords, the rotated
 spanning rows and correlated shift products against their loop forms, the
 peak memory of the spanning rows and of contains, the pairing of long rows
@@ -584,7 +584,7 @@ def test_decode_keys_round_trips_across_decode_blocks(alpha, beta, blocks, extra
     n_rows = blocks * (_DECODE_CELLS // (alpha + beta)) + extra
     rows = random_rows(np.random.default_rng(n_rows), n_rows, alpha, beta)
     got = _decode_keys(_row_keys(rows, alpha), alpha, alpha + beta)
-    assert got.dtype == np.int16 and got.shape == rows.shape
+    assert got.dtype == np.uint8 and got.shape == rows.shape
     assert np.array_equal(got, rows)
 
 
@@ -720,7 +720,7 @@ def ref_base_row(p, q, alpha, beta):
         row[i % alpha] ^= c
     for i, c in enumerate(q.coeffs):
         row[alpha + i % beta] = (row[alpha + i % beta] + c) % 4
-    return np.array(row, dtype=np.int16)
+    return np.array(row, dtype=np.uint8)
 
 
 def ref_span_rows(spec):
@@ -739,7 +739,7 @@ def ref_span_rows(spec):
             rows.append(row)
             row = np.concatenate([np.roll(row[:a], 1), np.roll(row[a:], 1)])
             widths.append(width)
-    mat = np.array(rows, dtype=np.int16) if rows else np.zeros((0, a + beta), dtype=np.int16)
+    mat = np.array(rows, dtype=np.uint8) if rows else np.zeros((0, a + beta), dtype=np.uint8)
     return mat, tuple(widths)
 
 
@@ -775,12 +775,13 @@ def traced_peak(call):
 
 
 def test_span_rows_peak_stays_within_twice_their_bytes():
-    # The (2047 | 2047) ambient: 4094 rows of 4094 columns, 32 MB of int16.  The rows'
-    # bytes and their int16 copy are the whole peak; no wider index or copy is built.
+    # The (2047 | 2047) ambient: 4094 rows of 4094 columns, 16 MB of uint8.  The rows
+    # are a view of the bytes they are written to, which are the whole peak: no index,
+    # no copy and no wider dtype is built.
     spec = validate_spec(2047, 2047, BinPoly.one(), BinPoly.zero(), QuatPoly.one(), QuatPoly.one())
     rows, peak = traced_peak(lambda: spec._span_rows)
     assert rows.shape == (4094, 4094)
-    assert peak <= 2 * rows.nbytes
+    assert peak <= 1.25 * rows.size
 
 
 def test_contains_peak_stays_within_twice_the_dual_rows_bytes():
@@ -791,7 +792,7 @@ def test_contains_peak_stays_within_twice_the_dual_rows_bytes():
     word = Codeword((1,) * 2047, (3,) * 2047)
     member, peak = traced_peak(lambda: contains(spec, word))
     assert member is False
-    assert peak <= 2 * dual_spec(spec)._span_rows.nbytes
+    assert peak <= 1.25 * dual_spec(spec)._span_rows.size
 
 
 @st.composite
