@@ -14,7 +14,7 @@ lengths: b runs over binary divisors of x^alpha - 1, the pair (f, h)
 over monic Z4 divisor pairs of x^beta - 1 obtained as Hensel lifts of
 binary divisor pairs, and ell over exactly the residues allowed by the
 divisibility condition.  Tuples generating the same codeword set are
-collapsed.
+collapsed, on the digests of their codeword matrices.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .dual import (
 )
 from .errors import InvalidParameter, InvalidSpec, TooLarge
 from .gf2poly import BinPoly
-from .poly import DEGREE_CAP, SEARCH_CAP, _check_length, _count_text
+from .poly import SEARCH_CAP, _check_length, _count_text
 from .z4poly import QuatPoly
 
 
@@ -83,12 +83,12 @@ def _mdss_gap(spec: CyclicCodeSpec, d: int, t: CodeType) -> int:
     return (spec.alpha + 2 * spec.beta - t.gamma - 2 * t.delta) - (d - 1)
 
 
-def _cyclic_closed(rows: np.ndarray, widths: np.ndarray, alpha: int, keys: np.ndarray) -> bool:
+def _cyclic_closed(rows: np.ndarray, alpha: int, keys: np.ndarray) -> bool:
     """Whether the span of the rows, whose sorted distinct packed keys are keys, is closed
     under the block shift.  The shift is multiplication by x, so the shifted span is the
-    span of the shifted rows, and it must equal keys."""
+    span of the shifted rows (a shift keeps each row's order), and it must equal keys."""
     shifted = rows[:, _shift_cols(alpha, rows.shape[1] - alpha, 1)]
-    return bool(np.array_equal(_span_keys(shifted, widths, alpha), keys))
+    return bool(np.array_equal(_span_keys(shifted, alpha), keys))
 
 
 def _min_distance(keys: np.ndarray, alpha: int, n: int) -> int | None:
@@ -116,7 +116,7 @@ def code_report(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> CodeReport:
         is_mdss=d is not None and _mdss_gap(spec, d, t) == 0,
         is_self_dual=self_dual,
         is_separable=t.is_separable,
-        is_cyclic_verified=_cyclic_closed(spec._span_rows, spec._span_widths, spec.alpha, keys),
+        is_cyclic_verified=_cyclic_closed(spec._span_rows, spec.alpha, keys),
     )
 
 
@@ -210,18 +210,24 @@ def search_codes(
 
     Distinct tuples generating equal codeword sets are collapsed to the
     earliest tuple in sort order (b by gf2.poly_key, then the coefficients
-    of ell, f and h), so the result is deterministic.  A pair
-    (alpha, beta) with more than SEARCH_CAP tuples, or whose ambient has
-    more than cap words, raises TooLarge before the first pair is searched.
+    of ell, f and h), so the result is deterministic; a code is recognised
+    by the SHA-256 digest of its codeword matrix, so a pair holds 32 bytes
+    per distinct code, not its words.  alpha_max and each beta are checked
+    as lengths first.  A pair (alpha, beta) with more than SEARCH_CAP
+    tuples, or whose ambient has more than cap words, raises TooLarge
+    before the first pair is searched.
     """
+    # Imported here, not with the module: hashlib loads OpenSSL, about 3.5 MB of
+    # resident memory that no other entry point needs.
+    import hashlib
+
     if predicate not in _PREDICATES:
         raise InvalidParameter(f"predicate must be one of {', '.join(_PREDICATES)}")
-    if not isinstance(alpha_max, int) or isinstance(alpha_max, bool) or alpha_max < 1:
-        raise InvalidParameter("alpha_max must be a positive integer")
-    longest = max([alpha_max, *beta_set])
-    if longest > DEGREE_CAP:
-        raise TooLarge(f"block length {longest} is above the length cap of {DEGREE_CAP}")
-    pairs = [(alpha, beta) for alpha in range(1, alpha_max + 1) for beta in sorted(set(beta_set))]
+    _check_length(alpha_max, "alpha_max")
+    betas = sorted(set(beta_set))
+    for beta in betas:
+        _check_length(beta, "beta")
+    pairs = [(alpha, beta) for alpha in range(1, alpha_max + 1) for beta in betas]
     # A pair's first tuple in sort order, b = 1, ell = 0, f = h = 1, is the whole
     # ambient and its largest code, so the first refusal the sweep would meet is
     # found here, before anything is factored or enumerated.
@@ -233,7 +239,7 @@ def search_codes(
         seen: set[bytes] = set()
         specs = iter_valid_specs(alpha, beta)
         for spec in sorted(specs, key=lambda s: (gf2.poly_key(s.b), s.ell.coeffs, s.f.coeffs, s.h.coeffs)):
-            key = codeword_matrix(spec, cap).tobytes()
+            key = hashlib.sha256(codeword_matrix(spec, cap)).digest()
             if key not in seen:
                 seen.add(key)
                 report = code_report(spec, cap)
@@ -288,9 +294,12 @@ class CheckResult:
 
 
 def _sample_rows(spec: CyclicCodeSpec, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Uniform random codewords from the spanning-set decomposition."""
-    widths = spec._span_widths
-    coeff = rng.integers(0, 1 << widths, size=(count, len(widths)), dtype=np.int16)
+    """Uniform random codewords from the spanning-set decomposition.
+
+    Every coefficient is uniform on Z4, whatever the row's order: for an
+    order-two row r, c*r is 0 or r with probability 1/2 each.  The uint8
+    product wraps mod 256, a multiple of 4, so the reduced words are exact."""
+    coeff = rng.integers(0, 4, size=(count, len(spec._span_rows)), dtype=np.uint8)
     return _reduce_blocks(coeff @ spec._span_rows, spec.alpha)
 
 
@@ -372,7 +381,7 @@ def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> lis
     rows = spec._span_rows
     check(
         "cyclic-closure",
-        _cyclic_closed(rows, spec._span_widths, spec.alpha, keys),
+        _cyclic_closed(rows, spec.alpha, keys),
         "shifted word set equals word set",
     )
     check(

@@ -14,10 +14,11 @@ already exist, and packed keys are never shifted (cyclic_shift is the
 same shift on one Codeword, for the public API); shifting both blocks is
 multiplication by x, so the shift of a span is the span of the shifted
 rows.  _block_sizes gives the spanning block sizes |S1|, |S2|, |S3| =
-(alpha - deg b, deg g, deg h) that the spanning rows and their
-coefficient widths (the spec's cached properties _span_rows and
-_span_widths), cardinality(spec) (the one size formula) and code_type
-read; _base_pairs gives the base pairs (b | 0),
+(alpha - deg b, deg g, deg h) that the spanning rows (the spec's cached
+property _span_rows), cardinality(spec) (the one size formula) and
+code_type read; a row's additive order is read from the row itself: four
+when it has an odd Z4 entry (the S2 rows), two otherwise.
+_base_pairs gives the base pairs (b | 0),
 (ell | fh + 2f), (ell*g | 2fg) that the spanning rows, subcode_order_two
 and project_xy read; and _gray_keys is the Gray map, on packed keys: a
 Gray-coded key is the key of the word's Gray image in the all-binary
@@ -37,11 +38,12 @@ instances share nothing.  circ_product works on coefficient bytes too:
 per block, the word's entries repeated m/len times and the other word's
 entries read big-endian give one product and one fold, with no theta,
 lift or reciprocal built; it shares no code with analysis's np.correlate
-oracle of the shifted inner products.  _span_keys enumerates the span of any
-rows by doubling on packed keys: each row's multiples are added to all
-the keys built so far, an order-two row by one XOR and an S2 row
-lane-wise (_key_add, from the row's low Z4 lane bits, masked once for
-all rows), and the keys are sorted once.  The span of the spanning rows is enumerated
+oracle of the shifted inner products.  _span_keys enumerates the span of
+any rows by doubling on packed keys: each row's multiples are added to
+all the keys built so far, an order-two row by one XOR and an order-four
+row lane-wise (_key_add, from the row's low Z4 lane bits, masked once for
+all rows; the same mask gives each row's order), and the keys are sorted
+once.  The span of the spanning rows is enumerated
 once per spec and cached read-only beside the spanning rows (_word_keys);
 _codeword_keys checks the cap and returns it, and codeword_matrix decodes
 it, column-major, into the uint8 matrix.  So a spec keeps 4 bytes per
@@ -216,21 +218,18 @@ class CyclicCodeSpec:
         return rows
 
     @functools.cached_property
-    def _span_widths(self) -> np.ndarray:
-        """Each spanning row's coefficient width in bits, read-only: 1 for S1 and S3, 2 for S2."""
-        widths = np.repeat((1, 2, 1), _block_sizes(self))
-        widths.flags.writeable = False
-        return widths
-
-    @functools.cached_property
     def _word_keys(self) -> np.ndarray:
         """All codewords as sorted distinct packed keys, shape (k, |C|), read-only: the
         span of the spanning rows, with coefficients over Z2 for S1 and S3 rows and
-        over Z4 for S2 rows.  The key count is asserted against the cardinality
-        formula rather than assumed.  Read it through _codeword_keys, which checks
-        the cap first."""
+        over Z4 for S2 rows.  The S1 and S3 rows are checked to have order two (no odd
+        Z4 entry), and the key count is asserted against the cardinality formula,
+        which also catches an S2 row of order two.  Read it through _codeword_keys,
+        which checks the cap first."""
+        rows = self._span_rows
+        if (rows[np.repeat((True, False, True), _block_sizes(self)), self.alpha :] & 1).any():
+            raise ArithmeticError("internal error: an order-two spanning row has an odd Z4 entry")
         total = cardinality(self)
-        keys = _span_keys(self._span_rows, self._span_widths, self.alpha)
+        keys = _span_keys(rows, self.alpha)
         if keys.shape[1] != total:
             raise ArithmeticError(
                 f"internal error: enumeration found {keys.shape[1]} codewords, formula says {total}"
@@ -552,26 +551,26 @@ def _projection_sizes(keys: np.ndarray, alpha: int, n: int) -> tuple[int, int]:
     return _sort_keys(keys & ~y_field).shape[1], _sort_keys(keys & y_field).shape[1]
 
 
-def _span_keys(rows: np.ndarray, widths: np.ndarray, alpha: int) -> np.ndarray:
+def _span_keys(rows: np.ndarray, alpha: int) -> np.ndarray:
     """The additive span of reduced rows, as sorted distinct packed keys of shape (k, m).
 
-    widths[j] is 1 for an order-two row, whose multiples are 0 and the row,
-    and 2 for a row whose multiples range over Z4.  The combinations are
-    enumerated as packed keys by doubling: after the rows before row j,
-    the first `size` keys are all their combinations, and coefficient c of
-    row j fills keys c*size .. (c+1)*size - 1.  An order-two row has even
-    Z4 entries, so adding it is one XOR; a width-2 row is added lane-wise
-    by _key_add, and c = 2, 3 are the c = 0, 1 words XOR the key of twice
-    the row.  Every row's low Z4 lane bits, and their double, are masked
-    once for all rows, and the order-two check reads the same mask.
-    One-limb keys are then sorted in place by numpy's SIMD sort, so that
-    np.unique's stable sort runs over sorted input.
+    Each row's order is read from the row: a row with no odd Z4 entry has
+    order two, so its multiples are 0 and the row (width 1 bit), and any
+    other has order four, so its multiples range over Z4 (width 2 bits).
+    The combinations are enumerated as packed keys by doubling: after the
+    rows before row j, the first `size` keys are all their combinations,
+    and coefficient c of row j fills keys c*size .. (c+1)*size - 1.  An
+    order-two row has even Z4 entries, so adding it is one XOR; an
+    order-four row is added lane-wise by _key_add, and c = 2, 3 are the
+    c = 0, 1 words XOR the key of twice the row.  Every row's low Z4 lane
+    bits, and their double, are masked once for all rows, and the widths
+    read the same mask.  One-limb keys are then sorted in place by numpy's
+    SIMD sort, so that np.unique's stable sort runs over sorted input.
     """
     low = _key_layout(rows.shape[1], alpha).low
     row_keys = _row_keys(rows, alpha)
     row_lows = row_keys & low
-    if row_lows[:, widths == 1].any():
-        raise ArithmeticError("internal error: an order-two spanning row has an odd Z4 entry")
+    widths = 1 + row_lows.any(axis=0)
     twice = row_lows << 1
     keys = np.zeros((len(low), 1 << int(widths.sum())), dtype=low.dtype)
     size = 1
@@ -589,7 +588,10 @@ def _span_keys(rows: np.ndarray, widths: np.ndarray, alpha: int) -> np.ndarray:
 
 
 def _check_cap(cap: int) -> None:
-    """A word-count cap must admit at least one word; anything less is a usage error."""
+    """A word-count cap is an int (not a bool) that admits at least one word; anything
+    else is a usage error."""
+    if not isinstance(cap, int) or isinstance(cap, bool):
+        raise InvalidParameter(f"cap must be an integer, not {cap!r}")
     if cap < 1:
         raise InvalidParameter(f"cap must be at least 1, not {cap}")
 

@@ -68,6 +68,14 @@ def _check_length(n: int, name: str = "n", error: type = InvalidParameter) -> No
         raise TooLarge(f"{name} = {n} is above the length cap of {DEGREE_CAP}")
 
 
+def _check_exponent(e: int) -> None:
+    """Refuse anything but an int exponent in 0 .. DEGREE_CAP: DensePoly.x and __pow__."""
+    if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    if e > DEGREE_CAP:
+        raise TooLarge(f"exponent {e} is above the degree cap {DEGREE_CAP}")
+
+
 def _parse_int(text: str) -> int:
     """The value of an _INTEGER numeral with whitespace around it; otherwise
     ValueError, worded as int()'s own."""
@@ -134,10 +142,7 @@ class DensePoly:
     @classmethod
     def x(cls, exponent: int = 1, coefficient: int = 1):
         """The monomial coefficient * x**exponent, exponent an int up to DEGREE_CAP."""
-        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        if exponent > DEGREE_CAP:
-            raise TooLarge(f"exponent {exponent} is above the degree cap {DEGREE_CAP}")
+        _check_exponent(exponent)
         return cls._wrap(cls._pack((coefficient,)) << cls._SLOT * exponent)
 
     def __setattr__(self, name, value):
@@ -183,10 +188,7 @@ class DensePoly:
     def __pow__(self, n: int):
         """self**n for an int n up to DEGREE_CAP whose product's degree bound,
         n * deg, is within the cap too; both are checked before any multiply."""
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        if n > DEGREE_CAP:
-            raise TooLarge(f"exponent {n} is above the degree cap {DEGREE_CAP}")
+        _check_exponent(n)
         if self.degree * n > DEGREE_CAP:
             raise TooLarge(f"a power of degree up to {self.degree * n} is above the degree cap {DEGREE_CAP}")
         result = self.one()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 import time
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from z2z4cyclic import (
     SEARCH_CAP,
     BinPoly,
+    brute_force_dual_matrix,
     code_report,
     code_type,
     codeword_matrix,
@@ -21,12 +23,14 @@ from z2z4cyclic import (
     report_dict,
     report_line,
     search_codes,
+    spec_fields,
     validate_spec,
     verify_code,
 )
-from z2z4cyclic import analysis
+from z2z4cyclic import analysis, code
 from z2z4cyclic import gf2poly as gf2
-from z2z4cyclic.cli import main
+from z2z4cyclic.cli import Command, main, run
+from z2z4cyclic.code import _codeword_keys, _row_keys, _sort_keys
 from z2z4cyclic.errors import EvenLengthUnsupported, InvalidParameter, TooLarge
 from z2z4cyclic.poly import _count_text
 
@@ -238,6 +242,10 @@ def test_doomed_sweep_is_refused_before_anything_is_factored(monkeypatch, capsys
         (30, {1, 2}, 0, InvalidParameter, "^cap must be at least 1, not 0$"),
         # (1, 9) has 2^19 words; (2, 9) is the first pair above a cap of 2^19.
         (4, {9}, 2**19, TooLarge, "^code has 1048576 codewords, above the cap of 524288$"),
+        # Every length is checked, alpha_max first, before any pair or cap.
+        (5000, {5001}, 0, TooLarge, "^alpha_max = 5000 is above the length cap of 4096$"),
+        (1, {1, 5001}, 0, TooLarge, "^beta = 5001 is above the length cap of 4096$"),
+        (1, ("3",), 0, InvalidParameter, "^beta must be a positive integer$"),
     ],
 )
 def test_search_raises_the_first_refusal_of_the_sweep(monkeypatch, alpha_max, beta_set, cap, error, refusal):
@@ -259,6 +267,32 @@ def test_search_caps_tuple_count_before_building_specs(monkeypatch):
         search_codes(1, {63}, "mdss")
     with pytest.raises(TooLarge):
         next(iter_valid_specs(1, 63))
+
+
+@pytest.mark.parametrize("cap", [float("nan"), True, 2.5, None, "10"], ids=repr)
+def test_every_entry_point_refuses_a_cap_that_is_not_an_int(monkeypatch, cap):
+    def no_enumeration(*args):
+        raise AssertionError("a span was enumerated before the cap was checked")
+
+    monkeypatch.setattr(code, "_span_keys", no_enumeration)
+    monkeypatch.setattr(analysis, "_span_keys", no_enumeration)
+    # The (1 | 11) ambient: 2^23 words, twice ENUM_CAP.
+    spec = validate_spec(1, 11, bp("1"), BinPoly.zero(), qp("1"), qp("1"))
+    fields = spec_fields(spec)
+    calls = [
+        lambda: codeword_matrix(spec, cap),
+        lambda: code_report(spec, cap),
+        lambda: verify_code(spec, cap=cap),
+        lambda: search_codes(1, (1,), "mdss", cap),
+        lambda: brute_force_dual_matrix(spec, cap),
+        *(lambda v=verb: run(Command(v, fields, cap=cap)) for verb in ("info", "enumerate", "gray", "verify")),
+        lambda: run(Command("search", None, alpha_max=1, beta_set=(1,), predicate="mdss", cap=cap)),
+    ]
+    for call in calls:
+        t0 = time.perf_counter()
+        with pytest.raises(InvalidParameter, match=f"^cap must be an integer, not {re.escape(repr(cap))}$"):
+            call()
+        assert time.perf_counter() - t0 < 0.1
 
 
 @pytest.mark.parametrize("cap", [0, -1])
@@ -285,6 +319,14 @@ def test_valid_specs_are_distinct_and_well_formed():
         key = (spec.b, spec.ell, spec.f, spec.h)
         assert key not in seen
         seen.add(key)
+
+
+def test_sampled_rows_are_exactly_the_codewords(example_spec):
+    # Each coefficient is uniform on Z4 whatever the row's order, so 2000 samples of
+    # the 16 words give only codewords, and all 16 of them.
+    sample = analysis._sample_rows(example_spec, np.random.default_rng(5), 2000)
+    assert sample.dtype == np.uint8 and sample.shape == (2000, 6)
+    assert np.array_equal(_sort_keys(_row_keys(sample, 3)), _codeword_keys(example_spec))
 
 
 def test_search_finds_exactly_the_self_dual_family():

@@ -73,7 +73,7 @@ def test_monomial_builder():
         # Refused as parse() refuses them: a bool or a float is no exponent,
         # and one above the cap is refused before its monomial is built.
         for e in (-1, True, 2.0, None):
-            with pytest.raises(ValueError, match="^exponent must be nonnegative$"):
+            with pytest.raises(ValueError, match="^exponent must be a nonnegative integer$"):
                 cls.x(e)
         with pytest.raises(TooLarge, match=f"^exponent 40000000 is above the degree cap {DEGREE_CAP}$"):
             cls.x(4 * 10**7)

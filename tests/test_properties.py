@@ -649,11 +649,11 @@ def test_cyclic_closure_matches_the_shifted_word_set(gens):
     rows, widths, alpha = gens
     beta = rows.shape[1] - alpha
     words = span_words(rows, widths, alpha)
-    keys = _span_keys(rows, widths, alpha)
+    keys = _span_keys(rows, alpha)
     assert np.array_equal(keys, canonical_keys(words, alpha))
-    shifted = _span_keys(rows[:, _shift_cols(alpha, beta, 1)], widths, alpha)
+    shifted = _span_keys(rows[:, _shift_cols(alpha, beta, 1)], alpha)
     assert np.array_equal(shifted, canonical_keys({cyclic_shift(w, 1) for w in words}, alpha))
-    assert _cyclic_closed(rows, widths, alpha, keys) == shift_closed(words)
+    assert _cyclic_closed(rows, alpha, keys) == shift_closed(words)
 
 
 def two_limb_spec():
@@ -677,8 +677,8 @@ CLOSED_CODES = [
 
 @pytest.mark.parametrize("spec", CLOSED_CODES, ids=lambda s: f"{s.alpha}-{s.beta}")
 def test_cyclic_closure_fails_without_one_moving_word(spec):
-    rows, widths = spec._span_rows, spec._span_widths
-    assert _cyclic_closed(rows, widths, spec.alpha, _row_keys(codeword_matrix(spec), spec.alpha))
+    rows = spec._span_rows
+    assert _cyclic_closed(rows, spec.alpha, _row_keys(codeword_matrix(spec), spec.alpha))
     # Row j after the first of its block is the shift of row j - 1.  The spanning
     # combinations are distinct, so without row j the shift of row j - 1 leaves the span.
     sizes = _block_sizes(spec)
@@ -688,9 +688,22 @@ def test_cyclic_closure_fails_without_one_moving_word(spec):
     for j in moved:
         word = _row_word(rows[j], spec.alpha)
         assert cyclic_shift(word, 1) != word
-        rest, rest_widths = np.delete(rows, j, axis=0), np.delete(widths, j)
-        keys = _span_keys(rest, rest_widths, spec.alpha)
-        assert not _cyclic_closed(rest, rest_widths, spec.alpha, keys)
+        rest = np.delete(rows, j, axis=0)
+        keys = _span_keys(rest, spec.alpha)
+        assert not _cyclic_closed(rest, spec.alpha, keys)
+
+
+@pytest.mark.parametrize("spec", [CLOSED_CODES[0], CLOSED_CODES[2]], ids=lambda s: f"{s.alpha}-{s.beta}")
+def test_an_odd_z4_entry_in_an_order_two_row_is_an_internal_error(spec):
+    # A fresh instance whose first S1 row (or, with none, first S3 row) gets an odd
+    # Z4 entry: the cardinality assertion alone does not catch every such row.
+    tampered = validate_spec(spec.alpha, spec.beta, spec.b, spec.ell, spec.f, spec.h)
+    s1, s2, _ = _block_sizes(spec)
+    rows = spec._span_rows.copy()
+    rows[0 if s1 else s1 + s2, spec.alpha] |= 1
+    vars(tampered)["_span_rows"] = rows
+    with pytest.raises(ArithmeticError, match="^internal error: an order-two spanning row has an odd Z4 entry$"):
+        tampered._word_keys
 
 
 def test_two_limb_enumeration_matches_the_multiples_of_its_generator():
@@ -761,7 +774,9 @@ def test_span_rows_match_rolled_rows():
         ref_rows, ref_widths = ref_span_rows(spec)
         assert rows.dtype == ref_rows.dtype and rows.shape == ref_rows.shape, spec
         assert np.array_equal(rows, ref_rows), spec
-        assert tuple(spec._span_widths.tolist()) == ref_widths, spec
+        # A row's order is four exactly when it has an odd Z4 entry.
+        odd = (rows[:, spec.alpha :] & 1).any(axis=1)
+        assert tuple((1 + odd).tolist()) == ref_widths, spec
 
 
 def traced_peak(call):
@@ -832,7 +847,7 @@ def test_span_rows_are_kept_read_only_on_the_spec_instance():
     before = (repr(spec), hash(spec))
     rows = spec._span_rows
     assert spec._span_rows is rows
-    assert not rows.flags.writeable and not spec._span_widths.flags.writeable
+    assert not rows.flags.writeable
     with pytest.raises(ValueError):
         rows[0, 0] = 1
     # An equal instance builds its own rows; the cache is not part of ==, hash or repr.
