@@ -213,7 +213,8 @@ def search_codes(
     of ell, f and h), so the result is deterministic; a code is recognised
     by the SHA-256 digest of its codeword matrix, so a pair holds 32 bytes
     per distinct code, not its words.  alpha_max and each beta are checked
-    as lengths first.  A pair (alpha, beta) with more than SEARCH_CAP
+    as lengths first: a beta_set that is not iterable, or holds anything but
+    ints, raises InvalidParameter.  A pair (alpha, beta) with more than SEARCH_CAP
     tuples, or whose ambient has more than cap words, raises TooLarge
     before the first pair is searched.
     """
@@ -224,7 +225,15 @@ def search_codes(
     if predicate not in _PREDICATES:
         raise InvalidParameter(f"predicate must be one of {', '.join(_PREDICATES)}")
     _check_length(alpha_max, "alpha_max")
-    betas = sorted(set(beta_set))
+    try:
+        given = list(beta_set)
+    except TypeError:
+        raise InvalidParameter(f"beta_set must be an iterable of integers, not {beta_set!r}") from None
+    # Types first, in the order given, so that the sort compares only ints.
+    for beta in given:
+        if not isinstance(beta, int) or isinstance(beta, bool):
+            _check_length(beta, "beta")
+    betas = sorted(set(given))
     for beta in betas:
         _check_length(beta, "beta")
     pairs = [(alpha, beta) for alpha in range(1, alpha_max + 1) for beta in betas]

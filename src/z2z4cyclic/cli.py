@@ -5,10 +5,13 @@ search.  Codes come either from a spec file (--spec, in the key=value
 format of parse_spec_text) or from the six inline flags --alpha --beta
 --b --ell --f --h; search reads no code, and takes --alpha-max,
 --beta-set and --predicate instead.  Every verb renders text by default
-and JSON with --json, carrying the same data either way.  info,
-enumerate, gray, verify and search take --cap, the enumeration cap;
-only verify takes --seed, for its sampled checks.  _VERB_TABLE names the
-flag groups each verb reads, and its subparser offers only those.
+and JSON with --json, carrying the same data either way; run() refuses
+any other output format.  JSON is rendered by _json, which writes the
+bytes of json.dumps(data, indent=2) without the json module's
+pure-Python encoder for indented output.  info, enumerate, gray, verify
+and search take --cap, the enumeration cap; only verify takes --seed,
+for its sampled checks.  _VERB_TABLE names the flag groups each verb
+reads, and its subparser offers only those.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or data error
 (a flag the verb does not take, such as --seed on info or --cap on dual,
@@ -20,10 +23,10 @@ output early, as in `z2z4cyclic enumerate ... | head -1`.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import analysis
@@ -68,7 +71,37 @@ def _load_spec(source):
 
 
 def _render(data: dict, text: str, as_json: bool) -> str:
-    return json.dumps(data, indent=2) if as_json else text
+    """The verb's output: its text, or its data as JSON by _json."""
+    return _json(data) if as_json else text
+
+
+def _json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, for the values the verbs build:
+    dicts with str keys, lists, str, int, bool and None; anything else, a
+    float, a tuple and a non-str key included, raises TypeError.  indent is the
+    newline and indentation before the value's closing bracket.  CPython's json
+    module encodes an indented value in pure Python; this renderer makes one call
+    per container, so a list of ints costs one join."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        parts = [int.__repr__(v) if type(v) is int else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(parts) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(k, str) for k in value):
+            raise TypeError("JSON object keys must be str")
+        parts = [_quote(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _run_info(spec, cmd: Command) -> tuple[int, str]:
@@ -222,6 +255,8 @@ def run(cmd: Command) -> tuple[int, str]:
     """Execute one command; returns (exit status, rendered output)."""
     if cmd.verb not in _VERB_TABLE:
         raise InvalidParameter(f"unknown verb {cmd.verb!r}")
+    if cmd.output_format not in ("text", "json"):
+        raise InvalidParameter(f"output format must be 'text' or 'json', not {cmd.output_format!r}")
     handler, _, groups = _VERB_TABLE[cmd.verb]
     return handler(_load_spec(cmd.spec_source) if "spec" in groups else None, cmd)
 

@@ -78,9 +78,9 @@ import numpy as np
 from . import gf2poly as gf2
 from . import z4poly as z4
 from .errors import AmbientMismatch, InvalidParameter, InvalidSpec, ParseError, TooLarge
-from .gf2poly import BinPoly
+from .gf2poly import BinPoly, _clmul, _mod_bits
 from .poly import DEGREE_CAP, _check_length, _count_text, _parse_int
-from .z4poly import QuatPoly
+from .z4poly import QuatPoly, _mod2_bits
 
 ENUM_CAP = 2**22
 
@@ -175,9 +175,10 @@ class CyclicCodeSpec:
             raise InvalidSpec("b and ell must be binary polynomials")
         if not isinstance(self.f, QuatPoly) or not isinstance(self.h, QuatPoly):
             raise InvalidSpec("f and h must be quaternary polynomials")
-        if self.b.is_zero:
+        b, ell = self.b._rep, self.ell._rep
+        if not b:
             raise InvalidSpec("b must be nonzero")
-        if gf2.xn1(self.alpha) % self.b:
+        if _mod_bits(1 << self.alpha | 1, b):
             raise InvalidSpec(f"b = {self.b} does not divide x^{self.alpha}-1 over Z2")
         if not self.f.is_monic:
             raise InvalidSpec("f must be monic")
@@ -186,16 +187,17 @@ class CyclicCodeSpec:
         g, rem = divmod(z4.xn1(self.beta), self.f * self.h)
         if rem:
             raise InvalidSpec(f"f*h = {self.f * self.h} does not divide x^{self.beta}-1 over Z4")
-        if not self.ell.is_zero and self.ell.degree >= self.b.degree:
+        if ell.bit_length() >= b.bit_length():
             raise InvalidSpec(f"deg(ell) = {self.ell.degree} must be smaller than deg(b) = {self.b.degree}")
-        g2, h2 = g.reduce_mod2(), self.h.reduce_mod2()
-        ghl = g2 * h2 * self.ell
-        if ghl % self.b:
-            raise InvalidSpec(f"b = {self.b} does not divide ell*(x^{self.beta}-1)/f mod 2 = {ghl}")
+        g2, h2 = _mod2_bits(g._rep), _mod2_bits(self.h._rep)
+        gh = _clmul(g2, h2)
+        ghl = _clmul(gh, ell)
+        if _mod_bits(ghl, b):
+            raise InvalidSpec(f"b = {self.b} does not divide ell*(x^{self.beta}-1)/f mod 2 = {BinPoly._wrap(ghl)}")
         # Consequences of the defining conditions; failure here means a bug above.
-        if (g2 * h2 * gf2.gcd(self.b, self.ell)) % self.b:
+        if _mod_bits(_clmul(gh, gf2.gcd(self.b, self.ell)._rep), b):
             raise ArithmeticError("internal error: b does not divide (x^beta-1)/f * gcd(b, ell) mod 2")
-        if (h2 * gf2.gcd(self.b, self.ell * g2)) % self.b:
+        if _mod_bits(_clmul(h2, gf2.gcd(self.b, BinPoly._wrap(_clmul(ell, g2)))._rep), b):
             raise ArithmeticError("internal error: b does not divide h * gcd(b, ell*g) mod 2")
         object.__setattr__(self, "g", g)
 
@@ -364,11 +366,18 @@ def _base_pairs(spec: CyclicCodeSpec) -> tuple[tuple[BinPoly, QuatPoly], ...]:
     )
 
 
+def _ell_gcds(spec: CyclicCodeSpec) -> tuple[int, int]:
+    """gcd(b, ell) and gcd(b, ell*g mod 2), packed, one gf2.gcd call each
+    (gcd(b, 0) = b by convention); both are nonzero, since b is."""
+    ell_g = BinPoly._wrap(_clmul(spec.ell._rep, _mod2_bits(spec.g._rep)))
+    return gf2.gcd(spec.b, spec.ell)._rep, gf2.gcd(spec.b, ell_g)._rep
+
+
 def code_type(spec: CyclicCodeSpec) -> CodeType:
-    """Type parameters from the block sizes and two gcd degrees (gcd(b, 0) = b by convention)."""
+    """Type parameters from the block sizes and two gcd degrees."""
     s1, s2, s3 = _block_sizes(spec)
-    d_gcd_l = _deg(gf2.gcd(spec.b, spec.ell))
-    d_gcd_lg = _deg(gf2.gcd(spec.b, spec.ell * spec.g.reduce_mod2()))
+    gl, glg = _ell_gcds(spec)
+    d_gcd_l, d_gcd_lg = gl.bit_length() - 1, glg.bit_length() - 1
     kappa = spec.alpha - d_gcd_lg
     delta1 = d_gcd_lg - d_gcd_l
     return CodeType(

@@ -36,15 +36,16 @@ from .code import (
     CyclicCodeSpec,
     _check_cap,
     _deg,
+    _ell_gcds,
     _pairings,
     cardinality,
     code_type,
     validate_spec,
 )
 from .errors import NotADivisor, TooLarge
-from .gf2poly import BinPoly
+from .gf2poly import BinPoly, _clmul, _exact_bits, _fold_bits, _mod_bits, _modinv_bits, _rev_bits
 from .poly import _count_text
-from .z4poly import QuatPoly
+from .z4poly import QuatPoly, _mod2_bits
 
 AMBIENT_CAP = 2**24
 
@@ -78,68 +79,73 @@ class DualResult:
 
 def dual_degrees(spec: CyclicCodeSpec) -> DualDegrees:
     """Degrees of (b_bar, f_bar, h_bar, g_bar) and the dual type, by formula."""
-    gl = gf2.gcd(spec.b, spec.ell)
-    glg = gf2.gcd(spec.b, spec.ell * spec.g.reduce_mod2())
+    gl, glg = _ell_gcds(spec)
+    d_gl, d_glg = gl.bit_length() - 1, glg.bit_length() - 1
     t = code_type(spec)
     return DualDegrees(
-        deg_b_bar=spec.alpha - _deg(gl),
-        deg_f_bar=_deg(spec.g) + _deg(gl) - _deg(glg),
-        deg_h_bar=_deg(spec.h) - _deg(spec.b) - _deg(gl) + 2 * _deg(glg),
-        deg_g_bar=_deg(spec.f) + _deg(spec.b) - _deg(glg),
+        deg_b_bar=spec.alpha - d_gl,
+        deg_f_bar=_deg(spec.g) + d_gl - d_glg,
+        deg_h_bar=_deg(spec.h) - _deg(spec.b) - d_gl + 2 * d_glg,
+        deg_g_bar=_deg(spec.f) + _deg(spec.b) - d_glg,
         gamma_bar=spec.alpha + t.gamma - 2 * t.kappa,
         delta_bar=spec.beta - t.gamma - t.delta + t.kappa,
         kappa_bar=spec.alpha - t.kappa,
     )
 
 
-def _mu(ell: BinPoly, rho_star: BinPoly, modulus: BinPoly) -> BinPoly:
-    """x^deg(ell) * rho*^-1 reduced mod modulus; zero when the modulus is 1."""
-    if modulus.degree < 1:
-        return BinPoly.zero()
-    return (BinPoly.x(_deg(ell)) * gf2.modinv(rho_star, modulus)) % modulus
+def _mu(deg_ell: int, rho_star: int, modulus: int) -> int:
+    """x^deg(ell) * rho*^-1 reduced mod modulus, all packed; zero when the modulus is 1."""
+    if modulus < 2:
+        return 0
+    return _mod_bits(_modinv_bits(rho_star, modulus) << deg_ell, modulus)
 
 
 def dual_generators(spec: CyclicCodeSpec) -> DualResult:
     """The dual code's generator tuple, computed in closed form.
 
+    The non-separable branch runs on the packed ints from the two gcds to
+    ell_bar; only the Hensel lifts' arguments and the result are wrapped.
     The result is validated end to end: the tuple must pass every
     generator-tuple condition and its degrees must match dual_degrees.
     A failure of either check is an internal error, never a data error.
     """
     a, beta = spec.alpha, spec.beta
+    xa, xb = 1 << a | 1, 1 << beta | 1
     if spec.ell.is_zero:
-        b_bar = gf2.exact_div(gf2.xn1(a), spec.b.reciprocal())
-        ell_bar = BinPoly.zero()
+        b_bar = _exact_bits(xa, _rev_bits(spec.b._rep))
+        ell_bar = 0
         f_bar = z4.make_monic(spec.g.reciprocal())
         h_bar = z4.make_monic(spec.h.reciprocal())
         mu1 = mu2 = rho = None
     else:
-        gl = gf2.gcd(spec.b, spec.ell)
-        glg = gf2.gcd(spec.b, spec.ell * spec.g.reduce_mod2())
-        b_star, gl_star, glg_star = spec.b.reciprocal(), gl.reciprocal(), glg.reciprocal()
-        f2_star = spec.f.reduce_mod2().reciprocal()
-        h2_star = spec.h.reduce_mod2().reciprocal()
-        b_bar = gf2.exact_div(gf2.xn1(a), gl_star)
-        fh_bar_bin = gf2.exact_div(gf2.xn1(beta) * glg_star, f2_star * b_star)
-        f_bar_bin = gf2.exact_div(gf2.xn1(beta) * gl_star, f2_star * h2_star * glg_star)
+        gl, glg = _ell_gcds(spec)
+        b_star, gl_star, glg_star = _rev_bits(spec.b._rep), _rev_bits(gl), _rev_bits(glg)
+        f2_star = _rev_bits(_mod2_bits(spec.f._rep))
+        h2_star = _rev_bits(_mod2_bits(spec.h._rep))
+        b_bar = _exact_bits(xa, gl_star)
+        fh_bar_bin = _exact_bits(_clmul(xb, glg_star), _clmul(f2_star, b_star))
+        f_bar_bin = _exact_bits(_clmul(xb, gl_star), _clmul(_clmul(f2_star, h2_star), glg_star))
         # Lifts of coprime divisors multiply, so h_bar lifts fh_bar_bin / f_bar_bin.
-        f_bar = z4.hensel_lift(f_bar_bin, beta)
-        h_bar = z4.hensel_lift(gf2.exact_div(fh_bar_bin, f_bar_bin), beta)
+        f_bar = z4.hensel_lift(BinPoly._wrap(f_bar_bin), beta)
+        h_bar = z4.hensel_lift(BinPoly._wrap(_exact_bits(fh_bar_bin, f_bar_bin)), beta)
         # rho is coprime to b/gcd(b, ell), so both inverses below exist.
-        rho = gf2.exact_div(spec.ell, gl)
-        rho_star = rho.reciprocal()
-        cofactor1 = gf2.exact_div(b_star, glg_star)
-        cofactor2 = gf2.exact_div(b_star, gl_star)
-        mu1 = _mu(spec.ell, rho_star, cofactor1)
-        mu2 = _mu(spec.ell, rho_star, cofactor2)
+        ell = spec.ell._rep
+        rho = _exact_bits(ell, gl)
+        rho_star, deg_ell = _rev_bits(rho), ell.bit_length() - 1
+        cofactor1 = _exact_bits(b_star, glg_star)
+        mu1 = _mu(deg_ell, rho_star, cofactor1)
+        mu2 = _mu(deg_ell, rho_star, _exact_bits(b_star, gl_star))
+        # deg(f*h) = deg f + deg h: both are monic.
         m = math.lcm(a, beta)
         e1 = (m - _deg(spec.f)) % a
-        e2 = (m - _deg(spec.f * spec.h)) % a
-        ell_bar = gf2.exact_div(gf2.xn1(a), b_star) * (
-            gf2.exact_div(glg_star, gl_star) * BinPoly.x(e1) * mu1
-            + cofactor1 * BinPoly.x(e2) * mu2
+        e2 = (m - _deg(spec.f) - _deg(spec.h)) % a
+        ell_bar = _clmul(
+            _exact_bits(xa, b_star),
+            _clmul(_exact_bits(glg_star, gl_star), mu1) << e1 ^ _clmul(cofactor1, mu2) << e2,
         )
-        ell_bar = ell_bar.fold(a) % b_bar
+        ell_bar = _mod_bits(_fold_bits(ell_bar, a), b_bar)
+        mu1, mu2, rho = BinPoly._wrap(mu1), BinPoly._wrap(mu2), BinPoly._wrap(rho)
+    b_bar, ell_bar = BinPoly._wrap(b_bar), BinPoly._wrap(ell_bar)
     dual = validate_spec(a, beta, b_bar, ell_bar, f_bar, h_bar)
     dd = dual_degrees(spec)
     got = (_deg(dual.b), _deg(dual.f), _deg(dual.h), _deg(dual.g))

@@ -8,8 +8,12 @@ constructions need: monic gcd, exact division, modular inverse, the
 all-ones polynomial theta, factorization of x^n - 1 for odd n (split by
 its cyclotomic cosets), and divisor enumeration for arbitrary n.  gcd,
 exact_div and modinv refuse an argument outside Z2[x] through the ring's
-own BinPoly._check_ring and then run on the packed ints through the
-kernels _mod_bits, _divmod_bits and _clmul, wrapping only the result.
+own BinPoly._check_ring and then run on the packed ints, wrapping only
+the result.  Each fact has one int kernel: _clmul (product),
+_divmod_bits and _mod_bits (division), _exact_bits (exact division),
+_modinv_bits (inverse), _rev_bits (reciprocal) and _fold_bits (reduction
+mod x^n - 1).  The BinPoly methods and the helpers here call them, and
+code and dual chain them on packed ints where no BinPoly is needed.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .errors import (
     NotInvertible,
     TooLarge,
 )
-from .poly import NEG_INF, SEARCH_CAP, DensePoly, _check_length, _count_text
+from .poly import NEG_INF, SEARCH_CAP, DensePoly, _check_length, _count_text, _term
 
 
 def _clmul(a: int, b: int) -> int:
@@ -61,6 +65,43 @@ def _mod_bits(a: int, d: int) -> int:
     return a
 
 
+def _exact_bits(a: int, b: int) -> int:
+    """Quotient of bit-packed a by nonzero b when the division is exact; a nonzero
+    remainder is a bug here."""
+    q, r = _divmod_bits(a, b)
+    if r:
+        raise ArithmeticError(f"internal error: ({BinPoly._wrap(a)}) is not divisible by ({BinPoly._wrap(b)}) over Z2")
+    return q
+
+
+def _modinv_bits(p: int, mod: int) -> int:
+    """Inverse of bit-packed p modulo mod (deg mod >= 1), via the extended Euclidean
+    algorithm: s1 * p = r1 (mod m) holds at every step."""
+    r0, r1 = mod, _mod_bits(p, mod)
+    s0, s1 = 0, 1
+    while r1:
+        q, r = _divmod_bits(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 ^ _clmul(q, s1)
+    if r0 != 1:
+        raise NotInvertible(f"({BinPoly._wrap(p)}) is not invertible modulo ({BinPoly._wrap(mod)})")
+    return _mod_bits(s0, mod)
+
+
+def _rev_bits(a: int) -> int:
+    """Bit reversal of nonzero bit-packed a: its reciprocal x^deg * a(1/x)."""
+    return int(bin(a)[:1:-1], 2)
+
+
+def _fold_bits(a: int, n: int) -> int:
+    """Bit-packed a reduced mod x^n - 1: its n-bit chunks XORed together."""
+    mask, out = (1 << n) - 1, 0
+    while a:
+        out ^= a & mask
+        a >>= n
+    return out
+
+
 class BinPoly(DensePoly):
     """Z2[x]; the stored int has bit i set when x^i has coefficient 1."""
 
@@ -69,12 +110,18 @@ class BinPoly(DensePoly):
     __slots__ = ()
 
     @classmethod
-    def _pack(cls, vals) -> int:
+    def _pack_terms(cls, terms: dict[int, int]) -> int:
         bits = 0
-        for i, v in enumerate(vals):
-            if v & 1:
-                bits |= 1 << i
+        for e, c in terms.items():
+            if c & 1:
+                bits |= 1 << e
         return bits
+
+    def _terms(self) -> list[str]:
+        """One term per set bit, read from the binary digits, highest first."""
+        digits = bin(self._rep)[2:]
+        top = len(digits) - 1
+        return [_term(1, top - i) for i, d in enumerate(digits) if d == "1"]
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -108,14 +155,10 @@ class BinPoly(DensePoly):
         return self._wrap(_mod_bits(self._rep, d))
 
     def _reciprocal(self):
-        return self._wrap(int(bin(self._rep)[:1:-1], 2))
+        return self._wrap(_rev_bits(self._rep))
 
     def _fold(self, n: int):
-        bits, mask, out = self._rep, (1 << n) - 1, 0
-        while bits:
-            out ^= bits & mask
-            bits >>= n
-        return self._wrap(out)
+        return self._wrap(_fold_bits(self._rep, n))
 
 
 def xn1(n: int) -> BinPoly:
@@ -149,30 +192,17 @@ def exact_div(a: BinPoly, b: BinPoly) -> BinPoly:
         BinPoly._check_ring(b)
     if not b._rep:
         raise DivisorZero("polynomial division by zero")
-    q, r = _divmod_bits(a._rep, b._rep)
-    if r:
-        raise ArithmeticError(f"internal error: ({a}) is not divisible by ({b}) over Z2")
-    return BinPoly._wrap(q)
+    return BinPoly._wrap(_exact_bits(a._rep, b._rep))
 
 
 def modinv(p: BinPoly, m: BinPoly) -> BinPoly:
-    """Inverse of p modulo m (deg m >= 1), via the extended Euclidean algorithm
-    on the packed ints: s1 * p = r1 (mod m) holds at every step."""
+    """Inverse of p modulo m (deg m >= 1), by _modinv_bits on the packed ints."""
     if p.__class__ is not BinPoly or m.__class__ is not BinPoly:
         BinPoly._check_ring(p)
         BinPoly._check_ring(m)
-    mod = m._rep
-    if mod < 2:
+    if m._rep < 2:
         raise InvalidParameter("modulus must have degree at least 1")
-    r0, r1 = mod, _mod_bits(p._rep, mod)
-    s0, s1 = 0, 1
-    while r1:
-        q, r = _divmod_bits(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 ^ _clmul(q, s1)
-    if r0 != 1:
-        raise NotInvertible(f"({p}) is not invertible modulo ({m})")
-    return BinPoly._wrap(_mod_bits(s0, mod))
+    return BinPoly._wrap(_modinv_bits(p._rep, m._rep))
 
 
 def theta(m: int, n: int) -> BinPoly:

@@ -19,7 +19,10 @@ Two text forms are accepted by parse(): a human form such as
 ascending comma-separated coefficient list such as "1,2,0,1".  Numerals
 are ASCII digits, and a degree above DEGREE_CAP raises TooLarge before
 anything of that size is built.  str() emits the human form with
-descending exponents and coefficients normalised to 0..m-1.
+descending exponents and coefficients normalised to 0..m-1.  Both run on
+the stored int through kernels of the subclass: the human form's terms
+are packed by _pack_terms, and str() joins the list _terms reads off the
+int, so neither builds a dense coefficient list.
 """
 
 from __future__ import annotations
@@ -85,6 +88,14 @@ def _parse_int(text: str) -> int:
     return int(t)
 
 
+def _term(c: int, e: int) -> str:
+    """The human-form text of the term c * x^e, c a nonzero residue."""
+    if not e:
+        return str(c)
+    base = "x" if e == 1 else f"x^{e}"
+    return base if c == 1 else f"{c}{base}"
+
+
 def _count_text(n: int) -> str:
     """A count for a message: in full up to 2^64, above that 2^k for a power
     of two and "more than 2^k" for anything else."""
@@ -99,13 +110,16 @@ class DensePoly:
 
     Each arithmetic method here checks its arguments (same ring, nonzero
     divisor, int scalars) and then calls a private kernel of the subclass
-    on the stored representation: _pack, _add, _sub, _neg, _scale, _mul,
+    on the stored representation: _add, _sub, _neg, _scale, _mul,
     _divmod, _mod, _reciprocal, _fold.  An operand of the caller's own
     class is in the ring by construction, so it goes to the kernel at
     once; only other operands get the generic _check_ring, a classmethod
-    that gf2poly's helpers call as BinPoly._check_ring too.  Subclasses
-    supply kernels and the slot width _SLOT (bits per coefficient), and
-    never override an entry point.
+    that gf2poly's helpers call as BinPoly._check_ring too.  The text
+    forms have two kernels: _pack_terms packs an {exponent: coefficient}
+    dict (parsed terms, or a coefficient list through _pack), and _terms
+    lists the nonzero terms' text, highest power first, for str().
+    Subclasses supply kernels and the slot width _SLOT (bits per
+    coefficient), and never override an entry point.
     """
 
     MOD = 0  # set by subclasses
@@ -118,6 +132,11 @@ class DensePoly:
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < self.MOD:
                 raise ValueError(f"coefficient {v!r} is not a Z{self.MOD} residue")
         _set_rep(self, self._pack(vals))
+
+    @classmethod
+    def _pack(cls, vals: Iterable[int]) -> int:
+        """The representation of ascending coefficients, each reduced mod m."""
+        return cls._pack_terms(dict(enumerate(vals)))
 
     @classmethod
     def _make(cls, vals: Iterable[int]):
@@ -283,26 +302,10 @@ class DensePoly:
                 raise ParseError(f"coefficient {num.lstrip('0')} is out of range for Z{cls.MOD}")
             coeffs[e] = coeffs.get(e, 0) + (-coef if sign == "-" else coef)
             pos = m.end()
-        out = [0] * (max(coeffs) + 1)
-        for e, c in coeffs.items():
-            out[e] = c % cls.MOD
-        return cls._make(out)
+        return cls._wrap(cls._pack_terms(coeffs))
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        coeffs = self.coeffs
-        parts = []
-        for e in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[e]
-            if c == 0:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            else:
-                base = "x" if e == 1 else f"x^{e}"
-                parts.append(base if c == 1 else f"{c}{base}")
-        return "+".join(parts)
+        return "+".join(self._terms()) or "0"
 
     def coeff_csv(self) -> str:
         """Ascending comma-separated coefficient list; "0" for the zero polynomial."""

@@ -7,7 +7,8 @@ sums, differences, negation and scaling are one int operation and a
 with the operands spread to wider slots when one-byte coefficient sums
 could carry; division is long division, one shifted multiply-add of the
 divisor per step; the coefficient tuple, the reciprocal and the images
-to and from Z2 go through to_bytes, from_bytes and bytes.translate.  This
+to and from Z2 go through to_bytes, from_bytes and bytes.translate (the
+image in Z2 is _mod2_bits, an int kernel that code and dual call too).  This
 module adds reduction to Z2, multiplication mod x^beta - 1 and the
 Hensel lift taking a binary divisor of x^beta + 1 to the unique monic
 quaternary divisor of x^beta - 1 above it (computed by the Graeffe
@@ -21,7 +22,7 @@ from __future__ import annotations
 from . import gf2poly
 from .errors import EvenLengthUnsupported, NotADivisor, NotMonic
 from .gf2poly import BinPoly
-from .poly import DEGREE_CAP, NEG_INF, DensePoly, _check_length
+from .poly import DEGREE_CAP, NEG_INF, DensePoly, _check_length, _term
 
 
 # The coefficient of x^i is byte i of the stored int.  Sums of at most 85
@@ -56,6 +57,11 @@ def _nbytes(x: int) -> int:
     return (x.bit_length() + 7) >> 3
 
 
+def _mod2_bits(x: int) -> int:
+    """The bit-packed image in Z2[x] of byte-packed x: each byte's low bit."""
+    return int(x.to_bytes(_nbytes(x), "big").translate(_LOW_BIT_DIGIT) or b"0", 2)
+
+
 def _spread(x: int, n: int, s: int) -> int:
     """x's n bytes moved to bytes 0, s, 2s, ... with zeros between."""
     wide = bytearray(n * s)
@@ -71,8 +77,17 @@ class QuatPoly(DensePoly):
     __slots__ = ()
 
     @classmethod
-    def _pack(cls, vals) -> int:
-        return int.from_bytes(bytes([v & 3 for v in vals]), "little")
+    def _pack_terms(cls, terms: dict[int, int]) -> int:
+        coeffs = bytearray(max(terms, default=-1) + 1)
+        for e, c in terms.items():
+            coeffs[e] = c & 3
+        return int.from_bytes(coeffs, "little")
+
+    def _terms(self) -> list[str]:
+        """One term per nonzero byte, read big-endian, so highest first."""
+        coeffs = self._rep.to_bytes(_nbytes(self._rep), "big")
+        top = len(coeffs) - 1
+        return [_term(c, top - i) for i, c in enumerate(coeffs) if c]
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -149,8 +164,7 @@ class QuatPoly(DensePoly):
 
     def reduce_mod2(self) -> BinPoly:
         """Image in Z2[x]."""
-        rep = self._rep
-        return BinPoly._wrap(int(rep.to_bytes(_nbytes(rep), "big").translate(_LOW_BIT_DIGIT) or b"0", 2))
+        return BinPoly._wrap(_mod2_bits(self._rep))
 
 
 def check_beta(beta: int) -> None:

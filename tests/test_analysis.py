@@ -381,6 +381,20 @@ def test_search_refuses_a_bool_alpha_max_like_zero():
             search_codes(alpha_max, {1}, "mdss")
 
 
+@pytest.mark.parametrize("beta_set, message", [
+    (3, "beta_set must be an iterable of integers, not 3"),
+    ((1, "3"), "beta must be a positive integer"),
+    (("3", 1), "beta must be a positive integer"),
+    ((1, 3.0), "beta must be a positive integer"),
+    ((True, 3), "beta must be a positive integer"),
+    ([[1]], "beta must be a positive integer"),
+])
+def test_search_refuses_a_beta_set_of_the_wrong_type(beta_set, message):
+    # Each element's type is checked, in the order given, before the betas are sorted.
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+        search_codes(1, beta_set, "mdss")
+
+
 def test_family_tuples_give_distinct_word_sets_and_self_duality_is_tuple_equality():
     """Over the 820 tuples with alpha <= 5 and beta in {1, 3, 5}: no two give the same
     word set, so search's dedup never drops one there; and among the tuples whose type

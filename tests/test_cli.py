@@ -637,6 +637,41 @@ def test_sampled_outputs_are_unchanged(verb, fmt):
     assert digest.hexdigest() == SAMPLE_DIGESTS[verb, fmt]
 
 
+# sha256 over the (status, output) pairs of run() under dual, per format, for
+# every valid tuple with alpha <= 8 and beta in {1, 3, 5, 7}, in iter_valid_specs
+# order: the closed_form benchmark's 6396 tuples, all nine output fields.
+# Recorded when the dual was computed on DensePoly objects and JSON was
+# rendered by json.dumps(indent=2).
+FAMILY_DIGESTS = {
+    "text": "6b7f21779f602ab95efc655757e7861e29086fa8b49b251f49f3ecc0bc99e648",
+    "json": "77abb6611d63c5141d56f8ecc1e2ec9557ba48ed122737895d07fb916f0696e9",
+}
+
+
+@functools.cache
+def _family_specs():
+    return [s for a in range(1, 9) for b in (1, 3, 5, 7) for s in iter_valid_specs(a, b)]
+
+
+@pytest.mark.parametrize("fmt", sorted(FAMILY_DIGESTS))
+def test_dual_outputs_over_the_closed_form_family_are_unchanged(fmt):
+    specs = _family_specs()
+    assert len(specs) == 6396
+    digest = hashlib.sha256()
+    for spec in specs:
+        digest.update(repr(run(Command("dual", spec_fields(spec), fmt))).encode())
+    assert digest.hexdigest() == FAMILY_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["JSON", "", "yaml", None])
+def test_run_refuses_an_unknown_output_format_before_loading_the_spec(c1_file, fmt):
+    with pytest.raises(InvalidParameter, match="^output format must be 'text' or 'json', not "):
+        run(Command("dual", c1_file, fmt))
+    # No spec at all would be a ParseError once loaded; the format is refused first.
+    with pytest.raises(InvalidParameter):
+        run(Command("dual", None, fmt))
+
+
 @pytest.mark.parametrize("alpha", [3.7, True, None])
 def test_command_dict_length_of_the_wrong_type_is_a_parse_error(alpha):
     fields = {"alpha": alpha, "beta": 3, "b": "x^3+1", "ell": "x+1", "f": "1", "h": "x^2+x+1"}

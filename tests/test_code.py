@@ -168,6 +168,20 @@ def test_spec_refuses_wrong_field_types_and_a_non_monic_h(index, value, message)
         CyclicCodeSpec(*fields)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ((3, 3, "x^2+1", "0", "1", "1"), "b = x^2+1 does not divide x^3-1 over Z2"),
+    ((3, 3, "x^3+1", "0", "3x+1", "1"), "f must be monic"),
+    ((3, 3, "x^3+1", "0", "1", "2x^2+1"), "h must be monic"),
+    ((3, 3, "x^3+1", "0", "x+1", "1"), "f*h = x+1 does not divide x^3-1 over Z4"),
+    ((3, 3, "x+1", "x+1", "1", "1"), "deg(ell) = 1 must be smaller than deg(b) = 1"),
+    ((3, 3, "x^2+x+1", "1", "x^2+x+1", "1"), "b = x^2+x+1 does not divide ell*(x^3-1)/f mod 2 = x+1"),
+], ids=("b-not-a-divisor", "f-not-monic", "h-not-monic", "fh-not-a-divisor", "ell-degree", "ell-divisibility"))
+def test_spec_refusal_texts(fields, message):
+    alpha, beta, b, ell, f, h = fields
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+        validate_spec(alpha, beta, bp(b), bp(ell), qp(f), qp(h))
+
+
 def test_validate_spec_refuses_a_bool_length_like_zero():
     # True would otherwise pass as 1, report as "alpha": true and equal the alpha = 1 spec.
     for name, alpha, beta in (("alpha", 0, 1), ("alpha", True, 1), ("beta", 1, 0), ("beta", 1, True)):

@@ -1,5 +1,6 @@
 """Property tests: the text front end (polynomials, spec text, CLI flags),
-the bit-packed BinPoly arithmetic against a schoolbook Z2 reference, the
+the bit-packed BinPoly arithmetic and the int kernels behind it against a
+schoolbook Z2 reference, the CLI's JSON renderer against json.dumps, the
 packed-key canonical sort and the block projection counts against numpy's
 row sort, the key kernels (the lane-wise Z4 add, the decode, enumeration on
 two limbs) against their row and polynomial forms, the span of shifted
@@ -14,7 +15,9 @@ literal per-symbol table."""
 import contextlib
 import io
 import itertools
+import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -47,7 +50,7 @@ from z2z4cyclic import (
 from z2z4cyclic import gf2poly as gf2
 from z2z4cyclic import z4poly as z4
 from z2z4cyclic.analysis import _cyclic_closed, _shifted_inner_products
-from z2z4cyclic.cli import main
+from z2z4cyclic.cli import _json, main
 from z2z4cyclic.code import (
     _DECODE_CELLS,
     _block_sizes,
@@ -283,6 +286,50 @@ def test_binpoly_equality_hash_and_lift(a, b):
     assert z4.lift_binary(p).reduce_mod2() == p
 
 
+# -- the int kernels behind the BinPoly methods, against the same reference -----
+
+
+def ref_pack(coeffs) -> int:
+    return sum(v << i for i, v in enumerate(coeffs))
+
+
+@PROPERTY
+@given(nonzero_bits, st.integers(1, 90))
+def test_int_reversal_and_fold_match_reference(a, n):
+    ta = ref_trim(a)
+    assert gf2._rev_bits(ref_pack(ta)) == ref_pack(ref_trim(reversed(ta)))
+    assert gf2._fold_bits(ref_pack(ta), n) == ref_pack(ref_fold(ta, n))
+
+
+@PROPERTY
+@given(bits, nonzero_bits)
+def test_int_exact_division_matches_reference(a, b):
+    ta, tb = ref_trim(a), ref_trim(b)
+    assert gf2._exact_bits(ref_pack(ref_mul(ta, tb)), ref_pack(tb)) == ref_pack(ta)
+    quo, rem = ref_divmod(ta, tb)
+    if rem:
+        message = f"internal error: ({ref_str(ta)}) is not divisible by ({ref_str(tb)}) over Z2"
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+            gf2._exact_bits(ref_pack(ta), ref_pack(tb))
+    else:
+        assert gf2._exact_bits(ref_pack(ta), ref_pack(tb)) == ref_pack(quo)
+
+
+@PROPERTY
+@given(bits, nonzero_bits)
+def test_int_modinv_matches_reference(a, m):
+    ta, tm = ref_trim(a), ref_trim(m)
+    assume(len(tm) >= 2)
+    if ref_gcd(ref_divmod(ta, tm)[1], tm) != (1,):
+        message = f"({ref_str(ta)}) is not invertible modulo ({ref_str(tm)})"
+        with pytest.raises(NotInvertible, match=f"^{re.escape(message)}$"):
+            gf2._modinv_bits(ref_pack(ta), ref_pack(tm))
+        return
+    inv = gf2._modinv_bits(ref_pack(ta), ref_pack(tm))
+    assert inv < ref_pack(tm) and inv.bit_length() < len(tm)
+    assert ref_pack(ref_divmod(ref_mul(ta, BinPoly._wrap(inv).coeffs), tm)[1]) == 1
+
+
 # -- QuatPoly against a schoolbook reference on coefficient tuples ---------------
 
 
@@ -467,6 +514,14 @@ def test_make_monic_scales_by_the_leading_coefficient(a):
             z4.make_monic(p)
         return
     assert z4.make_monic(p).coeffs == ref_trim(ta[-1] * v % 4 for v in ta)
+
+
+@PROPERTY
+@given(quats)
+def test_int_reduction_mod_two_matches_reference(a):
+    ta = ref_trim(a)
+    packed = sum(v << 8 * i for i, v in enumerate(ta))
+    assert z4._mod2_bits(packed) == ref_pack(ref_trim(v & 1 for v in ta))
 
 
 def ref_graeffe_lift(d) -> tuple:
@@ -966,3 +1021,28 @@ def test_min_distance_is_the_least_nonzero_table_weight():
         weights = [sum(ref_gray_row(row, spec.alpha)) for row in codeword_matrix(spec).tolist()]
         nonzero = [w for w in weights if w]
         assert code_report(spec).min_distance == (min(nonzero) if nonzero else None), spec
+
+
+# -- the CLI's JSON renderer against json.dumps --------------------------------
+
+# Text over every code point but the surrogates, so control characters, non-ASCII
+# letters and astral characters all come up; ints well past 2^64 either way.
+json_text = st.text(st.characters(exclude_categories=("Cs",)), max_size=8)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**90), 2**90) | json_text,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(json_text, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@PROPERTY
+@given(json_values)
+@example({"": [], "\x00\x1f\u2028é": {}, "k": [[], {}, [2**64, -(2**64) - 1, True, None, "\U0001f600"]]})
+def test_json_renderer_matches_json_dumps_with_indent(value):
+    assert _json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": [0.5]}, [{"b": (1,)}], {None: 1}])
+def test_json_renderer_refuses_floats_tuples_and_non_str_keys(value):
+    with pytest.raises(TypeError):
+        _json(value)
