@@ -339,7 +339,8 @@ def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> lis
     comes before any check runs, and a refusal about one check skips only
     that check:
 
-    * |C| above cap, then lcm(alpha, beta) above poly.DEGREE_CAP (the
+    * A seed that is a bool or not an int raises InvalidParameter, then
+      |C| above cap, then lcm(alpha, beta) above poly.DEGREE_CAP (the
       period circ_product pairs words over), raise TooLarge before the
       first check; no check result is returned.
     * A dual-side check whose enumeration raises TooLarge stays in the
@@ -347,6 +348,8 @@ def verify_code(spec: CyclicCodeSpec, seed: int = 0, cap: int = ENUM_CAP) -> lis
       |C_dual| above cap skips "dual-oracle" and "duality-involution",
       and an ambient space above dual.AMBIENT_CAP skips "dual-oracle".
     """
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise InvalidParameter(f"seed must be an integer, not {seed!r}")
     _check_words(cardinality(spec), cap)
     _check_period(spec.alpha, spec.beta)
     # default_rng rejects negative seeds, and --seed takes any integer.

@@ -38,6 +38,7 @@ from .code import (
     _decode_keys,
     _format_rows,
     _gray_rows,
+    _type_text,
     cardinality,
     codeword_matrix,
     parse_spec_text,
@@ -119,7 +120,7 @@ def _run_info(spec, cmd: Command) -> tuple[int, str]:
 def _run_dual(spec, cmd: Command) -> tuple[int, str]:
     d = dual_generators(spec)
     dd = dual_degrees(spec)
-    dtype = f"({spec.alpha},{spec.beta};{dd.gamma_bar},{dd.delta_bar};{dd.kappa_bar})"
+    dtype = _type_text(spec.alpha, spec.beta, dd.gamma_bar, dd.delta_bar, dd.kappa_bar)
     data = {
         "b_bar": str(d.b_bar),
         "ell_bar": str(d.ell_bar),

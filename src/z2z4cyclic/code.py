@@ -80,7 +80,7 @@ from . import z4poly as z4
 from .errors import AmbientMismatch, InvalidParameter, InvalidSpec, ParseError, TooLarge
 from .gf2poly import BinPoly, _clmul, _mod_bits
 from .poly import DEGREE_CAP, _check_length, _count_text, _parse_int
-from .z4poly import QuatPoly, _mod2_bits
+from .z4poly import QuatPoly, _lift_bits, _mod2_bits
 
 ENUM_CAP = 2**22
 
@@ -210,7 +210,7 @@ class CyclicCodeSpec:
         for (p, q), count in zip(_base_pairs(self), _block_sizes(self)):
             # Each block's little-endian coefficient bytes, doubled: bytes n - i .. 2n - i
             # of the doubled block are the block rotated i places.
-            xs = z4.lift_binary(p.fold(a))._rep.to_bytes(a, "little") * 2
+            xs = _lift_bits(p.fold(a)._rep).to_bytes(a, "little") * 2
             ys = q.fold(beta)._rep.to_bytes(beta, "little") * 2
             for i in range(count):
                 rows += xs[a - i % a : 2 * a - i % a]
@@ -310,6 +310,11 @@ def format_spec_text(spec: CyclicCodeSpec) -> str:
 # -- type parameters -----------------------------------------------------
 
 
+def _type_text(alpha: int, beta: int, gamma: int, delta: int, kappa: int) -> str:
+    """The type as the paper writes it: (alpha,beta;gamma,delta;kappa)."""
+    return f"({alpha},{beta};{gamma},{delta};{kappa})"
+
+
 @dataclass(frozen=True)
 class CodeType:
     """Group type (alpha, beta; gamma, delta; kappa) with the finer split."""
@@ -337,7 +342,7 @@ class CodeType:
             raise InvalidParameter(f"inconsistent type parameters: {self}")
 
     def __str__(self) -> str:
-        return f"({self.alpha},{self.beta};{self.gamma},{self.delta};{self.kappa})"
+        return _type_text(self.alpha, self.beta, self.gamma, self.delta, self.kappa)
 
     @property
     def is_separable(self) -> bool:

@@ -1,24 +1,25 @@
 """Polynomial arithmetic over Z2[x].
 
 BinPoly stores a polynomial as one int whose bit i is the coefficient
-of x^i: addition is XOR, multiplication shift-and-XOR, division
-leading-bit reduction, folding mask-and-XOR and the reciprocal a bit
-reversal.  This module adds the number-theoretic helpers the code
-constructions need: monic gcd, exact division, modular inverse, the
-all-ones polynomial theta, factorization of x^n - 1 for odd n (split by
-its cyclotomic cosets), and divisor enumeration for arbitrary n.  gcd,
-exact_div and modinv refuse an argument outside Z2[x] through the ring's
-own BinPoly._check_ring and then run on the packed ints, wrapping only
-the result.  Each fact has one int kernel: _clmul (product),
-_divmod_bits and _mod_bits (division), _exact_bits (exact division),
-_modinv_bits (inverse), _rev_bits (reciprocal) and _fold_bits (reduction
-mod x^n - 1).  The BinPoly methods and the helpers here call them, and
-code and dual chain them on packed ints where no BinPoly is needed.
+of x^i.  Its arithmetic kernels are the int functions here, bound to the
+class as static methods with no body of its own: addition and
+subtraction are XOR, multiplication _clmul (shift-and-XOR), division
+_divmod_bits and _mod_bits (leading-bit reduction), folding _fold_bits
+(mask-and-XOR) and the reciprocal _rev_bits (a bit reversal).  This
+module adds the number-theoretic helpers the code constructions need:
+monic gcd, exact division (_exact_bits), modular inverse
+(_modinv_bits), the all-ones polynomial theta, factorization of x^n - 1
+for odd n (split by its cyclotomic cosets), and divisor enumeration for
+arbitrary n.  gcd, exact_div and modinv take their operands' ints
+through one check, _reps, which refuses anything outside Z2[x] with the
+ring's own BinPoly._check_ring, and wrap only the result.  code and dual
+chain the same kernels on packed ints where no BinPoly is needed.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from operator import xor
 
 from .errors import (
     DivisorZero,
@@ -133,32 +134,12 @@ class BinPoly(DensePoly):
         """Degree of the polynomial; NEG_INF for zero."""
         return self._rep.bit_length() - 1 if self._rep else NEG_INF
 
-    def _add(self, other: int):
-        return self._wrap(self._rep ^ other)
-
-    _sub = _add
-
-    def _neg(self):
-        return self
-
-    def _scale(self, k: int):
-        return self if k & 1 else self._wrap(0)
-
-    def _mul(self, other: int):
-        return self._wrap(_clmul(self._rep, other))
-
-    def _divmod(self, d: int):
-        q, r = _divmod_bits(self._rep, d)
-        return self._wrap(q), self._wrap(r)
-
-    def _mod(self, d: int):
-        return self._wrap(_mod_bits(self._rep, d))
-
-    def _reciprocal(self):
-        return self._wrap(_rev_bits(self._rep))
-
-    def _fold(self, n: int):
-        return self._wrap(_fold_bits(self._rep, n))
+    _add = _sub = staticmethod(xor)
+    _mul = staticmethod(_clmul)
+    _divmod = staticmethod(_divmod_bits)
+    _mod = staticmethod(_mod_bits)
+    _reciprocal = staticmethod(_rev_bits)
+    _fold = staticmethod(_fold_bits)
 
 
 def xn1(n: int) -> BinPoly:
@@ -172,12 +153,18 @@ def poly_key(p: DensePoly) -> tuple:
     return (len(p.coeffs), p.coeffs)
 
 
-def gcd(a: BinPoly, b: BinPoly) -> BinPoly:
-    """Monic greatest common divisor; gcd(a, 0) = a."""
+def _reps(a: BinPoly, b: BinPoly) -> tuple[int, int]:
+    """The packed ints of two operands in Z2[x]; anything else raises TypeError
+    through BinPoly._check_ring."""
     if a.__class__ is not BinPoly or b.__class__ is not BinPoly:
         BinPoly._check_ring(a)
         BinPoly._check_ring(b)
-    x, y = a._rep, b._rep
+    return a._rep, b._rep
+
+
+def gcd(a: BinPoly, b: BinPoly) -> BinPoly:
+    """Monic greatest common divisor; gcd(a, 0) = a."""
+    x, y = _reps(a, b)
     if not x and not y:
         raise GcdUndefined("gcd(0, 0) is undefined")
     while y:
@@ -187,22 +174,18 @@ def gcd(a: BinPoly, b: BinPoly) -> BinPoly:
 
 def exact_div(a: BinPoly, b: BinPoly) -> BinPoly:
     """Quotient a/b when the division is exact; a nonzero remainder is a bug here."""
-    if a.__class__ is not BinPoly or b.__class__ is not BinPoly:
-        BinPoly._check_ring(a)
-        BinPoly._check_ring(b)
-    if not b._rep:
+    x, y = _reps(a, b)
+    if not y:
         raise DivisorZero("polynomial division by zero")
-    return BinPoly._wrap(_exact_bits(a._rep, b._rep))
+    return BinPoly._wrap(_exact_bits(x, y))
 
 
 def modinv(p: BinPoly, m: BinPoly) -> BinPoly:
     """Inverse of p modulo m (deg m >= 1), by _modinv_bits on the packed ints."""
-    if p.__class__ is not BinPoly or m.__class__ is not BinPoly:
-        BinPoly._check_ring(p)
-        BinPoly._check_ring(m)
-    if m._rep < 2:
+    x, mod = _reps(p, m)
+    if mod < 2:
         raise InvalidParameter("modulus must have degree at least 1")
-    return BinPoly._wrap(_modinv_bits(p._rep, m._rep))
+    return BinPoly._wrap(_modinv_bits(x, mod))
 
 
 def theta(m: int, n: int) -> BinPoly:

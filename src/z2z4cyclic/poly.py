@@ -9,10 +9,14 @@ ascending coefficient tuple with no trailing zeros, the zero polynomial
 is the empty tuple with the sentinel degree NEG_INF, and instances are
 immutable and hashable.
 
-Each binary entry point hands an operand of its own class straight to
-the subclass kernel; any other operand first goes through the generic
-ring check, so a wrong ring, a bool, a float or None raises the same
-TypeError either way.
+The arithmetic itself is a set of kernels, plain functions from packed
+ints to packed ints that each subclass binds as static methods; the
+entry points here check their arguments, call a kernel on the stored
+ints and wrap its result, and are the only place a kernel's result
+becomes an instance.  Each binary entry point hands an operand of its
+own class straight to the kernel; any other operand first goes through
+the generic ring check, so a wrong ring, a bool, a float or None raises
+the same TypeError either way.
 
 Two text forms are accepted by parse(): a human form such as
 "x^3+2x+1" (terms in any order, '-' allowed and folded mod m) and an
@@ -109,17 +113,19 @@ class DensePoly:
     """The ring entry points shared by BinPoly and QuatPoly.
 
     Each arithmetic method here checks its arguments (same ring, nonzero
-    divisor, int scalars) and then calls a private kernel of the subclass
-    on the stored representation: _add, _sub, _neg, _scale, _mul,
-    _divmod, _mod, _reciprocal, _fold.  An operand of the caller's own
-    class is in the ring by construction, so it goes to the kernel at
-    once; only other operands get the generic _check_ring, a classmethod
-    that gf2poly's helpers call as BinPoly._check_ring too.  The text
-    forms have two kernels: _pack_terms packs an {exponent: coefficient}
-    dict (parsed terms, or a coefficient list through _pack), and _terms
-    lists the nonzero terms' text, highest power first, for str().
-    Subclasses supply kernels and the slot width _SLOT (bits per
-    coefficient), and never override an entry point.
+    divisor, int scalars), calls a kernel of the subclass on the packed
+    ints and wraps the result: _add, _sub, _mul, _divmod, _mod,
+    _reciprocal and _fold, each a static method taking and returning
+    ints.  Negation and an int scalar multiply by the constant polynomial
+    k mod m through _mul.  An operand of the caller's own class is in the
+    ring by construction, so it goes to the kernel at once; only other
+    operands get the generic _check_ring, a classmethod that gf2poly's
+    helpers call as BinPoly._check_ring too.  The text forms have two
+    kernels: _pack_terms packs an {exponent: coefficient} dict (parsed
+    terms, or a coefficient list through _pack), and _terms lists the
+    nonzero terms' text, highest power first, for str().  Subclasses
+    supply kernels and the slot width _SLOT (bits per coefficient), and
+    never override an entry point.
     """
 
     MOD = 0  # set by subclasses
@@ -160,8 +166,11 @@ class DensePoly:
 
     @classmethod
     def x(cls, exponent: int = 1, coefficient: int = 1):
-        """The monomial coefficient * x**exponent, exponent an int up to DEGREE_CAP."""
+        """The monomial coefficient * x**exponent: exponent an int up to DEGREE_CAP,
+        coefficient any int, reduced mod m."""
         _check_exponent(exponent)
+        if not isinstance(coefficient, int) or isinstance(coefficient, bool):
+            raise ValueError(f"coefficient must be an integer, not {coefficient!r}")
         return cls._wrap(cls._pack((coefficient,)) << cls._SLOT * exponent)
 
     def __setattr__(self, name, value):
@@ -185,22 +194,22 @@ class DensePoly:
     def __add__(self, other):
         if other.__class__ is not self.__class__:
             self._check_ring(other)
-        return self._add(other._rep)
+        return self._wrap(self._add(self._rep, other._rep))
 
     def __sub__(self, other):
         if other.__class__ is not self.__class__:
             self._check_ring(other)
-        return self._sub(other._rep)
+        return self._wrap(self._sub(self._rep, other._rep))
 
     def __neg__(self):
-        return self._neg()
+        return self._wrap(self._mul(self._rep, self.MOD - 1))
 
     def __mul__(self, other):
         if other.__class__ is not self.__class__:
             if isinstance(other, int) and not isinstance(other, bool):
-                return self._scale(other)
+                return self._wrap(self._mul(self._rep, other % self.MOD))
             self._check_ring(other)
-        return self._mul(other._rep)
+        return self._wrap(self._mul(self._rep, other._rep))
 
     __rmul__ = __mul__
 
@@ -216,13 +225,14 @@ class DensePoly:
         return result
 
     def __divmod__(self, divisor):
-        return self._divmod(self._divisor_rep(divisor))
+        q, r = self._divmod(self._rep, self._divisor_rep(divisor))
+        return self._wrap(q), self._wrap(r)
 
     def __floordiv__(self, divisor):
-        return self._divmod(self._divisor_rep(divisor))[0]
+        return self._wrap(self._divmod(self._rep, self._divisor_rep(divisor))[0])
 
     def __mod__(self, divisor):
-        return self._mod(self._divisor_rep(divisor))
+        return self._wrap(self._mod(self._rep, self._divisor_rep(divisor)))
 
     @classmethod
     def _check_ring(cls, other):
@@ -241,12 +251,12 @@ class DensePoly:
         """Coefficient reversal x^deg * p(1/x); raises on the zero polynomial."""
         if not self._rep:
             raise ReciprocalOfZero("the zero polynomial has no reciprocal")
-        return self._reciprocal()
+        return self._wrap(self._reciprocal(self._rep))
 
     def fold(self, n: int):
         """Reduce mod x^n - 1 by folding exponents mod n."""
         _check_length(n)
-        return self._fold(n)
+        return self._wrap(self._fold(self._rep, n))
 
     # -- text forms ---------------------------------------------------
 
@@ -278,7 +288,7 @@ class DensePoly:
                     f"coefficient {t.lstrip('0')} at entry {k} is out of range for Z{cls.MOD}"
                 )
             vals.append(v)
-        return cls(vals)
+        return cls._wrap(cls._pack(vals))
 
     @classmethod
     def _parse_human(cls, s: str):

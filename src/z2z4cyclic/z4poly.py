@@ -1,20 +1,21 @@
 """Polynomial arithmetic over Z4[x].
 
-QuatPoly stores one int whose byte i is the coefficient of x^i, and its
-kernels behind the shared ring entry points work on that int whole:
-sums, differences, negation and scaling are one int operation and a
-0x0303...03 mask; a product is one int multiply (Kronecker substitution),
-with the operands spread to wider slots when one-byte coefficient sums
-could carry; division is long division, one shifted multiply-add of the
-divisor per step; the coefficient tuple, the reciprocal and the images
-to and from Z2 go through to_bytes, from_bytes and bytes.translate (the
-image in Z2 is _mod2_bits, an int kernel that code and dual call too).  This
+QuatPoly stores one int whose byte i is the coefficient of x^i.  Its
+arithmetic kernels are the int functions here, bound to the class as
+static methods, each taking and returning packed ints: sums and
+differences are one int operation and a 0x0303...03 mask; a product
+(_mul_bytes) is one int multiply (Kronecker substitution), with the
+operands spread to wider slots when one-byte coefficient sums could
+carry; division is long division, one shifted multiply-add of the
+divisor per step; the reciprocal and the images to and from Z2
+(_mod2_bits, _lift_bits) go through to_bytes, from_bytes and
+bytes.translate, and code and dual call the image kernels too.  This
 module adds reduction to Z2, multiplication mod x^beta - 1 and the
 Hensel lift taking a binary divisor of x^beta + 1 to the unique monic
 quaternary divisor of x^beta - 1 above it (computed by the Graeffe
 square-root trick on the packed int: the odd bytes tripled for D(-x),
-one product kernel call, one mask test for odd powers and the even
-bytes as the lift).  Quaternary block lengths must be odd.
+one _mul_bytes call, one mask test for odd powers and the even bytes as
+the lift).  Quaternary block lengths must be odd.
 """
 
 from __future__ import annotations
@@ -62,11 +63,78 @@ def _mod2_bits(x: int) -> int:
     return int(x.to_bytes(_nbytes(x), "big").translate(_LOW_BIT_DIGIT) or b"0", 2)
 
 
+def _lift_bits(x: int) -> int:
+    """Bit-packed x read over Z4: bit i becomes byte i."""
+    return int.from_bytes(f"{x:b}".encode().translate(_DIGIT_BYTE), "big")
+
+
 def _spread(x: int, n: int, s: int) -> int:
     """x's n bytes moved to bytes 0, s, 2s, ... with zeros between."""
     wide = bytearray(n * s)
     wide[::s] = x.to_bytes(n, "little")
     return int.from_bytes(wide, "little")
+
+
+def _add_bytes(a: int, b: int) -> int:
+    return _reduce(a + b)
+
+
+def _sub_bytes(a: int, b: int) -> int:
+    return _reduce(a + 3 * b)
+
+
+def _mul_bytes(a: int, b: int) -> int:
+    """One integer product (Kronecker substitution).  A product coefficient
+    sums at most min(len) terms of at most 9, so with one byte per slot the
+    product is exact while 9 * min(len) < 256; longer operands are spread
+    to s-byte slots, s chosen from that bound, and narrowed back."""
+    if not a or not b:
+        return 0
+    la, lb = _nbytes(a), _nbytes(b)
+    bound = 9 * min(la, lb)
+    if bound < 256:
+        return _reduce(a * b)
+    s = _nbytes(bound)
+    prod = _spread(a, la, s) * _spread(b, lb, s)
+    # A slot's low byte is its coefficient mod 256, so mod 4 too.
+    narrow = prod.to_bytes((la + lb - 1) * s, "little")[::s]
+    return int.from_bytes(narrow.translate(_MOD4), "little")
+
+
+def _divmod_bytes(a: int, d: int) -> tuple[int, int]:
+    """Long division by nonzero d, whose leading coefficient must be a unit."""
+    top = (d.bit_length() - 1) >> 3
+    lead = d >> 8 * top
+    if lead == 2:
+        raise ValueError("division by a polynomial with non-unit leading coefficient")
+    # 1 and 3 are their own inverses mod 4, so t = c * lead cancels a
+    # leading coefficient c; -t * d is added as (4 - t) * d.
+    rem, quo = a, 0
+    shift = ((rem.bit_length() - 1) >> 3) - top
+    while shift >= 0:
+        t = (rem >> 8 * (shift + top)) * lead & 3
+        quo |= t << 8 * shift
+        rem = _reduce(rem + ((4 - t) * d << 8 * shift))
+        shift = ((rem.bit_length() - 1) >> 3) - top
+    return quo, rem
+
+
+def _mod_bytes(a: int, d: int) -> int:
+    return _divmod_bytes(a, d)[1]
+
+
+def _rev_bytes(a: int) -> int:
+    """Byte reversal of nonzero a: its reciprocal x^deg * a(1/x)."""
+    return int.from_bytes(a.to_bytes(_nbytes(a), "little"), "big")
+
+
+def _fold_bytes(a: int, n: int) -> int:
+    """a reduced mod x^n - 1: its n-byte chunks summed mod 4."""
+    low, out = (1 << 8 * n) - 1, 0
+    while a:
+        out = _reduce(out + (a & low))
+        a >>= 8 * n
+    return out
 
 
 class QuatPoly(DensePoly):
@@ -103,64 +171,13 @@ class QuatPoly(DensePoly):
     def is_monic(self) -> bool:
         return bool(self._rep) and self._rep >> 8 * self.degree == 1
 
-    def _add(self, b):
-        return self._wrap(_reduce(self._rep + b))
-
-    def _sub(self, b):
-        return self._wrap(_reduce(self._rep + 3 * b))
-
-    def _neg(self):
-        return self._wrap(_reduce(3 * self._rep))
-
-    def _scale(self, k: int):
-        return self._wrap(_reduce(k % 4 * self._rep))
-
-    def _mul(self, b):
-        """One integer product (Kronecker substitution).  A product coefficient
-        sums at most min(len) terms of at most 9, so with one byte per slot the
-        product is exact while 9 * min(len) < 256; longer operands are spread
-        to s-byte slots, s chosen from that bound, and narrowed back."""
-        a = self._rep
-        if not a or not b:
-            return self._wrap(0)
-        la, lb = _nbytes(a), _nbytes(b)
-        bound = 9 * min(la, lb)
-        if bound < 256:
-            return self._wrap(_reduce(a * b))
-        s = _nbytes(bound)
-        prod = _spread(a, la, s) * _spread(b, lb, s)
-        # A slot's low byte is its coefficient mod 256, so mod 4 too.
-        narrow = prod.to_bytes((la + lb - 1) * s, "little")[::s]
-        return self._wrap(int.from_bytes(narrow.translate(_MOD4), "little"))
-
-    def _divmod(self, d):
-        top = (d.bit_length() - 1) >> 3
-        lead = d >> 8 * top
-        if lead == 2:
-            raise ValueError("division by a polynomial with non-unit leading coefficient")
-        # 1 and 3 are their own inverses mod 4, so t = c * lead cancels a
-        # leading coefficient c; -t * d is added as (4 - t) * d.
-        rem, quo = self._rep, 0
-        shift = ((rem.bit_length() - 1) >> 3) - top
-        while shift >= 0:
-            t = (rem >> 8 * (shift + top)) * lead & 3
-            quo |= t << 8 * shift
-            rem = _reduce(rem + ((4 - t) * d << 8 * shift))
-            shift = ((rem.bit_length() - 1) >> 3) - top
-        return self._wrap(quo), self._wrap(rem)
-
-    def _mod(self, d):
-        return self._divmod(d)[1]
-
-    def _reciprocal(self):
-        return self._wrap(int.from_bytes(self._rep.to_bytes(_nbytes(self._rep), "little"), "big"))
-
-    def _fold(self, n: int):
-        rep, low, out = self._rep, (1 << 8 * n) - 1, 0
-        while rep:
-            out = _reduce(out + (rep & low))
-            rep >>= 8 * n
-        return self._wrap(out)
+    _add = staticmethod(_add_bytes)
+    _sub = staticmethod(_sub_bytes)
+    _mul = staticmethod(_mul_bytes)
+    _divmod = staticmethod(_divmod_bytes)
+    _mod = staticmethod(_mod_bytes)
+    _reciprocal = staticmethod(_rev_bytes)
+    _fold = staticmethod(_fold_bytes)
 
     def reduce_mod2(self) -> BinPoly:
         """Image in Z2[x]."""
@@ -181,7 +198,7 @@ def xn1(n: int) -> QuatPoly:
 
 def lift_binary(p: BinPoly) -> QuatPoly:
     """Reinterpret a binary polynomial over Z4 with 0/1 coefficients."""
-    return QuatPoly._wrap(int.from_bytes(f"{p._rep:b}".encode().translate(_DIGIT_BYTE), "big"))
+    return QuatPoly._wrap(_lift_bits(p._rep))
 
 
 def make_monic(p: QuatPoly) -> QuatPoly:
@@ -209,8 +226,8 @@ def hensel_lift(d: BinPoly, beta: int) -> QuatPoly:
     check_beta(beta)
     if d.is_zero or gf2poly.xn1(beta) % d:
         raise NotADivisor(f"({d}) does not divide x^{beta}-1 over Z2")
-    big = lift_binary(d)
-    prod = big._mul(big._rep + 2 * (big._rep & _ODD_BYTES))._rep
+    big = _lift_bits(d._rep)
+    prod = _mul_bytes(big, big + 2 * (big & _ODD_BYTES))
     if prod & _ODD_BYTES:
         raise ArithmeticError("internal error: Graeffe product has odd-degree terms")
     even = prod.to_bytes(_nbytes(prod), "little")[::2]

@@ -492,6 +492,27 @@ def test_verify_code_passes_on_varied_specs():
         assert all(r.ok for r in verify_code(spec))
 
 
+@pytest.mark.parametrize("seed", [1.5, "1", True, None], ids=repr)
+def test_verify_refuses_a_seed_that_is_not_an_int_before_any_enumeration(monkeypatch, seed):
+    def no_enumeration(*args):
+        raise AssertionError("a span was enumerated before the seed was checked")
+
+    monkeypatch.setattr(code, "_span_keys", no_enumeration)
+    monkeypatch.setattr(analysis, "_span_keys", no_enumeration)
+    # The (1 | 11) ambient is above ENUM_CAP, and the seed is refused before that.
+    spec = validate_spec(1, 11, bp("1"), BinPoly.zero(), qp("1"), qp("1"))
+    for call in (
+        lambda: verify_code(spec, seed=seed),
+        lambda: run(Command("verify", spec_fields(spec), seed=seed)),
+    ):
+        with pytest.raises(InvalidParameter, match=f"^seed must be an integer, not {re.escape(repr(seed))}$"):
+            call()
+
+
+def test_verify_folds_a_negative_seed_to_its_absolute_value(example_spec):
+    assert verify_code(example_spec, seed=-7) == verify_code(example_spec, seed=7)
+
+
 def test_report_line_worked_example(example_spec):
     line = report_line(example_spec, code_report(example_spec))
     assert line == (

@@ -18,7 +18,9 @@ from z2z4cyclic import (
     QuatPoly,
     analysis,
     cardinality,
+    code_type,
     codeword_matrix,
+    dual_spec,
     gray_map,
     iter_valid_specs,
     spec_fields,
@@ -122,6 +124,16 @@ def test_dual_json(capsys, c1_file):
         "rho": "1",
         "dual_type": "(3,3;1,2;1)",
     }
+
+
+def test_dual_type_text_is_the_code_type_of_the_dual_spec():
+    # The dual verb writes its type without building the dual spec; it must
+    # read as str(CodeType) of that spec does.
+    for alpha in range(1, 5):
+        for beta in (1, 3, 5):
+            for spec in iter_valid_specs(alpha, beta):
+                _, out = run(Command("dual", spec_fields(spec), "json"))
+                assert json.loads(out)["dual_type"] == str(code_type(dual_spec(spec))), spec
 
 
 def test_dual_json_omits_mixing_rows_for_separable_codes(capsys):

@@ -79,6 +79,14 @@ def test_monomial_builder():
             cls.x(4 * 10**7)
 
 
+@pytest.mark.parametrize("cls", [BinPoly, QuatPoly])
+@pytest.mark.parametrize("coefficient", [True, False, 2.0, None, "1"], ids=repr)
+def test_monomial_builder_refuses_a_coefficient_that_is_not_an_int(cls, coefficient):
+    # An int coefficient is reduced mod m; anything else is refused as an exponent is.
+    with pytest.raises(ValueError, match=f"^coefficient must be an integer, not {re.escape(repr(coefficient))}$"):
+        cls.x(1, coefficient)
+
+
 # -- the shared entry points, both rings --------------------------------------
 
 BINARY_OPS = {

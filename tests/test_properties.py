@@ -1,6 +1,7 @@
 """Property tests: the text front end (polynomials, spec text, CLI flags),
 the bit-packed BinPoly arithmetic and the int kernels behind it against a
-schoolbook Z2 reference, the CLI's JSON renderer against json.dumps, the
+schoolbook Z2 reference, the kernels of both rings called straight on
+packed ints against the Z2 and Z4 references, the CLI's JSON renderer against json.dumps, the
 packed-key canonical sort and the block projection counts against numpy's
 row sort, the key kernels (the lane-wise Z4 add, the decode, enumeration on
 two limbs) against their row and polynomial forms, the span of shifted
@@ -503,6 +504,46 @@ def test_quatpoly_long_product_matches_convolution():
     a[-1] = b[-1] = 1
     want = ref_trim(int(v) for v in np.convolve(a, b) % 4)
     assert (QuatPoly(a.tolist()) * QuatPoly(b.tolist())).coeffs == want
+
+
+# -- the ring kernels, called straight on packed ints ------------------------------
+
+
+def ref4_pack(coeffs) -> int:
+    return sum(v << 8 * i for i, v in enumerate(coeffs))
+
+
+def kernel_results(cls, x, y, z, n) -> list:
+    """Every arithmetic kernel of cls on packed x and y, divisor z and fold length n."""
+    q, r = cls._divmod(x, z)
+    return [cls._add(x, y), cls._sub(x, y), cls._mul(x, y), cls._mul(y, x), q, r,
+            cls._mod(x, z), cls._reciprocal(z), cls._fold(x, n)]
+
+
+@PROPERTY
+@given(bits, bits, nonzero_bits, st.integers(1, 90))
+def test_binpoly_kernels_take_and_return_packed_ints(a, b, d, n):
+    ta, tb, td = ref_trim(a), ref_trim(b), ref_trim(d)
+    got = kernel_results(BinPoly, ref_pack(ta), ref_pack(tb), ref_pack(td), n)
+    quo, rem = ref_divmod(ta, td)
+    want = [ref_add(ta, tb), ref_add(ta, tb), ref_mul(ta, tb), ref_mul(ta, tb), quo, rem,
+            rem, ref_trim(reversed(td)), ref_fold(ta, n)]
+    assert [type(v) for v in got] == [int] * len(want)
+    assert got == [ref_pack(w) for w in want]
+
+
+@PROPERTY
+@given(quats, quats, unit_led, st.integers(1, 90))
+def test_quatpoly_kernels_take_and_return_packed_ints(a, b, d, n):
+    # quats reach 81 coefficients, so the products cross 9 * min(len) >= 256,
+    # where the product kernel spreads its operands to wider slots.
+    ta, tb, td = ref_trim(a), ref_trim(b), tuple(d)
+    got = kernel_results(QuatPoly, ref4_pack(ta), ref4_pack(tb), ref4_pack(td), n)
+    quo, rem = ref4_divmod(ta, td)
+    want = [ref4_add(ta, tb), ref4_add(ta, tb, -1), ref4_mul(ta, tb), ref4_mul(ta, tb), quo, rem,
+            rem, ref_trim(reversed(td)), ref4_fold(ta, n)]
+    assert [type(v) for v in got] == [int] * len(want)
+    assert got == [ref4_pack(w) for w in want]
 
 
 @PROPERTY
