@@ -212,9 +212,10 @@ def search_codes(
     earliest tuple in sort order (b by gf2.poly_key, then the coefficients
     of ell, f and h), so the result is deterministic; a code is recognised
     by the SHA-256 digest of its codeword matrix, so a pair holds 32 bytes
-    per distinct code, not its words.  alpha_max and each beta are checked
-    as lengths first: a beta_set that is not iterable, or holds anything but
-    ints, raises InvalidParameter.  A pair (alpha, beta) with more than SEARCH_CAP
+    per distinct code, not its words.  alpha_max and each beta, in the order
+    given, are checked as lengths first, so the first bad one is named: a
+    beta_set that is not iterable, or holds anything but ints, raises
+    InvalidParameter.  A pair (alpha, beta) with more than SEARCH_CAP
     tuples, or whose ambient has more than cap words, raises TooLarge
     before the first pair is searched.
     """
@@ -229,13 +230,10 @@ def search_codes(
         given = list(beta_set)
     except TypeError:
         raise InvalidParameter(f"beta_set must be an iterable of integers, not {beta_set!r}") from None
-    # Types first, in the order given, so that the sort compares only ints.
+    # In the order given, before the sort, so that the sort compares only ints.
     for beta in given:
-        if not isinstance(beta, int) or isinstance(beta, bool):
-            _check_length(beta, "beta")
-    betas = sorted(set(given))
-    for beta in betas:
         _check_length(beta, "beta")
+    betas = sorted(set(given))
     pairs = [(alpha, beta) for alpha in range(1, alpha_max + 1) for beta in betas]
     # A pair's first tuple in sort order, b = 1, ell = 0, f = h = 1, is the whole
     # ambient and its largest code, so the first refusal the sweep would meet is

@@ -4,14 +4,15 @@ One verb per invocation: info, dual, matrix, enumerate, gray, verify,
 search.  Codes come either from a spec file (--spec, in the key=value
 format of parse_spec_text) or from the six inline flags --alpha --beta
 --b --ell --f --h; search reads no code, and takes --alpha-max,
---beta-set and --predicate instead.  Every verb renders text by default
-and JSON with --json, carrying the same data either way; run() refuses
-any other output format.  JSON is rendered by _json, which writes the
-bytes of json.dumps(data, indent=2) without the json module's
-pure-Python encoder for indented output.  info, enumerate, gray, verify
-and search take --cap, the enumeration cap; only verify takes --seed,
-for its sampled checks.  _VERB_TABLE names the flag groups each verb
-reads, and its subparser offers only those.
+--beta-set and --predicate instead.  Each verb's handler returns its
+exit status, its record and its text, which carry the same data, and
+run() renders one of them: the text by default, the record as JSON with
+--json; run() refuses any other output format.  JSON is rendered by
+_json, which writes the bytes of json.dumps(data, indent=2) without the
+json module's pure-Python encoder for indented output.  info, enumerate,
+gray, verify and search take --cap, the enumeration cap; only verify
+takes --seed, for its sampled checks.  _VERB_TABLE names the flag groups
+each verb reads, and its subparser offers only those.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or data error
 (a flag the verb does not take, such as --seed on info or --cap on dual,
@@ -35,7 +36,6 @@ from .code import (
     SPEC_KEYS,
     _block_sizes,
     _codeword_keys,
-    _decode_keys,
     _format_rows,
     _gray_rows,
     _type_text,
@@ -71,11 +71,6 @@ def _load_spec(source):
     raise ParseError("no spec given: use --spec FILE or all of --alpha/--beta/--b/--ell/--f/--h")
 
 
-def _render(data: dict, text: str, as_json: bool) -> str:
-    """The verb's output: its text, or its data as JSON by _json."""
-    return _json(data) if as_json else text
-
-
 def _json(value, indent: str = "\n") -> str:
     """json.dumps(value, indent=2), byte for byte, for the values the verbs build:
     dicts with str keys, lists, str, int, bool and None; anything else, a
@@ -105,7 +100,7 @@ def _json(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _run_info(spec, cmd: Command) -> tuple[int, str]:
+def _run_info(spec, cmd: Command) -> tuple[int, dict, str]:
     report = analysis.code_report(spec, cmd.cap)
     text = "\n".join(
         [
@@ -114,10 +109,10 @@ def _run_info(spec, cmd: Command) -> tuple[int, str]:
             f"|C| = {cardinality(spec)}",
         ]
     )
-    return 0, _render(analysis.report_dict(spec, report), text, cmd.output_format == "json")
+    return 0, analysis.report_dict(spec, report), text
 
 
-def _run_dual(spec, cmd: Command) -> tuple[int, str]:
+def _run_dual(spec, cmd: Command) -> tuple[int, dict, str]:
     d = dual_generators(spec)
     dd = dual_degrees(spec)
     dtype = _type_text(spec.alpha, spec.beta, dd.gamma_bar, dd.delta_bar, dd.kappa_bar)
@@ -134,10 +129,10 @@ def _run_dual(spec, cmd: Command) -> tuple[int, str]:
     }
     lines = [f"{k} = {v}" for k, v in data.items() if k != "dual_type" and v is not None]
     lines.append(f"dual type {dtype}")
-    return 0, _render(data, "\n".join(lines), cmd.output_format == "json")
+    return 0, data, "\n".join(lines)
 
 
-def _run_matrix(spec, cmd: Command) -> tuple[int, str]:
+def _run_matrix(spec, cmd: Command) -> tuple[int, dict, str]:
     rows = iter(_format_rows(spec._span_rows, spec.alpha))
     labeled = {
         name: [next(rows) for _ in range(count)]
@@ -145,31 +140,28 @@ def _run_matrix(spec, cmd: Command) -> tuple[int, str]:
     }
     lines = [f"{name}[{i}] {row}" for name, block in labeled.items() for i, row in enumerate(block)]
     text = "\n".join(lines) or "(empty spanning set)"
-    return 0, _render(labeled, text, cmd.output_format == "json")
+    return 0, labeled, text
 
 
-def _run_enumerate(spec, cmd: Command) -> tuple[int, str]:
-    mat = codeword_matrix(spec, cmd.cap)
-    rendered = _format_rows(mat, spec.alpha)
+def _run_enumerate(spec, cmd: Command) -> tuple[int, dict, str]:
+    rendered = _format_rows(codeword_matrix(spec, cmd.cap), spec.alpha)
     data = {"cardinality": len(rendered), "codewords": rendered}
     text = "\n".join([f"|C| = {len(rendered)}"] + rendered)
-    return 0, _render(data, text, cmd.output_format == "json")
+    return 0, data, text
 
 
-def _run_gray(spec, cmd: Command) -> tuple[int, str]:
-    keys = _codeword_keys(spec, cmd.cap)
-    n = spec.alpha + spec.beta
-    rendered = _format_rows(_decode_keys(keys, spec.alpha, n), spec.alpha)
-    images = _gray_rows(keys, spec.alpha, n).tolist()
+def _run_gray(spec, cmd: Command) -> tuple[int, dict, str]:
+    rendered = _format_rows(codeword_matrix(spec, cmd.cap), spec.alpha)
+    images = _gray_rows(_codeword_keys(spec, cmd.cap), spec.alpha, spec.alpha + spec.beta).tolist()
     data = {"codewords": rendered, "gray_images": images}
-    as_json = cmd.output_format == "json"
-    text = "" if as_json else "\n".join(
+    # No text is built for --json, which would hold a second copy of the listing.
+    text = "" if cmd.output_format == "json" else "\n".join(
         f"{w}  ->  {' '.join(map(str, img))}" for w, img in zip(rendered, images)
     )
-    return 0, _render(data, text, as_json)
+    return 0, data, text
 
 
-def _run_verify(spec, cmd: Command) -> tuple[int, str]:
+def _run_verify(spec, cmd: Command) -> tuple[int, dict, str]:
     results = analysis.verify_code(spec, seed=cmd.seed, cap=cmd.cap)
     mark = {True: "ok  ", False: "FAIL", None: "skip"}
     lines = [f"{mark[r.ok]} {r.name}: {r.detail}" for r in results]
@@ -187,10 +179,10 @@ def _run_verify(spec, cmd: Command) -> tuple[int, str]:
         "checks": [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results],
         "passed": not failed,
     }
-    return (1 if failed else 0), _render(data, "\n".join(lines), cmd.output_format == "json")
+    return (1 if failed else 0), data, "\n".join(lines)
 
 
-def _run_search(_spec, cmd: Command) -> tuple[int, str]:
+def _run_search(_spec, cmd: Command) -> tuple[int, dict, str]:
     found = analysis.search_codes(cmd.alpha_max, cmd.beta_set, cmd.predicate, cmd.cap)
     lines = [analysis.report_line(s, r) for s, r in found]
     lines.append(f"{len(found)} codes matched {cmd.predicate}")
@@ -198,12 +190,13 @@ def _run_search(_spec, cmd: Command) -> tuple[int, str]:
         "predicate": cmd.predicate,
         "matches": [analysis.report_dict(s, r) for s, r in found],
     }
-    return 0, _render(data, "\n".join(lines), cmd.output_format == "json")
+    return 0, data, "\n".join(lines)
 
 
 # Every verb, once, in the parser's order: its handler, its help text and
 # the flag groups of _FLAG_GROUPS it reads; every verb also takes "json".
-# A handler takes (spec, cmd); spec is None for a verb without "spec".
+# A handler takes (spec, cmd), spec None for a verb without "spec", and returns
+# (exit status, JSON record, text); run renders one of the two.
 _VERB_TABLE = {
     "info": (_run_info, "type, cardinality, distance, and classification flags", ("spec", "cap")),
     "dual": (_run_dual, "closed-form dual generator tuple and dual type", ("spec",)),
@@ -259,7 +252,8 @@ def run(cmd: Command) -> tuple[int, str]:
     if cmd.output_format not in ("text", "json"):
         raise InvalidParameter(f"output format must be 'text' or 'json', not {cmd.output_format!r}")
     handler, _, groups = _VERB_TABLE[cmd.verb]
-    return handler(_load_spec(cmd.spec_source) if "spec" in groups else None, cmd)
+    status, record, text = handler(_load_spec(cmd.spec_source) if "spec" in groups else None, cmd)
+    return status, _json(record) if cmd.output_format == "json" else text
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -136,7 +136,10 @@ def _format_rows(words: np.ndarray, alpha: int) -> list[str]:
 
 
 def cyclic_shift(w: Codeword, i: int) -> Codeword:
-    """Simultaneous i-step cyclic shift of both blocks: new[j] = old[j + i]."""
+    """Simultaneous i-step cyclic shift of both blocks: new[j] = old[j + i].  i is an
+    int (not a bool), of any sign or size."""
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise InvalidParameter(f"shift must be an integer, not {i!r}")
     a, b = len(w.u), len(w.uq)
     return Codeword(
         tuple(w.u[(j + i) % a] for j in range(a)),
@@ -145,7 +148,10 @@ def cyclic_shift(w: Codeword, i: int) -> Codeword:
 
 
 def star(lam: QuatPoly, p: BinPoly, q: QuatPoly, alpha: int, beta: int) -> tuple[BinPoly, QuatPoly]:
-    """Mixing action of lambda on the pair (p | q)."""
+    """Mixing action of lambda on the pair (p | q); an operand outside its ring raises
+    that ring's TypeError."""
+    if lam.__class__ is not QuatPoly:
+        QuatPoly._check_ring(lam)
     xpart = (lam.reduce_mod2() * p).fold(alpha)
     ypart = z4.mul_mod(lam, q, beta)
     return xpart, ypart
@@ -464,25 +470,15 @@ def _key_layout(n: int, alpha: int) -> _KeyLayout:
     for i in range(k):
         cols = np.flatnonzero(limb == i)
         slices.append((int(cols[0]), int(cols[-1]) + 1) if len(cols) else (0, 0))
-    # The Z4 lanes fill the low y_bits bits; their low bits are the even ones.
-    y_bits = 2 * (n - alpha)
-    low = _int_limbs(((1 << y_bits) - 1) // 3, k, dtype)
     shifts = shift.astype(dtype)[:, None]
     masks = ((1 << widths) - 1).astype(dtype)[:, None]
     weights = dtype(1) << shifts[:, 0]
-    for a in (shifts, masks, weights):
+    # A limb's Z4 columns end its slice and hold disjoint bits, so the sum of their
+    # weights is the mask of their low bits.
+    low = np.array([[weights[max(lo, alpha) : hi].sum(dtype=dtype)] for lo, hi in slices], dtype=dtype)
+    for a in (shifts, masks, weights, low):
         a.flags.writeable = False
     return _KeyLayout(dtype, tuple(slices), weights, low, shifts, masks)
-
-
-def _int_limbs(value: int, k: int, dtype: type) -> np.ndarray:
-    """A nonnegative int below 2^(word * k) as a read-only (k, 1) column of limbs of
-    the unsigned word dtype, most significant first."""
-    word = 8 * np.dtype(dtype).itemsize
-    mask = (1 << word) - 1
-    out = np.array([[(value >> word * (k - 1 - i)) & mask] for i in range(k)], dtype=dtype)
-    out.flags.writeable = False
-    return out
 
 
 def _row_keys(words: np.ndarray, alpha: int) -> np.ndarray:

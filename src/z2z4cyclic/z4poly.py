@@ -198,11 +198,15 @@ def xn1(n: int) -> QuatPoly:
 
 def lift_binary(p: BinPoly) -> QuatPoly:
     """Reinterpret a binary polynomial over Z4 with 0/1 coefficients."""
+    if p.__class__ is not BinPoly:
+        BinPoly._check_ring(p)
     return QuatPoly._wrap(_lift_bits(p._rep))
 
 
 def make_monic(p: QuatPoly) -> QuatPoly:
     """Scale by the leading unit so the result is monic."""
+    if p.__class__ is not QuatPoly:
+        QuatPoly._check_ring(p)
     if not p or (lead := p.coeffs[-1]) == 2:
         raise NotMonic(f"({p}) cannot be normalised to a monic polynomial")
     return p if lead == 1 else 3 * p

@@ -246,6 +246,8 @@ def test_doomed_sweep_is_refused_before_anything_is_factored(monkeypatch, capsys
         (5000, {5001}, 0, TooLarge, "^alpha_max = 5000 is above the length cap of 4096$"),
         (1, {1, 5001}, 0, TooLarge, "^beta = 5001 is above the length cap of 4096$"),
         (1, ("3",), 0, InvalidParameter, "^beta must be a positive integer$"),
+        # The betas are checked in the order given, so the first bad one is named.
+        (1, (5001, 0), 0, TooLarge, "^beta = 5001 is above the length cap of 4096$"),
     ],
 )
 def test_search_raises_the_first_refusal_of_the_sweep(monkeypatch, alpha_max, beta_set, cap, error, refusal):

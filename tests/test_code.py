@@ -112,6 +112,15 @@ def test_cyclic_shift_period_is_lcm():
     assert any(cyclic_shift(w, i) != w for i in range(1, m))
 
 
+@pytest.mark.parametrize("shift", [1.5, 1.0, True, False, "1", None], ids=repr)
+def test_cyclic_shift_refuses_a_shift_that_is_not_an_int(shift):
+    w = word("1 0 | 1 2 3")
+    with pytest.raises(InvalidParameter, match=f"^shift must be an integer, not {re.escape(repr(shift))}$"):
+        cyclic_shift(w, shift)
+    # Any int wraps, whatever its sign or size.
+    assert cyclic_shift(w, -7) == cyclic_shift(w, 5) == cyclic_shift(w, 6 * 10**20 + 5)
+
+
 # -- the mixing action ---------------------------------------------------------
 
 
@@ -122,6 +131,19 @@ def test_star_examples():
     assert (p, q) == (bp("x^2+1"), qp("x^2"))
     p, q = star(qp("2"), bp("x+1"), qp("x^2+x+1"), 3, 3)
     assert (p, q) == (BinPoly.zero(), qp("2x^2+2x+2"))
+
+
+@pytest.mark.parametrize(
+    "args, ring",
+    [
+        ((bp("x"), bp("x+1"), qp("1"), 3, 3), 4),
+        ((qp("x"), qp("x+1"), qp("1"), 3, 3), 2),
+        ((qp("x"), bp("x+1"), bp("1"), 3, 3), 4),
+    ],
+)
+def test_star_refuses_an_operand_outside_its_ring(args, ring):
+    with pytest.raises(TypeError, match=f"^expected a polynomial over Z{ring}, got "):
+        star(*args)
 
 
 # -- spec validation ------------------------------------------------------------

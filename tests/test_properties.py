@@ -802,6 +802,20 @@ def test_an_odd_z4_entry_in_an_order_two_row_is_an_internal_error(spec):
         tampered._word_keys
 
 
+def test_key_layout_lane_mask_is_the_low_bit_of_every_z4_lane():
+    # The Z4 lanes fill the row's low 2 * (n - alpha) bits, and their low bits are
+    # the even ones: the limbs of ((1 << 2 * (n - alpha)) - 1) // 3.
+    for n in range(1, 200):
+        for alpha in range(n + 1):
+            layout = _key_layout(n, alpha)
+            k, word = len(layout.slices), 8 * np.dtype(layout.dtype).itemsize
+            value = ((1 << 2 * (n - alpha)) - 1) // 3
+            want = [(value >> word * (k - 1 - i)) & ((1 << word) - 1) for i in range(k)]
+            assert layout.low.dtype == layout.dtype and layout.low.shape == (k, 1)
+            assert layout.low[:, 0].tolist() == want, (n, alpha)
+            assert not layout.low.flags.writeable
+
+
 def test_two_limb_enumeration_matches_the_multiples_of_its_generator():
     spec = two_limb_spec()
     assert spec.g == z4.hensel_lift(BinPoly.parse("x^2+x+1"), 33)

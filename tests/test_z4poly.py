@@ -117,6 +117,19 @@ def test_make_monic_preserves_unit_scaling():
         z4.make_monic(QuatPoly.zero())
 
 
+def test_lift_binary_and_make_monic_refuse_the_other_ring():
+    assert z4.lift_binary(bp("x^2+1")) == qp("x^2+1")
+    with pytest.raises(TypeError, match=r"^expected a polynomial over Z2, got QuatPoly\('3x\+2'\)$"):
+        z4.lift_binary(qp("3x+2"))
+    with pytest.raises(TypeError, match=r"^expected a polynomial over Z4, got BinPoly\('x\+1'\)$"):
+        z4.make_monic(bp("x+1"))
+    for bad in (None, 3):
+        with pytest.raises(TypeError, match="^expected a polynomial over Z2"):
+            z4.lift_binary(bad)
+        with pytest.raises(TypeError, match="^expected a polynomial over Z4"):
+            z4.make_monic(bad)
+
+
 # -- Hensel lift ------------------------------------------------------------------------
 
 
