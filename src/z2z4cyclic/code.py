@@ -19,26 +19,28 @@ property _span_rows), cardinality(spec) (the one size formula) and
 code_type read; a row's additive order is read from the row itself: four
 when it has an odd Z4 entry (the S2 rows), two otherwise.
 _base_pairs gives the base pairs (b | 0),
-(ell | fh + 2f), (ell*g | 2fg) that the spanning rows, subcode_order_two
-and project_xy read; and _gray_keys is the Gray map, on packed keys: a
-Gray-coded key is the key of the word's Gray image in the all-binary
-layout, so _gray_rows decodes it and its popcount is the word's Gray
-weight; _pairings, the pairing 2<u, u'> + <q, q'> mod 4 on int rows, is
+(ell | fh + 2f), (ell*g | 2fg), as packed ints from the ring kernels,
+that the spanning rows, subcode_order_two and project_xy read; and
+_gray_keys is the Gray map, on packed keys: a Gray-coded key is the key
+of the word's Gray image in the all-binary layout, so _gray_rows decodes
+it and its popcount is the word's Gray weight; _pairings, the pairing 2<u, u'> + <q, q'> mod 4 on int rows, is
 behind dual.contains and verify's orthogonality check: one einsum per
 block sums in int64 and casts its operands in buffered chunks, so it
 builds nothing wider than its output.  The spanning rows are written,
 not gathered: row i of a block is its base pair times x^i, which rotates
-each block's coefficients i places.  Each base pair's blocks are written
-once as little-endian coefficient bytes, doubled (a QuatPoly's rep bytes
-are its coefficients, and a BinPoly's lift to Z4 makes them 0/1 bytes),
-and row i is one slice of each; the rows are that one bytearray, read
-as uint8.  They are cached read-only in the spec's __dict__, outside
-the dataclass fields, so ==, hash and repr never see them and equal
-instances share nothing.  circ_product works on coefficient bytes too:
-per block, the word's entries repeated m/len times and the other word's
-entries read big-endian give one product and one fold, with no theta,
-lift or reciprocal built; it shares no code with analysis's np.correlate
-oracle of the shifted inner products.  _span_keys enumerates the span of
+each block's coefficients i places.  Each base pair's blocks are folded
+and written once as little-endian coefficient bytes, doubled (a
+byte-packed Z4 int's bytes are its coefficients, and a bit-packed Z2
+int's lift to Z4 makes them 0/1 bytes), and row i is one slice of each;
+the rows are that one bytearray, read as uint8.  They are cached
+read-only in the spec's __dict__, outside the dataclass fields, so ==,
+hash and repr never see them and equal instances share nothing.
+circ_product works on packed coefficient ints too: per block, the word's
+entries repeated m/len times and the other word's entries read
+big-endian give one product and one fold, and the two blocks' terms are
+added and wrapped once, with no theta, lift or reciprocal built; it
+shares no code with analysis's oracle of the shifted inner products, a
+numpy matmul of sliding windows.  _span_keys enumerates the span of
 any rows by doubling on packed keys: each row's multiples are added to
 all the keys built so far, an order-two row by one XOR and an order-four
 row lane-wise (_key_add, from the row's low Z4 lane bits, masked once for
@@ -78,9 +80,9 @@ import numpy as np
 from . import gf2poly as gf2
 from . import z4poly as z4
 from .errors import AmbientMismatch, InvalidParameter, InvalidSpec, ParseError, TooLarge
-from .gf2poly import BinPoly, _clmul, _mod_bits
+from .gf2poly import BinPoly, _clmul, _fold_bits, _mod_bits
 from .poly import DEGREE_CAP, _check_length, _count_text, _parse_int
-from .z4poly import QuatPoly, _lift_bits, _mod2_bits
+from .z4poly import QuatPoly, _add_bytes, _fold_bytes, _lift_bits, _mod2_bits, _mul_bytes
 
 ENUM_CAP = 2**22
 
@@ -216,8 +218,8 @@ class CyclicCodeSpec:
         for (p, q), count in zip(_base_pairs(self), _block_sizes(self)):
             # Each block's little-endian coefficient bytes, doubled: bytes n - i .. 2n - i
             # of the doubled block are the block rotated i places.
-            xs = _lift_bits(p.fold(a)._rep).to_bytes(a, "little") * 2
-            ys = q.fold(beta)._rep.to_bytes(beta, "little") * 2
+            xs = _lift_bits(_fold_bits(p, a)).to_bytes(a, "little") * 2
+            ys = _fold_bytes(q, beta).to_bytes(beta, "little") * 2
             for i in range(count):
                 rows += xs[a - i % a : 2 * a - i % a]
                 rows += ys[beta - i % beta : 2 * beta - i % beta]
@@ -368,12 +370,15 @@ def _block_sizes(spec: CyclicCodeSpec) -> tuple[int, int, int]:
     return spec.alpha - _deg(spec.b), _deg(spec.g), _deg(spec.h)
 
 
-def _base_pairs(spec: CyclicCodeSpec) -> tuple[tuple[BinPoly, QuatPoly], ...]:
-    """(b | 0), (ell | fh + 2f), (ell*g | 2fg), unreduced: S1, S2, S3 are their shifts."""
+def _base_pairs(spec: CyclicCodeSpec) -> tuple[tuple[int, int], ...]:
+    """(b | 0), (ell | fh + 2f), (ell*g | 2fg) as packed ints (bits for the binary side,
+    bytes for the quaternary side), unreduced: S1, S2, S3 are their shifts."""
+    f, ell = spec.f._rep, spec.ell._rep
+    fg = _mul_bytes(f, spec.g._rep)
     return (
-        (spec.b, QuatPoly.zero()),
-        (spec.ell, spec.f * spec.h + 2 * spec.f),
-        (spec.ell * spec.g.reduce_mod2(), 2 * spec.f * spec.g),
+        (spec.b._rep, 0),
+        (ell, _add_bytes(_mul_bytes(f, spec.h._rep), 2 * f)),
+        (_clmul(ell, _mod2_bits(spec.g._rep)), _add_bytes(fg, fg)),
     )
 
 
@@ -448,8 +453,10 @@ class _KeyLayout(NamedTuple):
     slices: tuple[tuple[int, int], ...]
     # Per column: 1 << (its lowest bit's position in its limb).
     weights: np.ndarray
-    # Shape (limbs, 1): each limb's mask of the low bits of its Z4 lanes.
+    # Shape (limbs, 1): each limb's mask of the low bits of its Z4 lanes, and of both
+    # bits of its Z4 lanes (the Y block's bit field).
     low: np.ndarray
+    lanes: np.ndarray
     # Shape (columns, 1): each column's shift and mask (1 or 3) in its limb, so its
     # entry is (limb >> shift) & mask.
     shifts: np.ndarray
@@ -476,9 +483,10 @@ def _key_layout(n: int, alpha: int) -> _KeyLayout:
     # A limb's Z4 columns end its slice and hold disjoint bits, so the sum of their
     # weights is the mask of their low bits.
     low = np.array([[weights[max(lo, alpha) : hi].sum(dtype=dtype)] for lo, hi in slices], dtype=dtype)
-    for a in (shifts, masks, weights, low):
+    lanes = low | low << 1
+    for a in (shifts, masks, weights, low, lanes):
         a.flags.writeable = False
-    return _KeyLayout(dtype, tuple(slices), weights, low, shifts, masks)
+    return _KeyLayout(dtype, tuple(slices), weights, low, lanes, shifts, masks)
 
 
 def _row_keys(words: np.ndarray, alpha: int) -> np.ndarray:
@@ -556,8 +564,7 @@ def _sort_keys(keys: np.ndarray) -> np.ndarray:
 def _projection_sizes(keys: np.ndarray, alpha: int, n: int) -> tuple[int, int]:
     """How many distinct X blocks and distinct Y blocks packed words of n columns have,
     each counted by sorting the keys with the other block's bit field masked off."""
-    low = _key_layout(n, alpha).low
-    y_field = low | low << 1
+    y_field = _key_layout(n, alpha).lanes
     return _sort_keys(keys & ~y_field).shape[1], _sort_keys(keys & y_field).shape[1]
 
 
@@ -626,16 +633,25 @@ def codeword_matrix(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> np.ndarray:
 
 
 def code_type_from_words(alpha: int, beta: int, words: np.ndarray) -> CodeType:
-    """Type parameters measured on a canonical codeword matrix (no degree formulas)."""
-    ub, qb = words[:, :alpha], words[:, alpha:]
+    """Type parameters measured on a canonical codeword matrix (no degree formulas).
+
+    The matrix is packed once into keys.  A word has order two when no Z4
+    lane has its low bit set, and a zero X or Y block when its key is zero
+    under that block's bit field (the layout's masks low and lanes over
+    the limbs).  kappa counts the distinct X blocks of the order-two words
+    with one sort of their masked keys."""
+    keys = _row_keys(words, alpha)
+    layout = _key_layout(words.shape[1], alpha)
+    low, y_field = layout.low, layout.lanes
+    x_keys = keys & ~y_field
     n = len(words)
-    order2 = np.all(qb % 2 == 0, axis=1)
+    order2 = ~(keys & low).any(axis=0)
     n2 = int(order2.sum())
     delta = _exact_log2(n) - _exact_log2(n2)
     gamma = _exact_log2(n2) - delta
-    kappa = _exact_log2(_sort_keys(_row_keys(ub[order2], alpha)).shape[1])
-    kappa1 = _exact_log2(int(np.all(qb == 0, axis=1).sum()))
-    zero_x = np.all(ub == 0, axis=1)
+    kappa = _exact_log2(_sort_keys(x_keys[:, order2]).shape[1])
+    kappa1 = _exact_log2(int((~(keys & y_field).any(axis=0)).sum()))
+    zero_x = ~x_keys.any(axis=0)
     d_tot = int(zero_x.sum())
     d_tor = int((zero_x & order2).sum())
     delta2 = _exact_log2(d_tot) - _exact_log2(d_tor)
@@ -724,7 +740,7 @@ def circ_product(w1: Codeword, w2: Codeword) -> QuatPoly:
     _check_ambient(w1, w2)
     m = _check_period(len(w1.u), len(w1.uq))
     # 2 * <u, shift(v, i)> in Z4 for the binary block, <q, shift(vq, i)> for the other.
-    return _circ_term(w1.u, w2.u, m, 2) + _circ_term(w1.uq, w2.uq, m, 1)
+    return QuatPoly._wrap(_add_bytes(_circ_term(w1.u, w2.u, m, 2), _circ_term(w1.uq, w2.uq, m, 1)))
 
 
 def _check_period(alpha: int, beta: int) -> int:
@@ -736,16 +752,17 @@ def _check_period(alpha: int, beta: int) -> int:
     return m
 
 
-def _circ_term(u: tuple[int, ...], v: tuple[int, ...], m: int, c: int) -> QuatPoly:
-    """c * u(x) theta_{m/k}(x^k) * x^(m-1-deg v) v*(x) mod x^m - 1, k = len(u), built on
-    coefficient bytes: u repeated m/k times is u(x) theta_{m/k}(x^k), and v's bytes read
-    big-endian, followed by m - k zero bytes, are x^(m-1-deg v) v*(x).  Zero when v is.
-    c * v stays reduced: c = 2 only on the binary block, whose entries are 0 and 1."""
+def _circ_term(u: tuple[int, ...], v: tuple[int, ...], m: int, c: int) -> int:
+    """c * u(x) theta_{m/k}(x^k) * x^(m-1-deg v) v*(x) mod x^m - 1, k = len(u), as a
+    byte-packed int: u repeated m/k times is u(x) theta_{m/k}(x^k), and v's bytes read
+    big-endian, followed by m - k zero bytes, are x^(m-1-deg v) v*(x); one _mul_bytes and
+    one _fold_bytes give the term.  0 when v is zero.  c * v stays reduced: c = 2 only on
+    the binary block, whose entries are 0 and 1."""
     if not any(v):
-        return QuatPoly.zero()
-    repeated = QuatPoly._wrap(int.from_bytes(bytes(u) * (m // len(u)), "little"))
-    reversed_v = QuatPoly._wrap(c * int.from_bytes(bytes(v) + bytes(m - len(v)), "big"))
-    return (repeated * reversed_v).fold(m)
+        return 0
+    repeated = int.from_bytes(bytes(u) * (m // len(u)), "little")
+    reversed_v = c * int.from_bytes(bytes(v) + bytes(m - len(v)), "big")
+    return _fold_bytes(_mul_bytes(repeated, reversed_v), m)
 
 
 # -- distinguished subcodes ----------------------------------------------
@@ -757,12 +774,12 @@ def subcode_order_two(spec: CyclicCodeSpec) -> list[tuple[BinPoly, QuatPoly]]:
     a, beta = spec.alpha, spec.beta
     (b, _), (_, y2), (x3, y3) = _base_pairs(spec)
     return [
-        (b.fold(a), QuatPoly.zero()),
-        (x3.fold(a), y3.fold(beta)),
-        (BinPoly.zero(), (2 * y2).fold(beta)),
+        (BinPoly._wrap(_fold_bits(b, a)), QuatPoly.zero()),
+        (BinPoly._wrap(_fold_bits(x3, a)), QuatPoly._wrap(_fold_bytes(y3, beta))),
+        (BinPoly.zero(), QuatPoly._wrap(_fold_bytes(_add_bytes(y2, y2), beta))),
     ]
 
 
 def project_xy(spec: CyclicCodeSpec) -> tuple[BinPoly, QuatPoly]:
     """Generators of the block projections: C_X = <gcd(b, ell)>, C_Y = <fh + 2f>."""
-    return gf2.gcd(spec.b, spec.ell), _base_pairs(spec)[1][1].fold(spec.beta)
+    return gf2.gcd(spec.b, spec.ell), QuatPoly._wrap(_fold_bytes(_base_pairs(spec)[1][1], spec.beta))

@@ -175,11 +175,12 @@ def _residue_keys(coef: np.ndarray) -> np.ndarray:
 
     coef[k] holds bit k's contribution mod 4 to the inner product with
     each spanning row; entry i of the result packs the residues of
-    sum_k bit_k(i) * coef[k], with row r in bits 2r and 2r + 1.
+    sum_k bit_k(i) * coef[k], with row r in bits 2r and 2r + 1.  The
+    residues are one product: the 0/1 matrix of every index's bits times
+    coef, mod 4.
     """
-    res = np.zeros((1, coef.shape[1]), dtype=np.int64)
-    for c in coef:
-        res = np.concatenate([res, (res + c) % 4])
+    bits = np.arange(1 << len(coef))[:, None] >> np.arange(len(coef)) & 1
+    res = (bits @ coef) % 4
     return (res << 2 * np.arange(coef.shape[1])).sum(axis=1)
 
 

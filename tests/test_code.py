@@ -40,6 +40,7 @@ from z2z4cyclic import (
     validate_spec,
 )
 from z2z4cyclic import gf2poly as gf2
+from z2z4cyclic import z4poly as z4
 from z2z4cyclic.code import _codeword_keys, _decode_keys, _deg
 from z2z4cyclic.dual import brute_force_dual_matrix
 from z2z4cyclic.errors import (
@@ -517,12 +518,21 @@ def test_cardinality_formula_and_cyclicity_exhaustive():
 
 
 def test_measured_type_matches_formula(example_spec):
+    # The last two take two-limb keys: (33 | 17) with the X field across the limb
+    # boundary, and (1 | 33) with the Z2 coordinate alone in the top limb.
+    g = z4.hensel_lift(bp("x^2+x+1"), 33)
     specs = [
         example_spec,
         construct_mdss(3, 3),
         construct_self_dual_family(4, 3),
         validate_spec(10, 5, bp("x^5+1"), BinPoly.zero(), qp("1"), qp("x^5+3")),
+        validate_spec(
+            33, 17, bp("x^30+x^27+x^24+x^21+x^18+x^15+x^12+x^9+x^6+x^3+1"), BinPoly.zero(),
+            qp("x^17+3"), qp("1"),
+        ),
+        validate_spec(1, 33, bp("x+1"), BinPoly.zero(), divmod(z4.xn1(33), g)[0], qp("1")),
     ]
+    assert [len(_codeword_keys(spec)) for spec in specs[-2:]] == [2, 2]
     for spec in specs:
         measured = code_type_from_words(spec.alpha, spec.beta, codeword_matrix(spec))
         assert measured == code_type(spec)

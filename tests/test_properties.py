@@ -6,7 +6,8 @@ packed-key canonical sort and the block projection counts against numpy's
 row sort, the key kernels (the lane-wise Z4 add, the decode, enumeration on
 two limbs) against their row and polynomial forms, the span of shifted
 rows and cyclic closure against a set of shifted Codewords, the rotated
-spanning rows and correlated shift products against their loop forms, the
+spanning rows and correlated shift products against their loop forms
+(stacked shift products against each pair's), the
 peak memory of the spanning rows and of contains, the pairing of long rows
 against inner_product, the circ product's coefficients against the shifted
 inner products, and
@@ -814,6 +815,11 @@ def test_key_layout_lane_mask_is_the_low_bit_of_every_z4_lane():
             assert layout.low.dtype == layout.dtype and layout.low.shape == (k, 1)
             assert layout.low[:, 0].tolist() == want, (n, alpha)
             assert not layout.low.flags.writeable
+            # Both bits of every Z4 lane: the limbs of (1 << 2 * (n - alpha)) - 1.
+            lanes = (1 << 2 * (n - alpha)) - 1
+            want = [(lanes >> word * (k - 1 - i)) & ((1 << word) - 1) for i in range(k)]
+            assert layout.lanes.dtype == layout.dtype and layout.lanes[:, 0].tolist() == want, (n, alpha)
+            assert not layout.lanes.flags.writeable
 
 
 def test_two_limb_enumeration_matches_the_multiples_of_its_generator():
@@ -986,6 +992,52 @@ def test_shifted_inner_products_match_shift_loop(pair):
     got = _shifted_inner_products(r1, r2, alpha)
     want = [inner_product(w1, cyclic_shift(w2, k)) for k in range(math.lcm(alpha, beta))]
     assert got.tolist() == want
+
+
+@st.composite
+def stacked_rows(draw):
+    """1 to 8 pairs of reduced word rows of one ambient, alpha, beta <= 12, as two
+    (pairs, alpha + beta) uint8 stacks."""
+    alpha, beta, count = draw(st.integers(1, 12)), draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    row = st.tuples(
+        st.lists(st.integers(0, 1), min_size=alpha, max_size=alpha),
+        st.lists(st.integers(0, 3), min_size=beta, max_size=beta),
+    ).map(lambda blocks: blocks[0] + blocks[1])
+    stacks = [draw(st.lists(row, min_size=count, max_size=count)) for _ in range(2)]
+    return alpha, *(np.array(rows, dtype=np.uint8) for rows in stacks)
+
+
+@PROPERTY
+@given(stacked_rows())
+def test_stacked_shifted_inner_products_match_each_pair(case):
+    alpha, r1, r2 = case
+    got = _shifted_inner_products(r1, r2, alpha)
+    assert got.shape == (len(r1), math.lcm(alpha, r1.shape[1] - alpha))
+    for i in range(len(r1)):
+        assert got[i].tolist() == _shifted_inner_products(r1[i], r2[i], alpha).tolist()
+
+
+def test_stacked_shifted_inner_products_at_the_length_cap():
+    # One stacked pair at alpha = beta = 4095, against per-block np.correlate of the
+    # doubled second row, written here.  The second row is nearly all 1s and 3s, so the
+    # Z4 sums run to thousands and a narrow accumulator would show.
+    alpha = beta = 4095
+    rng = np.random.default_rng(7)
+    r1 = np.concatenate([rng.integers(0, 2, alpha), rng.integers(0, 4, beta)]).astype(np.uint8)
+    r2 = np.concatenate([np.ones(alpha), np.full(beta, 3)]).astype(np.uint8)
+    r2[[5, alpha + 17]] = 0
+
+    def correlate(x, y):
+        x, y = x.astype(np.int64), y.astype(np.int64)
+        return np.correlate(np.concatenate([y, y]), x, "valid")[: len(x)]
+
+    x = correlate(r1[:alpha], r2[:alpha])
+    y = correlate(r1[alpha:], r2[alpha:])
+    assert y.max() > 255
+    want = (2 * x + y) % 4
+    got = _shifted_inner_products(r1[None], r2[None], alpha)
+    assert got.shape == (1, 4095)
+    assert got[0].tolist() == want.tolist()
 
 
 @st.composite
