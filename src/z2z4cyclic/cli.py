@@ -35,6 +35,7 @@ from .code import (
     ENUM_CAP,
     SPEC_KEYS,
     _block_sizes,
+    _check_cap,
     _codeword_keys,
     _format_rows,
     _gray_rows,
@@ -246,11 +247,17 @@ _FLAG_GROUPS = {
 
 
 def run(cmd: Command) -> tuple[int, str]:
-    """Execute one command; returns (exit status, rendered output)."""
+    """Execute one command; returns (exit status, rendered output).
+
+    An unknown verb, an output format other than text or json, then a cap
+    that is not an int of at least 1 raise InvalidParameter before the spec
+    is read or the handler runs; the cap is checked on every verb, the ones
+    that never enumerate included."""
     if cmd.verb not in _VERB_TABLE:
         raise InvalidParameter(f"unknown verb {cmd.verb!r}")
     if cmd.output_format not in ("text", "json"):
         raise InvalidParameter(f"output format must be 'text' or 'json', not {cmd.output_format!r}")
+    _check_cap(cmd.cap)
     handler, _, groups = _VERB_TABLE[cmd.verb]
     status, record, text = handler(_load_spec(cmd.spec_source) if "spec" in groups else None, cmd)
     return status, _json(record) if cmd.output_format == "json" else text

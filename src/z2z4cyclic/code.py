@@ -722,8 +722,9 @@ def _pairings(a: np.ndarray, b: np.ndarray, alpha: int) -> np.ndarray:
 def inner_product(w1: Codeword, w2: Codeword) -> int:
     """2 * <u1, u2> + <q1, q2> in Z4."""
     _check_ambient(w1, w2)
-    s = 2 * sum(a * b for a, b in zip(w1.u, w2.u))
-    s += sum(a * b for a, b in zip(w1.uq, w2.uq))
+    # int() first: a numpy integer entry would sum in its own width and wrap.
+    s = 2 * sum(int(a) * int(b) for a, b in zip(w1.u, w2.u))
+    s += sum(int(a) * int(b) for a, b in zip(w1.uq, w2.uq))
     return s % 4
 
 

@@ -308,19 +308,19 @@ def test_verify_failure_exits_one(capsys, monkeypatch, c1_file):
 
 
 NINE_NINE = ["--alpha", "9", "--beta", "9", "--b", "x^9+1", "--ell", "0", "--f", "x^9+3", "--h", "1"]
-DUAL_SIDE = ("dual-oracle", "duality-involution")
+INVOLUTION_OK = "ok   duality-involution: dual of the dual reproduces the codeword set"
 
 
 def test_verify_reports_checks_a_cap_refused(capsys):
     # The one-word code: its dual is the whole 2^27-word ambient, above ENUM_CAP.
+    # Only the oracle enumerates the dual; the involution enumerates C alone.
     reason = "code has 134217728 codewords, above the cap of 4194304"
     status, out, _ = run_cli(capsys, "verify", *NINE_NINE)
     assert status == 0
     lines = out.splitlines()
-    assert [line for line in lines if line.startswith("skip")] == [
-        f"skip {name}: {reason}" for name in DUAL_SIDE
-    ]
-    assert lines[-1] == "14 passed, 2 skipped"
+    assert [line for line in lines if line.startswith("skip")] == [f"skip dual-oracle: {reason}"]
+    assert INVOLUTION_OK in lines
+    assert lines[-1] == "15 passed, 1 skipped"
 
     status, out, _ = run_cli(capsys, "verify", *NINE_NINE, "--json")
     assert status == 0
@@ -328,7 +328,7 @@ def test_verify_reports_checks_a_cap_refused(capsys):
     assert data["passed"] is True
     assert len(data["checks"]) == 16
     skipped = [c for c in data["checks"] if c["ok"] is None]
-    assert [(c["name"], c["detail"]) for c in skipped] == [(name, reason) for name in DUAL_SIDE]
+    assert [(c["name"], c["detail"]) for c in skipped] == [("dual-oracle", reason)]
     assert all(c["ok"] is True for c in data["checks"] if c not in skipped)
 
 
@@ -342,9 +342,8 @@ def test_verify_reports_a_huge_refused_count_as_a_power_of_two(capsys):
     assert status == 0
     lines = out.splitlines()
     skips = [line for line in lines if line.startswith("skip")]
-    assert skips == [
-        f"skip {name}: code has 2^1638 codewords, above the cap of 4194304" for name in DUAL_SIDE
-    ]
+    assert skips == ["skip dual-oracle: code has 2^1638 codewords, above the cap of 4194304"]
+    assert INVOLUTION_OK in lines
     assert "ok   cardinality-product: |C| * |C_dual| = 2^1643 = 2^1643" in lines
     assert all(len(line) < 200 for line in lines)
 
@@ -528,8 +527,8 @@ def test_verify_with_long_shift_period_below_the_cap_is_quick(capsys):
 # sha256 of run()'s output on two ambients wider than 64 bits (68 and 67),
 # whose packed keys take two limbs, as rendered when codeword sets were
 # sorted as int16 rows and Gray images built as int16 rows.  Both duals
-# are above ENUM_CAP, so the verify digests include the two dual-side
-# checks as skipped; the 65/1 dual's 2^66 words are reported as 2^66, and
+# are above ENUM_CAP, so the verify digests include dual-oracle as
+# skipped; the 65/1 dual's 2^66 words are reported as 2^66, and
 # |C| * |C_dual| (2^68 and 2^67) as a power of two too, not in full.
 WIDE_SPECS = {
     "50/9": ("50", "9", "x^50+1", "0", "x^3+3", "1"),  # |C| = 4096
@@ -542,16 +541,16 @@ WIDE_DIGESTS = {
     ("50/9", "enumerate", "json"): "3465f8781d59fa6d95c751156552daf708a417b0e97bd4dd351fe9007036550a",
     ("50/9", "gray", "text"): "ba9a1aeb03a087ed5e32ea99636493c18269d89f9293569ccd2a0f02871e88b2",
     ("50/9", "gray", "json"): "5bda98123a12c3ca9fdbcaa6921334b850cd0c687950280d3f352cedee5940d8",
-    ("50/9", "verify", "text"): "377c99df0dc994a36682596afa74549c0032c90342eaf1145ce7835c190700c3",
-    ("50/9", "verify", "json"): "4fbb25fa927cc5e19a4e8d3ec4d6cc1f93b11b8e6365cb63a475b4e8e2da96dd",
+    ("50/9", "verify", "text"): "89ef2394e41fe5fc0ec61d771ff24abe265e47e4c21a790df9c67dde1a6c8394",
+    ("50/9", "verify", "json"): "8ed6adbc46a4cb95c43acc802c959076e3b15fc1c3ba68bb70badcaa29f34c0d",
     ("65/1", "info", "text"): "2774f57d11096d8cec3fd3b0fdb78c894186bf3bb4d562200f9c4ad5499d560d",
     ("65/1", "info", "json"): "aecc8a320550ef73044c13387ef308752ff1feae4b95e600d81844f3bcad2e98",
     ("65/1", "enumerate", "text"): "93e06163c6c4452a12be1231074c595be2e7621535e3f9f82f8b2fa6262eb594",
     ("65/1", "enumerate", "json"): "364738be9c029dea9822ae54ba26e0f15f58c7ccaa9adcf99cca519df4afaf8d",
     ("65/1", "gray", "text"): "083efe2cb73c489ba91a4002b3c6d724cef6ef3224d851a473be1ccbebb8b03d",
     ("65/1", "gray", "json"): "51d12e929ed3994db9b12b9d6796d98544825f87d826cd72bfe83f7a192c88f7",
-    ("65/1", "verify", "text"): "1ae4bb6f7b61bea0eff73665e82fc81c49389af5d67f2ea9d1432f91ea3929fb",
-    ("65/1", "verify", "json"): "cd211070579ff9df3a26a4c468ee943bb1499df7c9f47e7dcef6cce41ad1f266",
+    ("65/1", "verify", "text"): "547363582283610f91a5e124c821e32111198b843e3c3d3857fe48e120f374a2",
+    ("65/1", "verify", "json"): "286247a1c52d93d01b0abcb68d3e3a06ab97755d71f4452496fe351ff4bb7afc",
 }
 
 
@@ -568,16 +567,16 @@ BOUNDARY_DIGESTS = {
     ("14/9", "enumerate", "json"): "6d1b3f0529326f94ae073298dcfb140488c1867291228324c2fed46d8bad2ec6",
     ("14/9", "gray", "text"): "06f2762a92761691435c1190763face1c5da58660d0e95f79a5fe0012917ef13",
     ("14/9", "gray", "json"): "40fc40822e91e6adcb8e4a45e5352cb9b6d597ed9cb975fbd7656cd10676f673",
-    ("14/9", "verify", "text"): "bbbe6cf1d60f1f6fd28b8201c92da23b8fbd35dc449dfce39ef005b3a78bb5cf",
-    ("14/9", "verify", "json"): "8dd636762bd371d15ede722ba7b17ee46ed5f43a03536dcc3dcf9bba89dfa97c",
+    ("14/9", "verify", "text"): "10904947e9512f1c3c5a858d079f240165e4157627d790ad1585a78b3e3664ec",
+    ("14/9", "verify", "json"): "75056d630c4e7195bacc36bee54fe17172d6ea8e7efbf391615fd834841f6c79",
     ("15/9", "info", "text"): "6d12dd6ce2ec8a8b7148127c52e6a78a5e7780a8378b66352d1bb22b699866b2",
     ("15/9", "info", "json"): "a08ae8e5c83c414727fda5766be2786b34b1f845f3c34fba833fc8d2efd107b8",
     ("15/9", "enumerate", "text"): "1289db61b9c189e30ad4a2f628d1242f1bb2d437693be5902b73fb39063a7c6b",
     ("15/9", "enumerate", "json"): "9f087093a6c49d3bcb3fb68bdf9edccd658f9d13f0db03006ed4ec8284d72b8a",
     ("15/9", "gray", "text"): "e79a8330d86416ce19c5aafc751c982f16a461c2639f58e56d5495bb7e2238be",
     ("15/9", "gray", "json"): "a540bb0d0d06aa696102929f765ceaac24eadec5a6d562fc119238bf667feb23",
-    ("15/9", "verify", "text"): "18f334860bacee5f90029df625d0278cc159d64236583054c8d92b675f5b84cc",
-    ("15/9", "verify", "json"): "53ac5d4d5fb33c95bb29b9629c9ff4c4f788f4391bcaf95f4a55e0a102163eb9",
+    ("15/9", "verify", "text"): "236ec3882b5fe6d72085dffb97aac8ea5dfb05e1233b3b51d043644959951f2d",
+    ("15/9", "verify", "json"): "98fbaae8d019adb9fd0a80ada726c2d6329cffea5f8782c33c24a2ad21b8794b",
 }
 
 
@@ -586,7 +585,7 @@ def _assert_digest(spec, verb, fmt, digest):
     status, out = run(Command(verb=verb, spec_source=fields, output_format=fmt))
     assert status == 0
     if (verb, fmt) == ("verify", "text"):
-        assert out.endswith("\n14 passed, 2 skipped")
+        assert out.endswith("\n15 passed, 1 skipped")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -789,16 +788,18 @@ def test_cap_below_one_exits_two(capsys, c1_file, verb, cap):
     assert err == f"error: --cap must be at least 1, not {cap}\n"
 
 
-@pytest.mark.parametrize("cap", [0, -1])
-@pytest.mark.parametrize("verb", ["info", "enumerate", "gray", "verify", "search"])
+@pytest.mark.parametrize("cap", [0, -1, float("nan")], ids=repr)
+@pytest.mark.parametrize("verb", ["info", "dual", "matrix", "enumerate", "gray", "verify", "search"])
 def test_run_refuses_a_cap_below_one_as_a_usage_error(c1_file, verb, cap):
-    # Through run, with no argument parser: the enumeration refuses the cap
-    # itself, as a usage error (exit 2), not as a code above the cap (exit 3).
+    # Through run, with no argument parser: the cap is refused as a usage error
+    # (exit 2), not as a code above the cap (exit 3), on every verb, dual and
+    # matrix included though they never enumerate.
     if verb == "search":
         cmd = Command(verb=verb, spec_source=None, alpha_max=1, beta_set=(1,), predicate="mdss", cap=cap)
     else:
         cmd = Command(verb=verb, spec_source=c1_file, cap=cap)
-    with pytest.raises(InvalidParameter, match=f"^cap must be at least 1, not {cap}$"):
+    message = f"at least 1, not {cap}" if isinstance(cap, int) else f"an integer, not {cap!r}"
+    with pytest.raises(InvalidParameter, match=f"^cap must be {message}$"):
         run(cmd)
 
 

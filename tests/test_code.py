@@ -566,6 +566,14 @@ def test_inner_product_examples():
     assert inner_product(word("1 | 0"), word("1 | 0")) == 2
 
 
+def test_inner_product_of_numpy_entries_is_an_exact_python_int():
+    # 2 * 300 + 9 * 301 = 3309 = 1 mod 4; summed as uint8 the total would wrap.
+    w = Codeword((np.uint8(1),) * 300, (np.uint8(3),) * 301)
+    result = inner_product(w, w)
+    assert type(result) is int
+    assert result == 1
+
+
 def test_inner_product_ambient_mismatch():
     with pytest.raises(AmbientMismatch):
         inner_product(word("1 | 0"), word("1 0 | 0"))
