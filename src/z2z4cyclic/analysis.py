@@ -40,9 +40,9 @@ from .code import (
     _projection_sizes,
     _reduce_blocks,
     _row_word,
-    _shift_cols,
     _sort_keys,
     _span_keys,
+    _unit_shift_cols,
     cardinality,
     code_type,
     code_type_from_words,
@@ -87,7 +87,7 @@ def _cyclic_closed(rows: np.ndarray, alpha: int, keys: np.ndarray) -> bool:
     """Whether the span of the rows, whose sorted distinct packed keys are keys, is closed
     under the block shift.  The shift is multiplication by x, so the shifted span is the
     span of the shifted rows (a shift keeps each row's order), and it must equal keys."""
-    shifted = rows[:, _shift_cols(alpha, rows.shape[1] - alpha, 1)]
+    shifted = rows[:, _unit_shift_cols(alpha, rows.shape[1] - alpha)]
     return bool(np.array_equal(_span_keys(shifted, alpha), keys))
 
 
@@ -316,14 +316,14 @@ def _cyclic_correlation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """out[..., k] = sum_j x[..., j] * y[..., (j + k) % n] for k < n = x.shape[-1], in
     int64, over any leading axes: one matmul of x with the n windows of the doubled y.
     Window k is the n entries of the doubled y from entry k on, a read-only strided view
-    of it that is never copied (as_strided, not sliding_window_view, whose checks cost
-    more than the product at the family's lengths)."""
+    of it that is never copied, made by the np.ndarray constructor on the doubled y's
+    buffer (as_strided and sliding_window_view run Python-level checks that cost more
+    than the product at the family's lengths)."""
     n = x.shape[-1]
     doubled = np.concatenate([y, y], axis=-1).astype(np.int64)
     step = doubled.strides[-1:]
-    windows = np.lib.stride_tricks.as_strided(
-        doubled, doubled.shape[:-1] + (n, n), doubled.strides + step, writeable=False
-    )
+    windows = np.ndarray(doubled.shape[:-1] + (n, n), np.int64, doubled, 0, doubled.strides + step)
+    windows.flags.writeable = False
     return np.matmul(windows, x.astype(np.int64)[..., None])[..., 0]
 
 

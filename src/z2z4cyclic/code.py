@@ -35,6 +35,9 @@ int's lift to Z4 makes them 0/1 bytes), and row i is one slice of each;
 the rows are that one bytearray, read as uint8.  They are cached
 read-only in the spec's __dict__, outside the dataclass fields, so ==,
 hash and repr never see them and equal instances share nothing.
+Internal rows are reduced, so _row_word wraps one as a Codeword with no
+entry check, as DensePoly._wrap wraps an already reduced int; the public
+Codeword(...) and parse_codeword check every entry.
 circ_product works on packed coefficient ints too: per block, the word's
 entries repeated m/len times and the other word's entries read
 big-endian give one product and one fold, and the two blocks' terms are
@@ -236,7 +239,8 @@ class CyclicCodeSpec:
         which also catches an S2 row of order two.  Read it through _codeword_keys,
         which checks the cap first."""
         rows = self._span_rows
-        if (rows[np.repeat((True, False, True), _block_sizes(self)), self.alpha :] & 1).any():
+        s1, s2, _ = _block_sizes(self)
+        if (rows[:s1, self.alpha :] & 1).any() or (rows[s1 + s2 :, self.alpha :] & 1).any():
             raise ArithmeticError("internal error: an order-two spanning row has an odd Z4 entry")
         total = cardinality(self)
         keys = _span_keys(rows, self.alpha)
@@ -426,14 +430,29 @@ def _shift_cols(alpha: int, beta: int, k) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _unit_shift_cols(alpha: int, beta: int) -> np.ndarray:
+    """_shift_cols(alpha, beta, 1), built once per shape and read-only."""
+    cols = _shift_cols(alpha, beta, 1)
+    cols.flags.writeable = False
+    return cols
+
+
 def spanning_set(spec: CyclicCodeSpec) -> list[Codeword]:
     """Shifted generators whose Z4-combinations cover the code exactly once."""
     return [_row_word(row, spec.alpha) for row in spec._span_rows]
 
 
 def _row_word(row: np.ndarray, alpha: int) -> Codeword:
+    """The Codeword of a reduced row: entries 0..1 before alpha and 0..3 after it.
+
+    The row must already be reduced, as every row the package builds is, so
+    Codeword's entry checks could only pass and are not run: the fields are
+    set directly, as DensePoly._wrap wraps an already reduced int."""
     values = row.tolist()
-    return Codeword(tuple(values[:alpha]), tuple(values[alpha:]))
+    word = object.__new__(Codeword)
+    vars(word).update(u=tuple(values[:alpha]), uq=tuple(values[alpha:]))
+    return word
 
 
 def _reduce_blocks(words: np.ndarray, alpha: int) -> np.ndarray:
@@ -587,11 +606,11 @@ def _span_keys(rows: np.ndarray, alpha: int) -> np.ndarray:
     low = _key_layout(rows.shape[1], alpha).low
     row_keys = _row_keys(rows, alpha)
     row_lows = row_keys & low
-    widths = 1 + row_lows.any(axis=0)
+    widths = (1 + row_lows.any(axis=0)).tolist()
     twice = row_lows << 1
-    keys = np.zeros((len(low), 1 << int(widths.sum())), dtype=low.dtype)
+    keys = np.zeros((len(low), 1 << sum(widths)), dtype=low.dtype)
     size = 1
-    for j, width in enumerate(widths.tolist()):
+    for j, width in enumerate(widths):
         row = row_keys[:, j : j + 1]
         if width == 1:
             np.bitwise_xor(keys[:, :size], row, out=keys[:, size : 2 * size])
@@ -639,21 +658,34 @@ def code_type_from_words(alpha: int, beta: int, words: np.ndarray) -> CodeType:
     lane has its low bit set, and a zero X or Y block when its key is zero
     under that block's bit field (the layout's masks low and lanes over
     the limbs).  kappa counts the distinct X blocks of the order-two words
-    with one sort of their masked keys."""
+    with one sort of their masked keys.
+
+    words must be a 2-D integer array of alpha + beta columns, else
+    InvalidParameter (AmbientMismatch for the column count), and a code has
+    a power-of-two number of words, so any other row count is refused too."""
+    if not isinstance(words, np.ndarray) or words.ndim != 2:
+        raise InvalidParameter("words must be a 2-D integer array")
+    if words.dtype.kind not in "iu":
+        raise InvalidParameter(f"words must be an integer array, not {words.dtype}")
+    if words.shape[1] != alpha + beta:
+        raise AmbientMismatch(f"words have {words.shape[1]} columns, not alpha + beta = {alpha + beta}")
+    n = len(words)
+    if n < 1 or n & (n - 1):
+        raise InvalidParameter(f"a code has a power-of-two number of words, not {n}")
     keys = _row_keys(words, alpha)
     layout = _key_layout(words.shape[1], alpha)
     low, y_field = layout.low, layout.lanes
     x_keys = keys & ~y_field
-    n = len(words)
     order2 = ~(keys & low).any(axis=0)
-    n2 = int(order2.sum())
+    # int(): count_nonzero gives a numpy integer, which has no bit_length.
+    n2 = int(np.count_nonzero(order2))
     delta = _exact_log2(n) - _exact_log2(n2)
     gamma = _exact_log2(n2) - delta
     kappa = _exact_log2(_sort_keys(x_keys[:, order2]).shape[1])
-    kappa1 = _exact_log2(int((~(keys & y_field).any(axis=0)).sum()))
+    kappa1 = _exact_log2(int(np.count_nonzero(~(keys & y_field).any(axis=0))))
     zero_x = ~x_keys.any(axis=0)
-    d_tot = int(zero_x.sum())
-    d_tor = int((zero_x & order2).sum())
+    d_tot = int(np.count_nonzero(zero_x))
+    d_tor = int(np.count_nonzero(zero_x & order2))
     delta2 = _exact_log2(d_tot) - _exact_log2(d_tor)
     return CodeType(
         alpha=alpha,

@@ -18,11 +18,14 @@ definition of the dual says and nothing more.  It uses only that
 definition and the bilinearity of the inner product: each ambient index
 splits into its low and high bits, the residues of each half against
 every spanning row are tabulated once, and a vector is in the dual
-exactly when its low half's residues cancel its high half's.
+exactly when its low half's residues cancel its high half's.  The 0/1
+matrix of a half's index bits is a constant of its width, so it is built
+once per width (_index_bits) and shared by every spec.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -170,17 +173,25 @@ def contains(spec: CyclicCodeSpec, w: Codeword) -> bool:
     return not _pairings(dual_spec(spec)._span_rows, w.u + w.uq, spec.alpha).any()
 
 
+@functools.lru_cache(maxsize=32)
+def _index_bits(h: int) -> np.ndarray:
+    """The 0/1 matrix of every h-bit index's bits, bit k of index i at [i, k]: a
+    constant of the half width, built once per width and read-only."""
+    bits = np.arange(1 << h)[:, None] >> np.arange(h) & 1
+    bits.flags.writeable = False
+    return bits
+
+
 def _residue_keys(coef: np.ndarray) -> np.ndarray:
     """Packed residues, 2 bits per spanning row, of every index over these bits.
 
     coef[k] holds bit k's contribution mod 4 to the inner product with
     each spanning row; entry i of the result packs the residues of
     sum_k bit_k(i) * coef[k], with row r in bits 2r and 2r + 1.  The
-    residues are one product: the 0/1 matrix of every index's bits times
-    coef, mod 4.
+    residues are one product: the 0/1 matrix of every index's bits
+    (_index_bits, cached per width) times coef, mod 4.
     """
-    bits = np.arange(1 << len(coef))[:, None] >> np.arange(len(coef)) & 1
-    res = (bits @ coef) % 4
+    res = (_index_bits(len(coef)) @ coef) % 4
     return (res << 2 * np.arange(coef.shape[1])).sum(axis=1)
 
 

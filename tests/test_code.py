@@ -538,6 +538,22 @@ def test_measured_type_matches_formula(example_spec):
         assert measured == code_type(spec)
 
 
+@pytest.mark.parametrize("words, error, message", [
+    (np.zeros((1, 5), np.uint8), AmbientMismatch, "^words have 5 columns, not alpha \\+ beta = 6$"),
+    (np.zeros((0, 6), np.uint8), InvalidParameter, "^a code has a power-of-two number of words, not 0$"),
+    (np.zeros((3, 6), np.uint8), InvalidParameter, "^a code has a power-of-two number of words, not 3$"),
+    (np.zeros(6, np.uint8), InvalidParameter, "^words must be a 2-D integer array$"),
+    ([[0] * 6], InvalidParameter, "^words must be a 2-D integer array$"),
+    (np.zeros((1, 6)), InvalidParameter, "^words must be an integer array, not float64$"),
+], ids=("columns", "no-rows", "three-rows", "one-dimensional", "list", "float"))
+def test_measured_type_refuses_a_matrix_no_code_has(words, error, message):
+    # Each used to give a type for the wrong ambient, an internal error or an IndexError.
+    with pytest.raises(error, match=message):
+        code_type_from_words(3, 3, words)
+    # The zero code is one row of any integer dtype.
+    assert str(code_type_from_words(3, 3, np.zeros((1, 6), np.int64))) == "(3,3;0,0;0)"
+
+
 # -- Gray map -------------------------------------------------------------------------
 
 

@@ -45,13 +45,15 @@ from z2z4cyclic import (
     inner_product,
     iter_valid_specs,
     parse_spec_text,
+    spanning_set,
     spec_fields,
     spec_from_fields,
     validate_spec,
 )
 from z2z4cyclic import gf2poly as gf2
 from z2z4cyclic import z4poly as z4
-from z2z4cyclic.analysis import _cyclic_closed, _shifted_inner_products
+from z2z4cyclic import analysis
+from z2z4cyclic.analysis import _cyclic_closed, _sample_rows, _shifted_inner_products
 from z2z4cyclic.cli import _json, main
 from z2z4cyclic.code import (
     _DECODE_CELLS,
@@ -70,7 +72,9 @@ from z2z4cyclic.code import (
     _shift_cols,
     _sort_keys,
     _span_keys,
+    _unit_shift_cols,
 )
+from z2z4cyclic.dual import _index_bits
 from z2z4cyclic.poly import NEG_INF
 
 PROPERTY = settings(deadline=None, max_examples=200)
@@ -801,6 +805,59 @@ def test_an_odd_z4_entry_in_an_order_two_row_is_an_internal_error(spec):
     vars(tampered)["_span_rows"] = rows
     with pytest.raises(ArithmeticError, match="^internal error: an order-two spanning row has an odd Z4 entry$"):
         tampered._word_keys
+
+
+def test_row_words_equal_the_validated_words_on_the_family():
+    # _row_word skips Codeword's entry checks; on every reduced row the package
+    # builds, its word is the one the checking constructor gives.
+    family = [s for alpha in range(1, 6) for beta in (1, 3, 5) for s in iter_valid_specs(alpha, beta)]
+    assert len(family) == 820
+    rng = np.random.default_rng(33)
+    for spec in family:
+        a = spec.alpha
+        rows = np.concatenate([spec._span_rows, _sample_rows(spec, rng, 64)])
+        for row in rows.tolist():
+            checked = Codeword(tuple(row[:a]), tuple(row[a:]))
+            trusted = _row_word(np.array(row, dtype=np.uint8), a)
+            assert trusted == checked and hash(trusted) == hash(checked), (spec, row)
+            assert repr(trusted) == repr(checked), (spec, row)
+        want = [Codeword(tuple(row[:a]), tuple(row[a:])) for row in spec._span_rows.tolist()]
+        assert spanning_set(spec) == want, spec
+
+
+def test_verify_builds_no_checked_codeword(example_spec, monkeypatch):
+    calls = []
+    real = Codeword.__post_init__
+
+    def counted(self):
+        calls.append(None)
+        real(self)
+
+    monkeypatch.setattr(Codeword, "__post_init__", counted)
+    Codeword((1,), (3,))
+    assert len(calls) == 1
+    results = analysis.verify_code(example_spec)
+    assert all(r.ok for r in results)
+    assert len(calls) == 1
+
+
+def test_unit_shift_columns_are_the_shift_by_one_and_read_only():
+    for alpha in range(1, 41):
+        for beta in range(1, 41):
+            cols = _unit_shift_cols(alpha, beta)
+            assert np.array_equal(cols, _shift_cols(alpha, beta, 1)), (alpha, beta)
+            assert not cols.flags.writeable
+    with pytest.raises(ValueError):
+        _unit_shift_cols(3, 3)[0] = 0
+
+
+def test_index_bits_are_every_index_s_bits_and_read_only():
+    for h in range(13):
+        bits = _index_bits(h)
+        assert np.array_equal(bits, np.arange(1 << h)[:, None] >> np.arange(h) & 1), h
+        assert not bits.flags.writeable
+    with pytest.raises(ValueError):
+        _index_bits(3)[0, 0] = 1
 
 
 def test_key_layout_lane_mask_is_the_low_bit_of_every_z4_lane():
