@@ -547,11 +547,14 @@ def test_measured_type_matches_formula(example_spec):
     (np.zeros((1, 6)), InvalidParameter, "^words must be an integer array, not float64$"),
 ], ids=("columns", "no-rows", "three-rows", "one-dimensional", "list", "float"))
 def test_measured_type_refuses_a_matrix_no_code_has(words, error, message):
-    # Each used to give a type for the wrong ambient, an internal error or an IndexError.
     with pytest.raises(error, match=message):
         code_type_from_words(3, 3, words)
-    # The zero code is one row of any integer dtype.
-    assert str(code_type_from_words(3, 3, np.zeros((1, 6), np.int64))) == "(3,3;0,0;0)"
+
+
+def test_measured_type_takes_any_integer_dtype():
+    # The zero code is one row; its type does not depend on the entries' width.
+    for dtype in (np.uint8, np.int16, np.int64, np.uint64):
+        assert str(code_type_from_words(3, 3, np.zeros((1, 6), dtype))) == "(3,3;0,0;0)"
 
 
 # -- Gray map -------------------------------------------------------------------------
