@@ -661,8 +661,11 @@ def code_type_from_words(alpha: int, beta: int, words: np.ndarray) -> CodeType:
     with one sort of their masked keys.
 
     words must be a 2-D integer array of alpha + beta columns, else
-    InvalidParameter (AmbientMismatch for the column count), and a code has
-    a power-of-two number of words, so any other row count is refused too."""
+    InvalidParameter (AmbientMismatch for the column count), with entries
+    in 0..1 in the first alpha columns and 0..3 in the rest.  A code has a
+    power-of-two number of words, so any other row count is refused too,
+    and so is a matrix whose measured counts no additive code has: a count
+    that is not a power of two, or parameters that do not make a type."""
     if not isinstance(words, np.ndarray) or words.ndim != 2:
         raise InvalidParameter("words must be a 2-D integer array")
     if words.dtype.kind not in "iu":
@@ -672,6 +675,12 @@ def code_type_from_words(alpha: int, beta: int, words: np.ndarray) -> CodeType:
     n = len(words)
     if n < 1 or n & (n - 1):
         raise InvalidParameter(f"a code has a power-of-two number of words, not {n}")
+    # A reduction over the whole array is fast and one over a column slice is
+    # not, so only the Z2 block is reduced on its own.
+    x = words[:, :alpha]
+    if words.size and (words.max() > 3 or words.dtype.kind == "i" and words.min() < 0 or x.size and x.max() > 1):
+        ring, top = ("Z2", 1) if x.size and (x.max() > 1 or x.min() < 0) else ("Z4", 3)
+        raise InvalidParameter(f"words have an entry outside 0..{top} in a {ring} column")
     keys = _row_keys(words, alpha)
     layout = _key_layout(words.shape[1], alpha)
     low, y_field = layout.low, layout.lanes
@@ -679,30 +688,35 @@ def code_type_from_words(alpha: int, beta: int, words: np.ndarray) -> CodeType:
     order2 = ~(keys & low).any(axis=0)
     # int(): count_nonzero gives a numpy integer, which has no bit_length.
     n2 = int(np.count_nonzero(order2))
-    delta = _exact_log2(n) - _exact_log2(n2)
-    gamma = _exact_log2(n2) - delta
-    kappa = _exact_log2(_sort_keys(x_keys[:, order2]).shape[1])
-    kappa1 = _exact_log2(int(np.count_nonzero(~(keys & y_field).any(axis=0))))
+    delta = _count_log2(n) - _count_log2(n2)
+    gamma = _count_log2(n2) - delta
+    kappa = _count_log2(_sort_keys(x_keys[:, order2]).shape[1])
+    kappa1 = _count_log2(int(np.count_nonzero(~(keys & y_field).any(axis=0))))
     zero_x = ~x_keys.any(axis=0)
     d_tot = int(np.count_nonzero(zero_x))
     d_tor = int(np.count_nonzero(zero_x & order2))
-    delta2 = _exact_log2(d_tot) - _exact_log2(d_tor)
-    return CodeType(
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        delta=delta,
-        kappa=kappa,
-        kappa1=kappa1,
-        kappa2=kappa - kappa1,
-        delta1=delta - delta2,
-        delta2=delta2,
-    )
+    delta2 = _count_log2(d_tot) - _count_log2(d_tor)
+    try:
+        return CodeType(
+            alpha=alpha,
+            beta=beta,
+            gamma=gamma,
+            delta=delta,
+            kappa=kappa,
+            kappa1=kappa1,
+            kappa2=kappa - kappa1,
+            delta1=delta - delta2,
+            delta2=delta2,
+        )
+    except InvalidParameter as e:
+        raise InvalidParameter(f"words are not the word set of an additive code: {e}") from None
 
 
-def _exact_log2(n: int) -> int:
+def _count_log2(n: int) -> int:
+    """log2 of a word count measured by code_type_from_words; a count that is no
+    power of two is a matrix that is not a code, so InvalidParameter."""
     if n < 1 or n & (n - 1):
-        raise ArithmeticError(f"internal error: expected a power of two, got {n}")
+        raise InvalidParameter(f"words are not the word set of an additive code: a measured count is {n}")
     return n.bit_length() - 1
 
 

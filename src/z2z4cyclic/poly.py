@@ -27,10 +27,29 @@ descending exponents and coefficients normalised to 0..m-1.  Both run on
 the stored int through kernels of the subclass: the human form's terms
 are packed by _pack_terms, and str() joins the list _terms reads off the
 int, so neither builds a dense coefficient list.
+
+Both text forms are cached, since a workload parses and prints the same
+few divisors of x^n - 1 over and over.  parse() looks a str of at most
+_PARSE_CACHE_CHARS (64) characters up by (class, text); str() looks a
+stored int of at most _STR_CACHE_BITS (512) bits up by (class, int).
+Longer text and wider ints take the uncached path, which is the same
+code.  Each cache is a functools.lru_cache of _TEXT_CACHE_SIZE (256)
+entries, and a refusal raises without being stored.  z4poly's
+hensel_lift keeps a third cache of the same kind, of 256 lifts.  Callers
+may share what a cache hands out: an instance never changes after it is
+built (__slots__, __setattr__ raises, and the constructor is __new__, so
+calling __init__ again does nothing), and nothing in the package compares
+polynomials by identity.  Worst-case bytes per cache, which
+tests/test_properties.py checks with tracemalloc on caches filled with
+the largest entries they admit: parse 1.35 MB (a key of 64 two-byte
+characters, a value of degree DEGREE_CAP: 4.4 KB as a QuatPoly), str
+0.95 MB (the text of 512 binary terms, about 3 KB) and hensel_lift
+1.5 MB (a lift of degree up to 4095): 3.8 MB, under 4 MB in all.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Iterable
 
@@ -44,6 +63,12 @@ DEGREE_CAP = 2**12
 # Most generator tuples a search builds per (alpha, beta).  divisors_xn1
 # shares it: each divisor of x^alpha - 1 is the b of at least one tuple.
 SEARCH_CAP = 2**16
+
+# The text caches (see the module docstring): entries per cache, the longest
+# text parse() looks up, and the widest rep, in bits, whose str() is kept.
+_TEXT_CACHE_SIZE = 256
+_PARSE_CACHE_CHARS = 64
+_STR_CACHE_BITS = 512
 
 # Numerals are ASCII digits only: str.isdigit() also accepts superscripts.
 _NUMERAL = re.compile(r"[0-9]+")
@@ -132,12 +157,14 @@ class DensePoly:
     _SLOT = 0  # bits per stored coefficient, set by subclasses
     __slots__ = ("_rep",)
 
-    def __init__(self, coeffs: Iterable[int] = ()):
+    def __new__(cls, coeffs: Iterable[int] = ()):
+        # __new__, not __init__: a later p.__init__(...) must not change an
+        # instance that the caches share.
         vals = list(coeffs)
         for v in vals:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < self.MOD:
-                raise ValueError(f"coefficient {v!r} is not a Z{self.MOD} residue")
-        _set_rep(self, self._pack(vals))
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < cls.MOD:
+                raise ValueError(f"coefficient {v!r} is not a Z{cls.MOD} residue")
+        return cls._wrap(cls._pack(vals))
 
     @classmethod
     def _pack(cls, vals: Iterable[int]) -> int:
@@ -265,6 +292,13 @@ class DensePoly:
         """Parse the human form ("x^3+2x+1") or the ascending list form ("1,2,0,1")."""
         if not isinstance(text, str):
             raise ParseError("polynomial text must be a string")
+        if text.__class__ is str and len(text) <= _PARSE_CACHE_CHARS:
+            return _parse_cached(cls, text)
+        return cls._parse_text(text)
+
+    @classmethod
+    def _parse_text(cls, text: str):
+        """parse() on a str, uncached."""
         s = text.replace("−", "-")
         if not s.strip():
             raise ParseError("empty polynomial text")
@@ -315,6 +349,13 @@ class DensePoly:
         return cls._wrap(cls._pack_terms(coeffs))
 
     def __str__(self) -> str:
+        rep = self._rep
+        if rep.bit_length() <= _STR_CACHE_BITS:
+            return _str_cached(self.__class__, rep)
+        return self._text()
+
+    def _text(self) -> str:
+        """str(), uncached."""
         return "+".join(self._terms()) or "0"
 
     def coeff_csv(self) -> str:
@@ -330,3 +371,15 @@ class DensePoly:
 # Construction bypasses the immutability guard in __setattr__.
 _new = object.__new__
 _set_rep = DensePoly._rep.__set__
+
+
+@functools.lru_cache(maxsize=_TEXT_CACHE_SIZE)
+def _parse_cached(cls, text: str):
+    """cls.parse(text) for a short str; a refusal raises and is not stored."""
+    return cls._parse_text(text)
+
+
+@functools.lru_cache(maxsize=_TEXT_CACHE_SIZE)
+def _str_cached(cls, rep: int) -> str:
+    """str() of the cls instance around a small rep."""
+    return cls._wrap(rep)._text()

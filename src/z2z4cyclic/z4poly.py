@@ -15,10 +15,16 @@ Hensel lift taking a binary divisor of x^beta + 1 to the unique monic
 quaternary divisor of x^beta - 1 above it (computed by the Graeffe
 square-root trick on the packed int: the odd bytes tripled for D(-x),
 one _mul_bytes call, one mask test for odd powers and the even bytes as
-the lift).  Quaternary block lengths must be odd.
+the lift).  The lift is a pure function of (d, beta) that a workload asks
+for over and over, so hensel_lift keeps the last _LIFT_CACHE_SIZE (256)
+lifts in a functools.lru_cache keyed on d's stored int and beta; poly's
+docstring bounds its bytes with the two text caches'.  Quaternary block
+lengths must be odd.
 """
 
 from __future__ import annotations
+
+import functools
 
 from . import gf2poly
 from .errors import EvenLengthUnsupported, NotADivisor, NotMonic
@@ -39,6 +45,11 @@ _THREES = int.from_bytes(b"\x03" * _MASK_BYTES, "little")
 # Graeffe product has at most 2 * DEGREE_CAP + 1 bytes and this mask always
 # covers it.
 _ODD_BYTES = int.from_bytes(b"\x00\xff" * (_MASK_BYTES // 2), "little")
+# Entries in hensel_lift's cache.  A divisor of x^beta - 1 has degree at most
+# beta < DEGREE_CAP, so an entry holds a key int of up to 512 bytes and a lift
+# of up to 4096: about 5 KB with the cache's own links, under 1.5 MB for the
+# whole cache (see poly).
+_LIFT_CACHE_SIZE = 256
 # bytes.translate tables: a byte mod 4, a byte's low bit as an ASCII digit,
 # and an ASCII binary digit as a byte.
 _MOD4 = bytes(v & 3 for v in range(256))
@@ -226,11 +237,25 @@ def hensel_lift(d: BinPoly, beta: int) -> QuatPoly:
     All of it runs on the byte-packed int: D(-x) triples D's odd bytes (a
     0/1 coefficient v becomes 3v = -v mod 4), the odd-power test is one
     mask test, and P's coefficients are the product's even bytes.
+
+    beta is checked first, then d's ring (a TypeError for anything but a
+    binary polynomial).  The lift itself comes from a cache of the last
+    _LIFT_CACHE_SIZE lifts, keyed on (d's stored int, beta); a refusal
+    (NotADivisor) is never stored, so it is raised on every call.
     """
     check_beta(beta)
-    if d.is_zero or gf2poly.xn1(beta) % d:
+    if d.__class__ is not BinPoly:
+        BinPoly._check_ring(d)
+    return _lift_cached(d._rep, beta)
+
+
+@functools.lru_cache(maxsize=_LIFT_CACHE_SIZE)
+def _lift_cached(rep: int, beta: int) -> QuatPoly:
+    """hensel_lift on checked arguments: d's stored int and beta."""
+    d = BinPoly._wrap(rep)
+    if not rep or gf2poly.xn1(beta) % d:
         raise NotADivisor(f"({d}) does not divide x^{beta}-1 over Z2")
-    big = _lift_bits(d._rep)
+    big = _lift_bits(rep)
     prod = _mul_bytes(big, big + 2 * (big & _ODD_BYTES))
     if prod & _ODD_BYTES:
         raise ArithmeticError("internal error: Graeffe product has odd-degree terms")

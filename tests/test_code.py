@@ -551,6 +551,41 @@ def test_measured_type_refuses_a_matrix_no_code_has(words, error, message):
         code_type_from_words(3, 3, words)
 
 
+@pytest.mark.parametrize("rows, message", [
+    # Not closed under addition: (0 | 1) + (1 | 1) = (1 | 2) is missing.
+    ([[0, 0], [0, 1], [0, 2], [1, 1]], "a measured count is 3$"),
+    # No zero word.
+    ([[1, 0]], "a measured count is 0$"),
+    # Counts that are powers of two but no type: (0 | 1) without (0 | 2).
+    ([[0, 0], [0, 1]], r"inconsistent type parameters: \(1,1;-1,1;0\)$"),
+], ids=("not-closed", "no-zero-word", "no-type"))
+def test_measured_type_refuses_a_word_set_that_is_no_code(rows, message):
+    for dtype in (np.uint8, np.int64):
+        with pytest.raises(InvalidParameter, match="^words are not the word set of an additive code: " + message):
+            code_type_from_words(1, 1, np.array(rows, dtype))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0, 0], [0, 7]], "^words have an entry outside 0..3 in a Z4 column$"),
+    ([[0, 0], [0, 4]], "^words have an entry outside 0..3 in a Z4 column$"),
+    ([[0, 0], [0, -1]], "^words have an entry outside 0..3 in a Z4 column$"),
+    ([[0, 0], [2, 0]], "^words have an entry outside 0..1 in a Z2 column$"),
+    ([[0, 0], [-1, 0]], "^words have an entry outside 0..1 in a Z2 column$"),
+    ([[0, 0], [7, 0]], "^words have an entry outside 0..1 in a Z2 column$"),
+], ids=("z4-7", "z4-4", "z4-negative", "z2-2", "z2-negative", "z2-7"))
+def test_measured_type_refuses_an_unreduced_entry(rows, message):
+    with pytest.raises(InvalidParameter, match=message):
+        code_type_from_words(1, 1, np.array(rows, np.int16))
+    if min(map(min, rows)) >= 0:
+        with pytest.raises(InvalidParameter, match=message):
+            code_type_from_words(1, 1, np.array(rows, np.uint8))
+
+
+def test_measured_type_of_a_matrix_with_no_columns():
+    # No entry to range-check: the one empty word is the zero code of (0, 0).
+    assert str(code_type_from_words(0, 0, np.zeros((1, 0), np.uint8))) == "(0,0;0,0;0)"
+
+
 def test_measured_type_takes_any_integer_dtype():
     # The zero code is one row; its type does not depend on the entries' width.
     for dtype in (np.uint8, np.int16, np.int64, np.uint64):

@@ -12,7 +12,8 @@ peak memory of the spanning rows and of contains, the pairing of long rows
 against inner_product, the circ product's coefficients against the shifted
 inner products, and
 the Gray map on keys, its decoded image and its popcount weights against a
-literal per-symbol table."""
+literal per-symbol table, and the parse, str and Hensel-lift caches against
+the uncached code, with their worst-case bytes."""
 
 import contextlib
 import io
@@ -21,6 +22,7 @@ import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,7 +54,7 @@ from z2z4cyclic import (
 )
 from z2z4cyclic import gf2poly as gf2
 from z2z4cyclic import z4poly as z4
-from z2z4cyclic import analysis
+from z2z4cyclic import analysis, poly
 from z2z4cyclic.analysis import _cyclic_closed, _sample_rows, _shifted_inner_products
 from z2z4cyclic.cli import _json, main
 from z2z4cyclic.code import (
@@ -75,7 +77,8 @@ from z2z4cyclic.code import (
     _unit_shift_cols,
 )
 from z2z4cyclic.dual import _index_bits
-from z2z4cyclic.poly import NEG_INF
+from z2z4cyclic.errors import NotADivisor, ParseError, TooLarge
+from z2z4cyclic.poly import DEGREE_CAP, NEG_INF
 
 PROPERTY = settings(deadline=None, max_examples=200)
 
@@ -1210,3 +1213,237 @@ def test_json_renderer_matches_json_dumps_with_indent(value):
 def test_json_renderer_refuses_floats_tuples_and_non_str_keys(value):
     with pytest.raises(TypeError):
         _json(value)
+
+
+# -- the text and lift caches against the uncached code -------------------------
+
+CACHES = (poly._parse_cached, poly._str_cached, z4._lift_cached)
+EXPECTED_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
+
+
+def clear_caches():
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+def parse_outcome(cls, text):
+    """What cls.parse(text) gives: the value with its class and text, or the error."""
+    try:
+        p = cls.parse(text)
+    except Z2Z4Error as e:
+        return type(e), str(e)
+    return type(p), p, str(p)
+
+
+def assert_parses_alike_warm_and_cold(text):
+    """Each ring's parse of text, and the str of the result, is the same from a
+    warm cache as after cache_clear(); returns how many rings accept it."""
+    accepted = 0
+    for cls in (BinPoly, QuatPoly):
+        first = parse_outcome(cls, text)
+        warm = parse_outcome(cls, text)
+        clear_caches()
+        cold = parse_outcome(cls, text)
+        assert warm == cold == first, (cls, text)
+        accepted += len(cold) == 3
+    return accepted
+
+
+def json_strings(value):
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, list):
+        for v in value:
+            yield from json_strings(v)
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from json_strings(v)
+
+
+def test_every_recorded_text_parses_alike_warm_and_cold():
+    # Every string in the benchmark records: the specs' and dual tuples'
+    # polynomials, and the verbs, types and check names, which both rings refuse.
+    texts = set()
+    for path in sorted(EXPECTED_DIR.glob("*.json")):
+        texts.update(json_strings(json.loads(path.read_text())))
+    accepted = sum(assert_parses_alike_warm_and_cold(text) for text in sorted(texts))
+    assert accepted >= 200
+
+
+@st.composite
+def human_texts(draw):
+    """Human-form text, mostly valid: signed terms with optional coefficients and
+    exponents past DEGREE_CAP now and then, with whitespace around the parts."""
+    space = st.sampled_from(("", "", " ", "  ", "\t", "　"))
+    terms = []
+    for i in range(draw(st.integers(1, 6))):
+        sign = draw(st.sampled_from(("+", "-", "−", "") if i else ("", "-")))
+        coef = draw(st.sampled_from(("", "", "1", "2", "3", "02", "4")))
+        var = draw(st.sampled_from(("", "x", "x^")))
+        exp = str(draw(st.integers(0, 80) | st.integers(DEGREE_CAP - 2, DEGREE_CAP + 2))) if var else ""
+        terms.append(draw(space) + sign + draw(space) + coef + var + exp + draw(space))
+    return "".join(terms)
+
+
+list_texts = st.lists(
+    st.tuples(st.sampled_from(("", " ", "\t")), st.integers(0, 4)), min_size=1, max_size=40
+).map(lambda entries: ",".join(f"{pad}{v}{pad}" for pad, v in entries))
+
+
+@PROPERTY
+@given(human_texts() | list_texts | poly_text)
+def test_drawn_text_parses_alike_warm_and_cold(text):
+    assert_parses_alike_warm_and_cold(text)
+
+
+def test_one_text_keeps_each_ring_apart():
+    clear_caches()
+    for order in ((BinPoly, QuatPoly), (QuatPoly, BinPoly)):
+        for cls in order:
+            p = cls.parse("-x+1")
+            assert type(p) is cls
+            assert str(p) == {BinPoly: "x+1", QuatPoly: "3x+1"}[cls]
+    # The same stored int renders per ring: 0x0101 is x^8+1 over Z2 and x+1 over Z4.
+    assert str(BinPoly._wrap(0x0101)) == "x^8+1"
+    assert str(QuatPoly._wrap(0x0101)) == "x+1"
+
+
+@pytest.mark.parametrize("cls, text, error, message", [
+    (BinPoly, "x^", ParseError, "^expected an exponent at position 2$"),
+    (QuatPoly, "x^", ParseError, "^expected an exponent at position 2$"),
+    (BinPoly, "2x", ParseError, "^coefficient 2 is out of range for Z2$"),
+    (QuatPoly, f"x^{DEGREE_CAP + 1}", TooLarge, f"^exponent {DEGREE_CAP + 1} is above the degree cap"),
+])
+def test_a_refused_text_raises_alike_on_every_call(cls, text, error, message):
+    clear_caches()
+    for _ in range(2):
+        with pytest.raises(error, match=message):
+            cls.parse(text)
+    assert poly._parse_cached.cache_info().currsize == 0
+
+
+def test_text_past_the_parse_cache_limit_parses_as_short_text():
+    limit = poly._PARSE_CACHE_CHARS
+    for cls in (BinPoly, QuatPoly):
+        for short in ("x^3+1", "1,0,1", "-x+1", "x^2 + x + 1", "x^4096"):
+            clear_caches()
+            want = parse_outcome(cls, short)
+            # Exactly at the limit the text is kept; one character past it, not.
+            assert parse_outcome(cls, short.ljust(limit)) == want
+            assert poly._parse_cached.cache_info().currsize == 2
+            for padded in (short.ljust(limit + 1), short.rjust(limit + 1), short + " " * 1000):
+                assert parse_outcome(cls, padded) == want
+            assert poly._parse_cached.cache_info().currsize == 2
+
+
+def test_polynomials_past_the_str_cache_limit_render_as_short_ones():
+    bits = poly._STR_CACHE_BITS
+    wide = [
+        BinPoly.x(bits - 1) + BinPoly.one(),
+        BinPoly.x(bits) + BinPoly.x(),
+        QuatPoly.x(bits // 8 - 1, 3) + QuatPoly.x(0, 2),
+        QuatPoly.x(bits // 8, 2) + QuatPoly.x(1, 3),
+        QuatPoly.x(DEGREE_CAP, 3),
+    ]
+    clear_caches()
+    for p in wide:
+        before = poly._str_cached.cache_info().currsize
+        want = (ref_str if type(p) is BinPoly else ref4_str)(p.coeffs)
+        assert str(p) == str(p) == want
+        assert repr(p) == f"{type(p).__name__}('{want}')"
+        kept = p._rep.bit_length() <= bits
+        assert poly._str_cached.cache_info().currsize == before + kept
+        assert type(p).parse(want) == p
+
+
+def test_cached_hensel_lift_matches_graeffe_reference_on_every_divisor():
+    # Every binary divisor of x^n - 1 for odd n <= 63, each lifted twice: once
+    # into the cache and once out of it.  (x + 1)^2 and zero divide no x^n - 1
+    # for odd n, and are refused on both calls.
+    non_divisors = (BinPoly.parse("x^2+1"), BinPoly.zero())
+    for n in range(1, 64, 2):
+        for d in gf2.divisors_xn1(n):
+            want = ref_graeffe_lift(d.coeffs)
+            for _ in range(2):
+                lift = z4.hensel_lift(d, n)
+                assert type(lift) is QuatPoly and lift.coeffs == want, (n, str(d))
+        for d in non_divisors:
+            for _ in range(2):
+                with pytest.raises(NotADivisor, match=f"^\\({re.escape(str(d))}\\) does not divide x\\^{n}-1 over Z2$"):
+                    z4.hensel_lift(d, n)
+
+
+def traced_growth(call):
+    """The bytes tracemalloc sees still held after call() returns."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def fill_parse_cache():
+    # Texts of the most characters kept, each two bytes wide (U+3000 is
+    # whitespace), each a QuatPoly of degree near DEGREE_CAP.
+    for i in range(poly._TEXT_CACHE_SIZE):
+        QuatPoly.parse(f"3x^{DEGREE_CAP - i}".ljust(poly._PARSE_CACHE_CHARS, "　"))
+
+
+def fill_str_cache():
+    # BinPolys of the most bits kept, nearly all of them set: the longest texts.
+    for i in range(poly._TEXT_CACHE_SIZE):
+        str(BinPoly._wrap((1 << poly._STR_CACHE_BITS) - 1 - 2 * i))
+
+
+def fill_lift_cache():
+    # x^beta + 1 and (x^beta + 1) / (x + 1) at the largest odd betas: keys and
+    # lifts of degree up to 4095.
+    for beta in range(DEGREE_CAP - 1, DEGREE_CAP - 1 - z4._LIFT_CACHE_SIZE, -2):
+        z4.hensel_lift(gf2.xn1(beta), beta)
+        z4.hensel_lift(BinPoly._wrap((1 << beta) - 1), beta)
+
+
+def test_caches_filled_with_their_largest_entries_stay_within_the_stated_bytes():
+    # The bounds poly's docstring states; the three come to under 4 MB.
+    bounds = ((poly._parse_cached, fill_parse_cache, 1.35e6),
+              (poly._str_cached, fill_str_cache, 0.95e6),
+              (z4._lift_cached, fill_lift_cache, 1.5e6))
+    assert sum(bound for _, _, bound in bounds) < 4e6
+    try:
+        for cache, fill, bound in bounds:
+            clear_caches()
+            grown = traced_growth(fill)
+            info = cache.cache_info()
+            assert info.currsize == info.maxsize, cache
+            assert grown < bound, (cache, grown)
+    finally:
+        clear_caches()
+
+
+def test_text_past_the_parse_cache_limit_is_not_kept():
+    # Accepted text has no length limit; a 1 MB text parsed 50 times leaves
+    # nothing behind.
+    text = "x^3+1" + " " * 2**20
+    want = QuatPoly.parse("x^3+1")
+    clear_caches()
+
+    def parse_50():
+        for _ in range(50):
+            assert QuatPoly.parse(text) == want
+
+    assert abs(traced_growth(parse_50)) < 2**20
+    assert poly._parse_cached.cache_info().currsize == 0
+
+
+def test_an_instance_the_caches_share_cannot_be_changed():
+    # parse, str and hensel_lift hand one instance to every caller, so a
+    # second __init__ call, or setting the stored int, must change nothing.
+    shared = (BinPoly.parse("x+1"), QuatPoly.parse("x+3"), z4.hensel_lift(BinPoly.parse("x+1"), 3))
+    for p in shared:
+        p.__init__([1, 0, 1])
+        with pytest.raises(AttributeError, match="is immutable$"):
+            p._rep = 5
+    assert [str(p) for p in shared] == ["x+1", "x+3", "x+3"]
+    assert BinPoly.parse("x+1") == BinPoly((1, 1)) and QuatPoly.parse("x+3") == QuatPoly((3, 1))

@@ -1,6 +1,7 @@
 """Quaternary polynomial arithmetic: mod-2 reduction, reciprocal, Hensel lifts."""
 
 import itertools
+import re
 
 import pytest
 
@@ -229,3 +230,14 @@ def test_hensel_lift_multiplicative_on_coprime_factors():
         factors = factor_xn1(beta)
         for d1, d2 in itertools.combinations(factors, 2):
             assert hensel_lift(d1 * d2, beta) == hensel_lift(d1, beta) * hensel_lift(d2, beta)
+
+
+@pytest.mark.parametrize("d", [None, 1, "x+1", qp("x+3")], ids=("None", "int", "str", "QuatPoly"))
+def test_hensel_lift_refuses_anything_but_a_binary_polynomial(d):
+    with pytest.raises(TypeError, match=f"^expected a polynomial over Z2, got {re.escape(repr(d))}$"):
+        hensel_lift(d, 3)
+    # beta is checked before d's ring.
+    with pytest.raises(EvenLengthUnsupported):
+        hensel_lift(d, 4)
+    with pytest.raises(InvalidParameter, match="^beta must be a positive integer$"):
+        hensel_lift(d, 0)
