@@ -34,7 +34,6 @@ from .code import (
     _check_period,
     _check_words,
     _codeword_keys,
-    _deg,
     _gray_keys,
     _pairings,
     _projection_sizes,
@@ -153,7 +152,7 @@ def _tuple_count(alpha: int, beta: int) -> int:
     x^gcd(alpha, beta) - 1, has 1 + 2^(deg p + 1), as h or g frees deg p bits of ell.
     """
     mult, k = gf2._divisor_shape(alpha)
-    shared = [c.bit_count() for c in gf2._cosets(math.gcd(alpha, beta))]
+    shared = [len(c) for c in gf2._cosets(math.gcd(alpha, beta))]
     free = 3 ** (len(gf2._cosets(beta)) - len(shared)) * (mult + 1) ** (k - len(shared))
     return free * math.prod(3 + mult * (1 + 2 ** (d + 1)) for d in shared)
 
@@ -182,8 +181,7 @@ def iter_valid_specs(alpha: int, beta: int):
     xb1 = gf2.xn1(beta)
     for b in gf2.divisors_xn1(alpha):
         for assign in itertools.product((0, 1, 2), repeat=len(basics)):
-            f = QuatPoly.one()
-            h = QuatPoly.one()
+            f = h = QuatPoly.one()
             for lift, slot in zip(basics, assign):
                 if slot == 0:
                     f = f * lift
@@ -191,10 +189,9 @@ def iter_valid_specs(alpha: int, beta: int):
                     h = h * lift
             cofactor = gf2.exact_div(xb1, f.reduce_mod2())
             base = gf2.exact_div(b, gf2.gcd(b, cofactor))
-            room = _deg(b) - _deg(base)
+            room = b.degree - base.degree
             for bits in range(1 << room):
-                t = BinPoly._wrap(bits)
-                yield validate_spec(alpha, beta, b, base * t, f, h)
+                yield validate_spec(alpha, beta, b, base * BinPoly._wrap(bits), f, h)
 
 
 _PREDICATES = ("self_dual", "mdss", "separable")

@@ -7,6 +7,12 @@ The code is the module generated by (b | 0) and (ell | f*h + 2f) under
 the mixing action lambda * (p | q) = (lambda*p mod 2 | lambda*q), with
 everything reduced mod x^alpha - 1 and x^beta - 1.
 
+Validation keeps the mod-2 images it derives, g mod 2, h mod 2 and
+ell*g mod 2, as packed ints in the spec's __dict__ (_g2, _h2, _ell_g2),
+outside the dataclass fields; _ell_gcds, _base_pairs and the dual module
+read them, and nothing else computes them.  A spec is copied and pickled
+by rebuilding it from its six fields, so no kept image or cache travels.
+
 Vectors and polynomials correspond by (u_0, ..., u_{n-1}) <->
 sum u_i x^i.  Each word fact has one implementation here: _shift_cols, a
 column gather on uint8 rows, is the one simultaneous shift of rows that
@@ -167,7 +173,8 @@ def star(lam: QuatPoly, p: BinPoly, q: QuatPoly, alpha: int, beta: int) -> tuple
 
 @dataclass(frozen=True)
 class CyclicCodeSpec:
-    """Canonical generator tuple; g = (x^beta - 1)/(f*h) is derived."""
+    """Canonical generator tuple; g = (x^beta - 1)/(f*h) is derived, and validation
+    keeps g, h and ell*g mod 2 as packed ints (_g2, _h2, _ell_g2) outside the fields."""
 
     alpha: int
     beta: int
@@ -205,12 +212,19 @@ class CyclicCodeSpec:
         ghl = _clmul(gh, ell)
         if _mod_bits(ghl, b):
             raise InvalidSpec(f"b = {self.b} does not divide ell*(x^{self.beta}-1)/f mod 2 = {BinPoly._wrap(ghl)}")
+        vars(self).update(g=g, _g2=g2, _h2=h2, _ell_g2=_clmul(ell, g2))
         # Consequences of the defining conditions; failure here means a bug above.
-        if _mod_bits(_clmul(gh, gf2.gcd(self.b, self.ell)._rep), b):
+        gl, glg = _ell_gcds(self)
+        if _mod_bits(_clmul(gh, gl), b):
             raise ArithmeticError("internal error: b does not divide (x^beta-1)/f * gcd(b, ell) mod 2")
-        if _mod_bits(_clmul(h2, gf2.gcd(self.b, BinPoly._wrap(_clmul(ell, g2)))._rep), b):
+        if _mod_bits(_clmul(h2, glg), b):
             raise ArithmeticError("internal error: b does not divide h * gcd(b, ell*g) mod 2")
-        object.__setattr__(self, "g", g)
+
+    def __reduce__(self):
+        # copy and pickle rebuild the spec through validation from its six fields,
+        # so no kept image or cache is carried over: a pickled or deep-copied
+        # numpy array comes back writeable.
+        return type(self), (self.alpha, self.beta, self.b, self.ell, self.f, self.h)
 
     @functools.cached_property
     def _span_rows(self) -> np.ndarray:
@@ -362,16 +376,9 @@ class CodeType:
         return self.kappa2 == 0 and self.delta1 == 0
 
 
-def _deg(p) -> int:
-    d = p.degree
-    if d < 0:
-        raise InvalidParameter("degree of the zero polynomial consumed in a formula")
-    return d
-
-
 def _block_sizes(spec: CyclicCodeSpec) -> tuple[int, int, int]:
     """|S1|, |S2|, |S3|: how many shifts of each base row span the code."""
-    return spec.alpha - _deg(spec.b), _deg(spec.g), _deg(spec.h)
+    return spec.alpha - spec.b.degree, spec.g.degree, spec.h.degree
 
 
 def _base_pairs(spec: CyclicCodeSpec) -> tuple[tuple[int, int], ...]:
@@ -382,15 +389,14 @@ def _base_pairs(spec: CyclicCodeSpec) -> tuple[tuple[int, int], ...]:
     return (
         (spec.b._rep, 0),
         (ell, _add_bytes(_mul_bytes(f, spec.h._rep), 2 * f)),
-        (_clmul(ell, _mod2_bits(spec.g._rep)), _add_bytes(fg, fg)),
+        (spec._ell_g2, _add_bytes(fg, fg)),
     )
 
 
 def _ell_gcds(spec: CyclicCodeSpec) -> tuple[int, int]:
     """gcd(b, ell) and gcd(b, ell*g mod 2), packed, one gf2.gcd call each
     (gcd(b, 0) = b by convention); both are nonzero, since b is."""
-    ell_g = BinPoly._wrap(_clmul(spec.ell._rep, _mod2_bits(spec.g._rep)))
-    return gf2.gcd(spec.b, spec.ell)._rep, gf2.gcd(spec.b, ell_g)._rep
+    return gf2.gcd(spec.b, spec.ell)._rep, gf2.gcd(spec.b, BinPoly._wrap(spec._ell_g2))._rep
 
 
 def code_type(spec: CyclicCodeSpec) -> CodeType:

@@ -38,7 +38,6 @@ from .code import (
     Codeword,
     CyclicCodeSpec,
     _check_cap,
-    _deg,
     _ell_gcds,
     _pairings,
     cardinality,
@@ -48,7 +47,7 @@ from .code import (
 from .errors import NotADivisor, TooLarge
 from .gf2poly import BinPoly, _clmul, _exact_bits, _fold_bits, _mod_bits, _modinv_bits, _rev_bits
 from .poly import _count_text
-from .z4poly import QuatPoly, _mod2_bits
+from .z4poly import QuatPoly
 
 AMBIENT_CAP = 2**24
 
@@ -87,9 +86,9 @@ def dual_degrees(spec: CyclicCodeSpec) -> DualDegrees:
     t = code_type(spec)
     return DualDegrees(
         deg_b_bar=spec.alpha - d_gl,
-        deg_f_bar=_deg(spec.g) + d_gl - d_glg,
-        deg_h_bar=_deg(spec.h) - _deg(spec.b) - d_gl + 2 * d_glg,
-        deg_g_bar=_deg(spec.f) + _deg(spec.b) - d_glg,
+        deg_f_bar=spec.g.degree + d_gl - d_glg,
+        deg_h_bar=spec.h.degree - spec.b.degree - d_gl + 2 * d_glg,
+        deg_g_bar=spec.f.degree + spec.b.degree - d_glg,
         gamma_bar=spec.alpha + t.gamma - 2 * t.kappa,
         delta_bar=spec.beta - t.gamma - t.delta + t.kappa,
         kappa_bar=spec.alpha - t.kappa,
@@ -98,8 +97,6 @@ def dual_degrees(spec: CyclicCodeSpec) -> DualDegrees:
 
 def _mu(deg_ell: int, rho_star: int, modulus: int) -> int:
     """x^deg(ell) * rho*^-1 reduced mod modulus, all packed; zero when the modulus is 1."""
-    if modulus < 2:
-        return 0
     return _mod_bits(_modinv_bits(rho_star, modulus) << deg_ell, modulus)
 
 
@@ -113,21 +110,20 @@ def dual_generators(spec: CyclicCodeSpec) -> DualResult:
     A failure of either check is an internal error, never a data error.
     """
     a, beta = spec.alpha, spec.beta
-    xa, xb = 1 << a | 1, 1 << beta | 1
+    xa = 1 << a | 1
     if spec.ell.is_zero:
-        b_bar = _exact_bits(xa, _rev_bits(spec.b._rep))
-        ell_bar = 0
+        b_bar, ell_bar = _exact_bits(xa, _rev_bits(spec.b._rep)), 0
         f_bar = z4.make_monic(spec.g.reciprocal())
         h_bar = z4.make_monic(spec.h.reciprocal())
         mu1 = mu2 = rho = None
     else:
         gl, glg = _ell_gcds(spec)
         b_star, gl_star, glg_star = _rev_bits(spec.b._rep), _rev_bits(gl), _rev_bits(glg)
-        f2_star = _rev_bits(_mod2_bits(spec.f._rep))
-        h2_star = _rev_bits(_mod2_bits(spec.h._rep))
+        # x^beta - 1 = f*h*g mod 2 is its own reciprocal, so over f* it is h* g*.
+        g2_star, h2_star = _rev_bits(spec._g2), _rev_bits(spec._h2)
         b_bar = _exact_bits(xa, gl_star)
-        fh_bar_bin = _exact_bits(_clmul(xb, glg_star), _clmul(f2_star, b_star))
-        f_bar_bin = _exact_bits(_clmul(xb, gl_star), _clmul(_clmul(f2_star, h2_star), glg_star))
+        fh_bar_bin = _exact_bits(_clmul(_clmul(h2_star, g2_star), glg_star), b_star)
+        f_bar_bin = _exact_bits(_clmul(g2_star, gl_star), glg_star)
         # Lifts of coprime divisors multiply, so h_bar lifts fh_bar_bin / f_bar_bin.
         f_bar = z4.hensel_lift(BinPoly._wrap(f_bar_bin), beta)
         h_bar = z4.hensel_lift(BinPoly._wrap(_exact_bits(fh_bar_bin, f_bar_bin)), beta)
@@ -140,8 +136,8 @@ def dual_generators(spec: CyclicCodeSpec) -> DualResult:
         mu2 = _mu(deg_ell, rho_star, _exact_bits(b_star, gl_star))
         # deg(f*h) = deg f + deg h: both are monic.
         m = math.lcm(a, beta)
-        e1 = (m - _deg(spec.f)) % a
-        e2 = (m - _deg(spec.f) - _deg(spec.h)) % a
+        e1 = (m - spec.f.degree) % a
+        e2 = (m - spec.f.degree - spec.h.degree) % a
         ell_bar = _clmul(
             _exact_bits(xa, b_star),
             _clmul(_exact_bits(glg_star, gl_star), mu1) << e1 ^ _clmul(cofactor1, mu2) << e2,
@@ -151,7 +147,7 @@ def dual_generators(spec: CyclicCodeSpec) -> DualResult:
     b_bar, ell_bar = BinPoly._wrap(b_bar), BinPoly._wrap(ell_bar)
     dual = validate_spec(a, beta, b_bar, ell_bar, f_bar, h_bar)
     dd = dual_degrees(spec)
-    got = (_deg(dual.b), _deg(dual.f), _deg(dual.h), _deg(dual.g))
+    got = (dual.b.degree, dual.f.degree, dual.h.degree, dual.g.degree)
     want = (dd.deg_b_bar, dd.deg_f_bar, dd.deg_h_bar, dd.deg_g_bar)
     if got != want:
         raise ArithmeticError(f"internal error: dual degrees {got} differ from predicted {want}")
@@ -268,7 +264,7 @@ def hensel_divisibility_check(spec: CyclicCodeSpec) -> bool:
     property tests can exercise the statement directly.  A lift that
     fails with NotADivisor gives False; any other error propagates.
     """
-    quotient = gf2.exact_div(spec.b, gf2.gcd(spec.b, spec.ell * spec.g.reduce_mod2()))
+    quotient = gf2.exact_div(spec.b, gf2.gcd(spec.b, BinPoly._wrap(spec._ell_g2)))
     try:
         lift = z4.hensel_lift(quotient, spec.beta)
     except NotADivisor:

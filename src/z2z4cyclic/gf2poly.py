@@ -18,7 +18,9 @@ chain the same kernels on packed ints where no BinPoly is needed.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
+from math import prod
 from operator import xor
 
 from .errors import (
@@ -29,7 +31,7 @@ from .errors import (
     NotInvertible,
     TooLarge,
 )
-from .poly import NEG_INF, SEARCH_CAP, DensePoly, _check_length, _count_text, _term
+from .poly import NEG_INF, SEARCH_CAP, DensePoly, _check_exponent, _check_length, _count_text, _term
 
 
 def _clmul(a: int, b: int) -> int:
@@ -76,8 +78,9 @@ def _exact_bits(a: int, b: int) -> int:
 
 
 def _modinv_bits(p: int, mod: int) -> int:
-    """Inverse of bit-packed p modulo mod (deg mod >= 1), via the extended Euclidean
-    algorithm: s1 * p = r1 (mod m) holds at every step."""
+    """Inverse of bit-packed p modulo nonzero mod, via the extended Euclidean
+    algorithm: s1 * p = r1 (mod m) holds at every step.  Modulo 1 every
+    polynomial is 0, and so is the inverse."""
     r0, r1 = mod, _mod_bits(p, mod)
     s0, s1 = 0, 1
     while r1:
@@ -87,6 +90,13 @@ def _modinv_bits(p: int, mod: int) -> int:
     if r0 != 1:
         raise NotInvertible(f"({BinPoly._wrap(p)}) is not invertible modulo ({BinPoly._wrap(mod)})")
     return _mod_bits(s0, mod)
+
+
+def _gcd_bits(a: int, b: int) -> int:
+    """Monic gcd of bit-packed a and b, not both zero; gcd(a, 0) = a."""
+    while b:
+        a, b = b, _mod_bits(a, b)
+    return a
 
 
 def _rev_bits(a: int) -> int:
@@ -167,9 +177,7 @@ def gcd(a: BinPoly, b: BinPoly) -> BinPoly:
     x, y = _reps(a, b)
     if not x and not y:
         raise GcdUndefined("gcd(0, 0) is undefined")
-    while y:
-        x, y = y, _mod_bits(x, y)
-    return BinPoly._wrap(x)
+    return BinPoly._wrap(_gcd_bits(x, y))
 
 
 def exact_div(a: BinPoly, b: BinPoly) -> BinPoly:
@@ -189,23 +197,26 @@ def modinv(p: BinPoly, m: BinPoly) -> BinPoly:
 
 
 def theta(m: int, n: int) -> BinPoly:
-    """theta_m(x^n) = 1 + x^n + x^{2n} + ... + x^{(m-1)n}."""
+    """theta_m(x^n) = 1 + x^n + x^{2n} + ... + x^{(m-1)n}; a top exponent (m-1)n above
+    DEGREE_CAP raises TooLarge before anything is built."""
     _check_length(m, "m")
     _check_length(n)
+    _check_exponent((m - 1) * n)
     return BinPoly._wrap(sum(1 << (i * n) for i in range(m)))
 
 
-def _cosets(n: int) -> list[int]:
-    """Cosets {j, 2j, 4j, ...} mod odd n as bit masks: one per irreducible factor of x^n - 1, of its degree."""
+def _cosets(n: int) -> list[list[int]]:
+    """Cosets {j, 2j, 4j, ...} mod odd n as member lists: one per irreducible factor of x^n - 1, of its degree."""
     _check_length(n)
     seen, cosets = [0] * n, []
     for j in range(n):
-        ind, k = 0, j
+        members, k = [], j
         while not seen[k]:
             seen[k] = 1
-            ind, k = ind | 1 << k, 2 * k % n
-        if ind:
-            cosets.append(ind)
+            members.append(k)
+            k = 2 * k % n
+        if members:
+            cosets.append(members)
     return cosets
 
 
@@ -224,27 +235,35 @@ def factor_xn1(n: int) -> list[BinPoly]:
 
     Mod x^n - 1, v(x)^2 = v(x^2), so v is idempotent exactly when its support
     is a union of cyclotomic cosets {j, 2j, 4j, ...} mod n.  The coset
-    indicators are thus a basis of Berlekamp's subalgebra: one factor per coset.
+    indicators are thus a basis of Berlekamp's subalgebra: one factor per coset,
+    and a reducible factor g splits at gcd(g, v mod g) for some indicator v.
+    The split runs on packed ints, one table per factor: a factor g is popped,
+    x^c mod g is tabled for every c < n (one shift and at most one XOR each),
+    each indicator mod g is the XOR of its members' entries, and g splits at
+    the first proper gcd, or is irreducible when none is.  It stops once there
+    are as many factors as cosets, and wraps only the result.
     """
     _check_length(n)
     if n % 2 == 0:
         raise EvenLengthUnsupported(f"x^{n}-1 is not squarefree over Z2 for even n")
-    indicators = [BinPoly._wrap(ind) for ind in _cosets(n)]
-    factors = [xn1(n)]
-    for v in indicators:
-        if len(factors) == len(indicators):
-            break
-        split = []
-        for g in factors:
-            h = gcd(g, v % g)
-            if 1 <= h.degree < g.degree:
-                split += [h, exact_div(g, h)]
-            else:
-                split.append(g)
-        factors = split
-    if len(factors) != len(indicators):
+    cosets = _cosets(n)
+    pending, done = [1 << n | 1], []
+    while pending and len(pending) + len(done) < len(cosets):
+        g = pending.pop()
+        top, powers = 1 << (g.bit_length() - 1), [1]
+        for _ in range(n - 1):
+            t = powers[-1] << 1
+            powers.append(t ^ g if t & top else t)
+        for members in cosets:
+            v = reduce(xor, [powers[c] for c in members])
+            if 1 < (h := _gcd_bits(g, v)) < g:
+                pending += [h, _exact_bits(g, h)]
+                break
+        else:
+            done.append(g)
+    if len(done) + len(pending) != len(cosets):
         raise ArithmeticError("internal error: cyclotomic-coset split is incomplete")
-    return sorted(factors, key=poly_key)
+    return sorted((BinPoly._wrap(p) for p in done + pending), key=poly_key)
 
 
 def divisors_xn1(n: int) -> list[BinPoly]:
@@ -257,10 +276,8 @@ def divisors_xn1(n: int) -> list[BinPoly]:
     """
     mult, _ = _divisor_shape(n)
     base = factor_xn1(n // mult)
-    divisors = []
-    for exps in product(range(mult + 1), repeat=len(base)):
-        d = BinPoly.one()
-        for p, e in zip(base, exps):
-            d = d * p**e
-        divisors.append(d)
+    divisors = (
+        prod((p**e for p, e in zip(base, exps)), start=BinPoly.one())
+        for exps in product(range(mult + 1), repeat=len(base))
+    )
     return sorted(divisors, key=poly_key)

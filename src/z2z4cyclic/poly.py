@@ -101,7 +101,8 @@ def _check_length(n: int, name: str = "n", error: type = InvalidParameter) -> No
 
 
 def _check_exponent(e: int) -> None:
-    """Refuse anything but an int exponent in 0 .. DEGREE_CAP: DensePoly.x and __pow__."""
+    """Refuse anything but an int exponent in 0 .. DEGREE_CAP: DensePoly.x, __pow__ and
+    gf2poly.theta's top exponent."""
     if not isinstance(e, int) or isinstance(e, bool) or e < 0:
         raise ValueError("exponent must be a nonnegative integer")
     if e > DEGREE_CAP:
@@ -202,6 +203,11 @@ class DensePoly:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through _wrap; the default slot restore would
+        # go through the refusing __setattr__.
+        return self._wrap, (self._rep,)
 
     @property
     def is_zero(self) -> bool:

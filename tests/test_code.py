@@ -1,7 +1,10 @@
 """Code construction: specs, spanning sets, enumeration, Gray map, pairings."""
 
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 import re
 import time
 
@@ -41,7 +44,7 @@ from z2z4cyclic import (
 )
 from z2z4cyclic import gf2poly as gf2
 from z2z4cyclic import z4poly as z4
-from z2z4cyclic.code import _codeword_keys, _decode_keys, _deg
+from z2z4cyclic.code import _codeword_keys, _decode_keys
 from z2z4cyclic.dual import brute_force_dual_matrix
 from z2z4cyclic.errors import (
     AmbientMismatch,
@@ -212,18 +215,17 @@ def test_validate_spec_refuses_a_bool_length_like_zero():
             validate_spec(alpha, beta, bp("1"), bp("0"), qp("1"), qp("x+3"))
 
 
-def test_code_type_and_deg_refuse_what_no_formula_can_use():
+def test_code_type_refuses_inconsistent_parameters():
     with pytest.raises(InvalidParameter, match=r"^inconsistent type parameters: \(3,3;2,1;2\)$"):
         CodeType(3, 3, 2, 1, 2, 1, 0, 0, 0)
-    with pytest.raises(InvalidParameter, match="^degree of the zero polynomial consumed in a formula$"):
-        _deg(BinPoly.zero())
 
 
 def test_validate_spec_consequence_checks_raise_internal_errors(monkeypatch):
     # Both checks after the defining conditions can only fail through a
-    # bug; a gcd that returns 1 once stands in for one, at each check.
+    # bug; a gcd that returns 1 once stands in for one, at each check.  Both
+    # gcds come from one _ell_gcds call, before either check.
     real_gcd = gf2.gcd
-    for bad_call in (1, 2):
+    for bad_call, text in ((1, r"gcd\(b, ell\) mod 2"), (2, r"gcd\(b, ell\*g\) mod 2")):
         calls = []
 
         def broken_gcd(a, b):
@@ -231,10 +233,45 @@ def test_validate_spec_consequence_checks_raise_internal_errors(monkeypatch):
             return BinPoly.one() if len(calls) == bad_call else real_gcd(a, b)
 
         monkeypatch.setattr(gf2, "gcd", broken_gcd)
-        with pytest.raises(ArithmeticError, match="internal error") as exc:
+        with pytest.raises(ArithmeticError, match=f"^internal error: .*{text}$") as exc:
             validate_spec(1, 1, bp("x+1"), BinPoly.zero(), qp("x+3"), qp("1"))
         assert not isinstance(exc.value, InvalidSpec)
-        assert len(calls) == bad_call
+        assert len(calls) == 2
+
+
+def test_kept_images_leave_eq_hash_repr_and_fields_as_they_were(example_spec):
+    # The mod-2 images validation keeps sit in __dict__ beside the caches,
+    # outside the dataclass fields.
+    s = example_spec
+    assert [f.name for f in dataclasses.fields(s)] == ["alpha", "beta", "b", "ell", "f", "h", "g"]
+    assert {"_g2", "_h2", "_ell_g2"} <= set(vars(s))
+    assert repr(s) == (
+        "CyclicCodeSpec(alpha=3, beta=3, b=BinPoly('x^3+1'), ell=BinPoly('x+1'), "
+        "f=QuatPoly('1'), h=QuatPoly('x^2+x+1'), g=QuatPoly('x+3'))"
+    )
+    assert hash(s) == hash((3, 3, s.b, s.ell, s.f, s.h, s.g))
+    other = validate_spec(3, 3, bp("x^3+1"), bp("x+1"), qp("1"), qp("x^2+x+1"))
+    vars(other).update(_g2=0, _h2=0, _ell_g2=0)
+    assert other == s and hash(other) == hash(s) and repr(other) == repr(s)
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_spec_copies_and_pickles_without_its_caches(copier):
+    spec = construct_mdss(3, 3)
+    words = codeword_matrix(spec)
+    again = copier(spec)
+    assert type(again) is CyclicCodeSpec
+    assert again == spec and hash(again) == hash(spec) and repr(again) == repr(spec)
+    # Rebuilt through validation: the images are kept anew, and the caches are
+    # built anew, read-only as ever.
+    assert "_word_keys" not in vars(again) and "_span_rows" not in vars(again)
+    assert (again._g2, again._h2, again._ell_g2) == (spec._g2, spec._h2, spec._ell_g2)
+    assert not again._span_rows.flags.writeable
+    assert np.array_equal(codeword_matrix(again), words)
 
 
 def test_spec_text_round_trip(example_spec):

@@ -1,5 +1,8 @@
 """Binary polynomial arithmetic: ring ops, gcd, inverses, theta, factorization."""
 
+import copy
+import itertools
+import pickle
 import re
 import time
 import tracemalloc
@@ -53,6 +56,20 @@ def test_immutable_and_hashable():
     with pytest.raises(AttributeError):
         p.coeffs = (1,)
     assert len({bp("x+1"), bp("x+1"), bp("x")}) == 2
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_polynomials_copy_and_pickle(copier):
+    # Both rings, zero and a polynomial wider than one machine word.
+    for p in (bp("0"), bp("x^100+x+1"), QuatPoly.zero(), QuatPoly.parse("x^100+2x+3")):
+        again = copier(p)
+        assert type(again) is type(p) and again == p and hash(again) == hash(p)
+        with pytest.raises(AttributeError, match="is immutable$"):
+            again._rep = 0
 
 
 def test_binpoly_and_quatpoly_never_compare_equal():
@@ -252,6 +269,18 @@ def test_theta_rejects_nonpositive_arguments():
         theta(3, 0)
 
 
+def test_theta_refuses_a_degree_above_the_cap():
+    assert theta(DEGREE_CAP, 1).degree == DEGREE_CAP - 1
+    assert theta(2, DEGREE_CAP).degree == DEGREE_CAP
+    # Each length is within the cap, but the degree (m - 1) * n is not: refused
+    # before the polynomial is built (theta(4096, 4096) took 3.5 s to build).
+    for m, n, degree in ((DEGREE_CAP, DEGREE_CAP, 4095 * 4096), (3, DEGREE_CAP // 2 + 1, DEGREE_CAP + 2)):
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge, match=f"^exponent {degree} is above the degree cap {DEGREE_CAP}$"):
+            theta(m, n)
+        assert time.perf_counter() - t0 < 0.1
+
+
 def test_theta_factors_x_nm_minus_1():
     for n in range(1, 9):
         for m in range(1, 9):
@@ -417,6 +446,17 @@ def test_xn1_helpers_refuse_a_bool_a_float_and_a_length_above_the_cap(call, name
             tracemalloc.stop()
         assert time.perf_counter() - t0 < 1
         assert peak < 2**20
+
+
+@pytest.mark.parametrize("n", [*range(1, 256, 2), 1023, 4095])
+def test_factor_xn1_gives_one_coprime_factor_per_coset(n):
+    factors = factor_xn1(n)
+    prod = bp("1")
+    for p in factors:
+        prod = prod * p
+    assert prod == gf2.xn1(n)
+    assert all(gf2.gcd(p, q) == bp("1") for p, q in itertools.combinations(factors, 2))
+    assert sorted(p.degree for p in factors) == sorted(len(c) for c in gf2._cosets(n))
 
 
 def test_divisors_xn1_odd_n():

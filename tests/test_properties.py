@@ -61,7 +61,6 @@ from z2z4cyclic.code import (
     _DECODE_CELLS,
     _block_sizes,
     _decode_keys,
-    _deg,
     _gray_keys,
     _gray_rows,
     _key_add,
@@ -915,7 +914,7 @@ def ref_base_row(p, q, alpha, beta):
 def ref_span_rows(spec):
     """The spanning rows built one np.roll at a time, each from the one before."""
     a, beta = spec.alpha, spec.beta
-    counts = (a - _deg(spec.b), _deg(spec.g), _deg(spec.h))
+    counts = (a - spec.b.degree, spec.g.degree, spec.h.degree)
     bases = (
         ref_base_row(spec.b, QuatPoly.zero(), a, beta),
         ref_base_row(spec.ell, spec.f * spec.h + 2 * spec.f, a, beta),

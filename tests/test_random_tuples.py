@@ -35,6 +35,8 @@ from z2z4cyclic import (
 from z2z4cyclic import gf2poly as gf2
 from z2z4cyclic.analysis import _sample_rows, _tuple_count
 from z2z4cyclic.code import _pairings
+from z2z4cyclic.gf2poly import _clmul
+from z2z4cyclic.z4poly import _mod2_bits
 
 ROUTES = ("f", "h", "g")
 
@@ -130,6 +132,17 @@ def test_closed_form_laws_on_random_tuples():
                 assert not _pairings(words[:, None], dual_words[None], spec.alpha).any(), spec
                 paired += 1
     assert paired >= 20
+
+
+def test_validation_keeps_the_mod_2_images():
+    # g mod 2, h mod 2 and ell*g mod 2, kept by validation, on the 820 family
+    # specs and on random tuples up to length 4095, against a recomputation.
+    family = [s for alpha in range(1, 6) for beta in (1, 3, 5) for s in iter_valid_specs(alpha, beta)]
+    randoms = [s for n in (255, 1023, 4095) for s in random_specs(n, 20, n)]
+    assert len(family) == 820
+    for spec in family + randoms:
+        g2 = _mod2_bits(spec.g._rep)
+        assert (spec._g2, spec._h2, spec._ell_g2) == (g2, _mod2_bits(spec.h._rep), _clmul(spec.ell._rep, g2))
 
 
 def test_verify_passes_on_random_small_tuples():
