@@ -5,7 +5,11 @@ Gray image (binary weight plus Lee weight), by exhaustive enumeration:
 the words are the spec's sorted packed keys, enumerated once and cached
 on the spec, and each word's weight is the popcount of its key's Gray
 code.  Cyclic closure compares those keys with the span of the shifted
-spanning rows (_span_keys).
+spanning rows (_span_keys).  code_report reads the keys, runs the
+closure's sort and only then decodes the words, so no decoded matrix is
+alive beside the sort's temporaries; the distance is read from the keys
+after the first, which is the zero word, as uint8 popcounts summed in
+uint16.
 Its MDSS, self-dual and separable flags reduce to exact comparisons of
 type parameters and canonical word matrices: no floating point anywhere.
 
@@ -91,10 +95,13 @@ def _cyclic_closed(rows: np.ndarray, alpha: int, keys: np.ndarray) -> bool:
 
 
 def _min_distance(keys: np.ndarray, alpha: int, n: int) -> int | None:
-    """Least nonzero Gray weight of the packed words; None when the only word is zero."""
-    weights = np.bitwise_count(_gray_keys(keys, alpha, n)).sum(axis=0, dtype=np.intp)
-    nonzero = weights[weights > 0]
-    return int(nonzero.min()) if len(nonzero) else None
+    """Least nonzero Gray weight of the sorted distinct packed words; None when the only
+    word is zero.  The zero word is the first key, and every other weight is 1 ..
+    alpha + 2*beta <= 12288, so the Gray popcounts of the rest sum in uint16."""
+    if keys[:, 0].any():
+        raise ArithmeticError("internal error: the first codeword key is not the zero word")
+    weights = np.bitwise_count(_gray_keys(keys[:, 1:], alpha, n)).sum(axis=0, dtype=np.uint16)
+    return int(weights.min()) if weights.size else None
 
 
 def code_report(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> CodeReport:
@@ -102,8 +109,9 @@ def code_report(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> CodeReport:
 
     The trivial code has min_distance None and is never MDSS.
     """
-    mat = codeword_matrix(spec, cap)
     keys = _codeword_keys(spec, cap)
+    cyclic = _cyclic_closed(spec._span_rows, spec.alpha, keys)
+    mat = codeword_matrix(spec, cap)
     t = code_type(spec)
     d = _min_distance(keys, spec.alpha, mat.shape[1])
     self_dual = False
@@ -115,7 +123,7 @@ def code_report(spec: CyclicCodeSpec, cap: int = ENUM_CAP) -> CodeReport:
         is_mdss=d is not None and _mdss_gap(spec, d, t) == 0,
         is_self_dual=self_dual,
         is_separable=t.is_separable,
-        is_cyclic_verified=_cyclic_closed(spec._span_rows, spec.alpha, keys),
+        is_cyclic_verified=cyclic,
     )
 
 

@@ -65,10 +65,11 @@ Inside the package a codeword set is its sorted distinct packed keys;
 the public form is their decode, a uint8 matrix of unique rows (binary
 block first) in lexicographic row order, which keeps brute-force
 comparisons exact.  _sort_keys is the one np.unique here, and it leaves
-its argument as it was; only _span_keys presorts its own one-limb keys,
-in place.  Each row is written MSB-first with 1 bit per Z2 coordinate
-(or Gray bit) and 2 bits per Z4 coordinate, so packed-key order equals
-lexicographic row order.  The limb word follows the row's bit count: a
+its argument as it was; only _span_keys presorts its own keys, one-limb
+keys in place and multi-limb keys by a lexsort over the limbs.  Each row
+is written MSB-first with 1 bit per Z2 coordinate (or Gray bit) and 2
+bits per Z4 coordinate, so packed-key order equals lexicographic row
+order.  The limb word follows the row's bit count: a
 row of alpha + 2*beta <= 32 bits is one uint32; a wider row takes
 ceil((alpha + 2*beta) / 64) uint64 limbs, most significant limb first,
 compared limb by limb.  A Gray image has the same bit count as its word,
@@ -606,8 +607,11 @@ def _span_keys(rows: np.ndarray, alpha: int) -> np.ndarray:
     order-four row is added lane-wise by _key_add, and c = 2, 3 are the
     c = 0, 1 words XOR the key of twice the row.  Every row's low Z4 lane
     bits, and their double, are masked once for all rows, and the widths
-    read the same mask.  One-limb keys are then sorted in place by numpy's
-    SIMD sort, so that np.unique's stable sort runs over sorted input.
+    read the same mask.  The keys are then presorted, so that np.unique's
+    stable sort runs over sorted input: one-limb keys in place by numpy's
+    SIMD sort, multi-limb keys by a lexsort over the limbs, most
+    significant limb first, which spares np.unique's structured-row argsort
+    its unsorted input.
     """
     low = _key_layout(rows.shape[1], alpha).low
     row_keys = _row_keys(rows, alpha)
@@ -626,6 +630,8 @@ def _span_keys(rows: np.ndarray, alpha: int) -> np.ndarray:
         size <<= width
     if len(keys) == 1:
         keys[0].sort()
+    else:
+        keys = keys[:, np.lexsort(keys[::-1])]
     return _sort_keys(keys)
 
 

@@ -8,7 +8,7 @@ two limbs) against their row and polynomial forms, the span of shifted
 rows and cyclic closure against a set of shifted Codewords, the rotated
 spanning rows and correlated shift products against their loop forms
 (stacked shift products against each pair's), the
-peak memory of the spanning rows and of contains, the pairing of long rows
+peak memory of the spanning rows, of contains and of code_report, the pairing of long rows
 against inner_product, the circ product's coefficients against the shifted
 inner products, and
 the Gray map on keys, its decoded image and its popcount weights against a
@@ -55,11 +55,12 @@ from z2z4cyclic import (
 from z2z4cyclic import gf2poly as gf2
 from z2z4cyclic import z4poly as z4
 from z2z4cyclic import analysis, poly
-from z2z4cyclic.analysis import _cyclic_closed, _sample_rows, _shifted_inner_products
+from z2z4cyclic.analysis import _cyclic_closed, _min_distance, _sample_rows, _shifted_inner_products
 from z2z4cyclic.cli import _json, main
 from z2z4cyclic.code import (
     _DECODE_CELLS,
     _block_sizes,
+    _codeword_keys,
     _decode_keys,
     _gray_keys,
     _gray_rows,
@@ -985,6 +986,17 @@ def test_contains_peak_stays_within_twice_the_dual_rows_bytes():
     assert peak <= 1.25 * dual_spec(spec)._span_rows.size
 
 
+def test_code_report_peak_stays_within_40_bytes_per_codeword():
+    # The (4 | 7) ambient: 2^18 words of 11 columns, one uint32 key each.  The closure's
+    # span is sorted before the words are decoded, and the distance sums uint8 Gray
+    # popcounts in uint16, so no decoded matrix sits beside the sort's temporaries and
+    # no intp weight array is built.
+    spec = validate_spec(4, 7, BinPoly.one(), BinPoly.zero(), QuatPoly.one(), QuatPoly.one())
+    report, peak = traced_peak(lambda: code_report(spec))
+    assert report.min_distance == 1 and report.is_cyclic_verified
+    assert peak <= 40 * 2**18
+
+
 @st.composite
 def long_row_pairs(draw):
     """Two matrices of rows with at least 4000 Z4 columns, each entry 3 but a few,
@@ -1183,10 +1195,21 @@ def test_popcount_gray_weights_match_the_gray_image_on_the_family():
 
 
 def test_min_distance_is_the_least_nonzero_table_weight():
-    for spec in SMALL_SPECS:
+    # The two-limb closed codes, and the trivial code on two limbs, whose keys past
+    # the zero word are an empty (2, 0) array.
+    trivial = validate_spec(33, 17, gf2.xn1(33), BinPoly.zero(), z4.xn1(17), QuatPoly.one())
+    for spec in SMALL_SPECS + CLOSED_CODES[2:] + [trivial]:
         weights = [sum(ref_gray_row(row, spec.alpha)) for row in codeword_matrix(spec).tolist()]
         nonzero = [w for w in weights if w]
         assert code_report(spec).min_distance == (min(nonzero) if nonzero else None), spec
+    assert code_report(trivial).min_distance is None
+
+
+def test_min_distance_refuses_keys_whose_first_word_is_not_zero():
+    spec = CLOSED_CODES[0]
+    keys = _codeword_keys(spec)
+    with pytest.raises(ArithmeticError, match="first codeword key is not the zero word"):
+        _min_distance(keys[:, 1:], spec.alpha, spec.alpha + spec.beta)
 
 
 # -- the CLI's JSON renderer against json.dumps --------------------------------
